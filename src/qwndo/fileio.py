@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 
+from .walk import validate_density_matrix
+
 STATE_FORMAT_VERSION = 1
 
 
@@ -28,7 +30,7 @@ def save_state(rho: np.ndarray, path, n_steps: int | None = None) -> None:
 
 
 def load_state(path) -> tuple[np.ndarray, int]:
-    """Read a state file; returns (rho, n_steps)."""
+    """Read a state file; returns (rho, n_steps). The state must be a density matrix."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -44,7 +46,9 @@ def load_state(path) -> tuple[np.ndarray, int]:
     im = np.array(doc["im"], dtype=float)
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"state file field 're'/'im' shape does not match dim {d}")
-    return re + 1j * im, int(doc["n_steps"])
+    rho = re + 1j * im
+    validate_density_matrix(rho)
+    return rho, int(doc["n_steps"])
 
 
 def write_csv(path, header: list[str], rows) -> None:

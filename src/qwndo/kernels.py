@@ -1,14 +1,4 @@
-"""Hot numeric kernels for the density-operator ansatz.
-
-Two implementations of each kernel: a Numba-compiled loop version and a
-vectorized pure-NumPy fallback. Selection happens at import time via the
-environment variable QWNDO_KERNELS:
-
-    unset / "numba"  use Numba (falls back to NumPy if Numba cannot import,
-                     unless "numba" was requested explicitly)
-    "numpy"          force the pure-NumPy path
-
-`benchmarks/bench_kernels.py` times both paths; tests pin them to agree.
+"""Hot numeric kernels for the density-operator ansatz, vectorized in NumPy.
 
 Parameter flattening order (row-major matrices): W_lam, W_mu, U_lam, U_mu,
 b_lam, b_mu, c_lam, c_mu, d_lam.
@@ -16,13 +6,7 @@ b_lam, b_mu, c_lam, c_mu, d_lam.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_REQUESTED = os.environ.get("QWNDO_KERNELS", "").strip().lower()
-if _REQUESTED not in ("", "numba", "numpy"):
-    raise ValueError(f"QWNDO_KERNELS must be 'numba' or 'numpy', got {_REQUESTED!r}")
 
 
 def param_offsets(d: int, m_h: int, m_a: int) -> dict[str, int]:
@@ -40,10 +24,6 @@ def param_offsets(d: int, m_h: int, m_a: int) -> dict[str, int]:
         "total": 2 * m_h * d + 2 * m_a * d + 2 * d + 2 * m_h + m_a,
     }
 
-
-# ---------------------------------------------------------------------------
-# pure-NumPy path
-# ---------------------------------------------------------------------------
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -75,7 +55,7 @@ def _logistic_c(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_cache_numpy(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
+def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
     """Matrix of log density entries A plus the logistic caches its gradient needs.
 
     Returns (a, sig_lam, sig_mu, s_pair) with a (d, d) complex,
@@ -98,7 +78,7 @@ def pair_cache_numpy(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
     return a, _logistic(x_lam), _logistic(x_mu), _logistic_c(z)
 
 
-def assemble_jacobian_numpy(rho, sig_lam, sig_mu, s_pair, z_norm):
+def assemble_jacobian(rho, sig_lam, sig_mu, s_pair, z_norm):
     """Jacobian d(rho)/d(theta) as a (d*d, P) complex matrix.
 
     Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z_norm),
@@ -143,119 +123,6 @@ def assemble_jacobian_numpy(rho, sig_lam, sig_mu, s_pair, z_norm):
     return jac
 
 
-# ---------------------------------------------------------------------------
-# Numba path (same math, explicit loops)
-# ---------------------------------------------------------------------------
-
-def _pair_cache_loops(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
-    m_h, d = w_lam.shape
-    m_a = u_lam.shape[0]
-    hs_lam = np.zeros(d)
-    hs_mu = np.zeros(d)
-    sig_lam = np.empty((m_h, d))
-    sig_mu = np.empty((m_h, d))
-    for i in range(m_h):
-        for v in range(d):
-            x = w_lam[i, v] + c_lam[i]
-            hs_lam[v] += max(x, 0.0) + np.log1p(np.exp(-abs(x)))
-            sig_lam[i, v] = 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
-            x = w_mu[i, v] + c_mu[i]
-            hs_mu[v] += max(x, 0.0) + np.log1p(np.exp(-abs(x)))
-            sig_mu[i, v] = 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
-    s_pair = np.empty((m_a, d, d), np.complex128)
-    pi = np.zeros((d, d), np.complex128)
-    for i in range(m_a):
-        for al in range(d):
-            for be in range(d):
-                z = complex(
-                    0.5 * (u_lam[i, al] + u_lam[i, be]) + d_lam[i],
-                    0.5 * (u_mu[i, al] - u_mu[i, be]),
-                )
-                if z.real > 0:
-                    pi[al, be] += z + np.log(1.0 + np.exp(-z))
-                    s_pair[i, al, be] = 1.0 / (1.0 + np.exp(-z))
-                else:
-                    ez = np.exp(z)
-                    pi[al, be] += np.log(1.0 + ez)
-                    s_pair[i, al, be] = ez / (1.0 + ez)
-    a = np.empty((d, d), np.complex128)
-    for al in range(d):
-        for be in range(d):
-            a[al, be] = (
-                complex(
-                    0.5 * (hs_lam[al] + hs_lam[be] + b_lam[al] + b_lam[be]),
-                    0.5 * (hs_mu[al] - hs_mu[be] + b_mu[al] - b_mu[be]),
-                )
-                + pi[al, be]
-            )
-    return a, sig_lam, sig_mu, s_pair
-
-
-def _assemble_jacobian_loops(rho, sig_lam, sig_mu, s_pair, z_norm):
-    d = rho.shape[0]
-    m_h = sig_lam.shape[0]
-    m_a = s_pair.shape[0]
-    o_wl = 0
-    o_wm = m_h * d
-    o_ul = 2 * m_h * d
-    o_um = 2 * m_h * d + m_a * d
-    o_bl = 2 * m_h * d + 2 * m_a * d
-    o_bm = o_bl + d
-    o_cl = o_bm + d
-    o_cm = o_cl + m_h
-    o_dl = o_cm + m_h
-    p_total = o_dl + m_a
-    jac = np.empty((d * d, p_total), np.complex128)
-    for al in range(d):
-        for be in range(d):
-            r = al * d + be
-            rv = rho[al, be]
-            for j in range(p_total):
-                jac[r, j] = -rv * z_norm[j]
-            for i in range(m_h):
-                jac[r, o_wl + i * d + al] += rv * 0.5 * sig_lam[i, al]
-                jac[r, o_wl + i * d + be] += rv * 0.5 * sig_lam[i, be]
-                jac[r, o_wm + i * d + al] += rv * 0.5j * sig_mu[i, al]
-                jac[r, o_wm + i * d + be] -= rv * 0.5j * sig_mu[i, be]
-                jac[r, o_cl + i] += rv * 0.5 * (sig_lam[i, al] + sig_lam[i, be])
-                jac[r, o_cm + i] += rv * 0.5j * (sig_mu[i, al] - sig_mu[i, be])
-            for i in range(m_a):
-                sv = s_pair[i, al, be]
-                jac[r, o_ul + i * d + al] += rv * 0.5 * sv
-                jac[r, o_ul + i * d + be] += rv * 0.5 * sv
-                jac[r, o_um + i * d + al] += rv * 0.5j * sv
-                jac[r, o_um + i * d + be] -= rv * 0.5j * sv
-                jac[r, o_dl + i] += rv * sv
-            jac[r, o_bl + al] += rv * 0.5
-            jac[r, o_bl + be] += rv * 0.5
-            jac[r, o_bm + al] += rv * 0.5j
-            jac[r, o_bm + be] -= rv * 0.5j
-    return jac
-
-
-HAVE_NUMBA = False
-pair_cache_numba = None
-assemble_jacobian_numba = None
-
-if _REQUESTED != "numpy":
-    try:
-        from numba import njit
-
-        pair_cache_numba = njit(cache=True)(_pair_cache_loops)
-        assemble_jacobian_numba = njit(cache=True)(_assemble_jacobian_loops)
-        HAVE_NUMBA = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-
-if HAVE_NUMBA:
-    pair_cache = pair_cache_numba
-    assemble_jacobian = assemble_jacobian_numba
-else:
-    pair_cache = pair_cache_numpy
-    assemble_jacobian = assemble_jacobian_numpy
-
-
 def active_backend() -> str:
-    """Name of the kernel path selected at import time."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded with benchmark results."""
+    return "numpy"

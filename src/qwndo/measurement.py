@@ -194,6 +194,8 @@ def load_dataset(path) -> MeasurementDataset:
             probs[idx] = [float(p) for p in vec]
         except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"basis n={idx}: non-numeric 'probs' entry") from exc
+        if not np.all(np.isfinite(probs[idx])):
+            raise DatasetFormatError(f"basis n={idx}: non-finite 'probs' entry")
     for n in range(n_bases(n_steps)):
         if np.any(np.isnan(probs[n])):
             raise DatasetFormatError(f"missing basis n={n}")

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from . import kernels
-from .kernels import _logistic, _logistic_c, _softplus, _softplus_c, param_offsets
+from .kernels import _softplus, param_offsets
 
 ARRAY_NAMES = ("w_lam", "w_mu", "u_lam", "u_mu", "b_lam", "b_mu", "c_lam", "c_mu", "d_lam")
 
@@ -34,15 +34,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 def n_params(d: int, m_h: int, m_a: int) -> int:
     """Length of the flattened parameter vector."""
     return param_offsets(d, m_h, m_a)["total"]
-
-
-def one_hot(d: int, index: int) -> np.ndarray:
-    """Visible-layer encoding of basis state `index`."""
-    if not 0 <= index < d:
-        raise ValueError(f"index {index} out of range [0, {d})")
-    vec = np.zeros(d)
-    vec[index] = 1.0
-    return vec
 
 
 @dataclass(frozen=True)
@@ -164,42 +155,18 @@ def mixed_init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int
     return NdoParams(**arrays)
 
 
-def a_entry(params: NdoParams, v: int, vp: int) -> complex:
-    """Log density entry A(v, v') for basis indices v, v'."""
-    hs_l_v = _softplus(params.w_lam[:, v] + params.c_lam).sum()
-    hs_l_vp = _softplus(params.w_lam[:, vp] + params.c_lam).sum()
-    hs_m_v = _softplus(params.w_mu[:, v] + params.c_mu).sum()
-    hs_m_vp = _softplus(params.w_mu[:, vp] + params.c_mu).sum()
-    gamma_plus = 0.5 * (hs_l_v + hs_l_vp + params.b_lam[v] + params.b_lam[vp])
-    gamma_minus = 0.5 * (hs_m_v - hs_m_vp + params.b_mu[v] - params.b_mu[vp])
-    z = (
-        0.5 * (params.u_lam[:, v] + params.u_lam[:, vp])
-        + 0.5j * (params.u_mu[:, v] - params.u_mu[:, vp])
-        + params.d_lam
-    ).astype(np.complex128)
-    return complex(gamma_plus + 1j * gamma_minus + _softplus_c(z).sum())
-
-
-def a_matrix(params: NdoParams) -> np.ndarray:
-    """All log density entries as a (d, d) complex matrix."""
-    a, _, _, _ = kernels.pair_cache(*params.arrays())
-    return a
-
-
-def log_z(params: NdoParams) -> float:
-    """log sum_v exp(A(v, v)), evaluated as a log-sum-exp."""
-    diag = a_matrix(params).diagonal().real
+def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The state exp(A) / Z and log Z = log sum_v exp(A(v, v)), as a log-sum-exp."""
+    diag = a.diagonal().real
     peak = diag.max()
-    return float(peak + np.log(np.exp(diag - peak).sum()))
+    lz = float(peak + np.log(np.exp(diag - peak).sum()))
+    return np.exp(a - lz), lz
 
 
 def density_matrix(params: NdoParams) -> np.ndarray:
     """The normalized state exp(A) / Z; Hermitian, unit trace and PSD by construction."""
-    a = a_matrix(params)
-    diag = a.diagonal().real
-    peak = diag.max()
-    lz = peak + np.log(np.exp(diag - peak).sum())
-    return np.exp(a - lz)
+    a, _, _, _ = kernels.pair_cache(*params.arrays())
+    return _normalize(a)[0]
 
 
 def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
@@ -229,46 +196,6 @@ def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
-    """Derivative of A(v, v') w.r.t. the flattened parameters, complex length P.
-
-    Reference implementation for the structured fast paths: the one-hot
-    encoding confines weight derivatives to columns v and vp.
-    """
-    d, m_h, m_a = params.dim, params.m_h, params.m_a
-    off = param_offsets(d, m_h, m_a)
-    g = np.zeros(off["total"], dtype=np.complex128)
-    rows_h = np.arange(m_h) * d
-    rows_a = np.arange(m_a) * d
-    sig_l_v = _logistic(params.w_lam[:, v] + params.c_lam)
-    sig_l_vp = _logistic(params.w_lam[:, vp] + params.c_lam)
-    sig_m_v = _logistic(params.w_mu[:, v] + params.c_mu)
-    sig_m_vp = _logistic(params.w_mu[:, vp] + params.c_mu)
-    g[off["w_lam"] + rows_h + v] += 0.5 * sig_l_v
-    g[off["w_lam"] + rows_h + vp] += 0.5 * sig_l_vp
-    g[off["w_mu"] + rows_h + v] += 0.5j * sig_m_v
-    g[off["w_mu"] + rows_h + vp] -= 0.5j * sig_m_vp
-    g[off["c_lam"] : off["c_lam"] + m_h] = 0.5 * (sig_l_v + sig_l_vp)
-    g[off["c_mu"] : off["c_mu"] + m_h] = 0.5j * (sig_m_v - sig_m_vp)
-    g[off["b_lam"] + v] += 0.5
-    g[off["b_lam"] + vp] += 0.5
-    g[off["b_mu"] + v] += 0.5j
-    g[off["b_mu"] + vp] -= 0.5j
-    s = _logistic_c(
-        (
-            0.5 * (params.u_lam[:, v] + params.u_lam[:, vp])
-            + 0.5j * (params.u_mu[:, v] - params.u_mu[:, vp])
-            + params.d_lam
-        ).astype(np.complex128)
-    )
-    g[off["u_lam"] + rows_a + v] += 0.5 * s
-    g[off["u_lam"] + rows_a + vp] += 0.5 * s
-    g[off["u_mu"] + rows_a + v] += 0.5j * s
-    g[off["u_mu"] + rows_a + vp] -= 0.5j * s
-    g[off["d_lam"] : off["d_lam"] + m_a] = s
-    return g
-
-
 @dataclass(frozen=True)
 class NdoEval:
     """One-pass evaluation of everything the cost, gradient and metric reuse."""
@@ -287,10 +214,7 @@ def evaluate(params: NdoParams) -> NdoEval:
     """Compute the state plus the gradient caches in one pass."""
     d, m_h, m_a = params.dim, params.m_h, params.m_a
     a, sig_lam, sig_mu, s_pair = kernels.pair_cache(*params.arrays())
-    diag = a.diagonal().real
-    peak = diag.max()
-    lz = float(peak + np.log(np.exp(diag - peak).sum()))
-    rho = np.exp(a - lz)
+    rho, lz = _normalize(a)
     pd = rho.diagonal().real
     idx = np.arange(d)
     s_diag = s_pair[:, idx, idx].real

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
-from . import ndo
+from . import kernels, ndo
 from .kernels import param_offsets
 
 PROB_FLOOR = 1e-12  # inside logs and the matching gradient weights
@@ -30,10 +30,6 @@ PROB_FLOOR = 1e-12  # inside logs and the matching gradient weights
 FLUSH = 1e-150
 
 OPTIMIZERS = ("gd", "cg", "lbfgs", "gngd")
-
-
-class LineSearchError(RuntimeError):
-    """Backtracking failed along both the chosen and the gradient direction."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,8 @@ def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, stack: np.ndarray) -> np.
     """Analytic cost gradient: contract the error matrix E with dA's structure.
 
     E = -rho .* M + N_b diag(rho_vv), where M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b))
-    and w = data/model. E is Hermitian, so the contraction is real up to roundoff.
+    and w = data/model. E is Hermitian, so the contraction is real up to roundoff;
+    a larger imaginary part raises RuntimeError.
     """
     d = ev.rho.shape[0]
     m_h = ev.sig_lam.shape[0]
@@ -187,7 +184,7 @@ def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, stack: np.ndarray) -> np.
     resid = np.max(np.abs(g.imag))
     scale = max(1.0, float(np.max(np.abs(g.real))))
     if resid > 1e-10 * scale:
-        raise AssertionError(f"gradient imaginary residue {resid:.3e} exceeds roundoff")
+        raise RuntimeError(f"gradient imaginary residue {resid:.3e} exceeds roundoff")
     return g.real.copy()
 
 
@@ -213,12 +210,6 @@ def gram(jac: np.ndarray) -> np.ndarray:
     _flush(stacked, FLUSH * max(stacked.max(initial=0.0), -stacked.min(initial=0.0)))
     upper = dsyrk(1.0, stacked, trans=1, lower=0)
     return upper + np.triu(upper, 1).T
-
-
-def gngd_metric(params: ndo.NdoParams) -> np.ndarray:
-    """Pullback metric G_ij = Re sum_ab d(rho_ab)/d(theta_i) conj(d(rho_ab)/d(theta_j))."""
-    g = gram(ndo.rho_jacobian(params))
-    return 0.5 * (g + g.T)
 
 
 def solve_metric(metric: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
@@ -425,34 +416,7 @@ class _NdoObjective:
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         ev = self._eval(x)
-        from . import kernels
-
-        jac = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair, ev.grad_log_z)
-        g = gram(jac)
-        return 0.5 * (g + g.T)
-
-
-def gngd_step(
-    params: ndo.NdoParams,
-    grad: np.ndarray,
-    metric: np.ndarray,
-    ds,
-    bases,
-    config: TrainConfig | None = None,
-):
-    """One natural-gradient update with line search; returns (params, step size)."""
-    config = config or TrainConfig()
-    obj = _NdoObjective(ds, bases, params.dim, params.m_h, params.m_a)
-    x = params.to_vector()
-    f0 = obj.cost(x)
-    p = -solve_metric(metric, grad, config.metric_eps)
-    res = _armijo(obj.cost, x, f0, grad, p, config)
-    if res is None:
-        res = _gradient_fallback(obj.cost, x, f0, grad, config)
-    if res is None:
-        raise LineSearchError("no step along the metric or gradient direction decreases the cost")
-    xn, _, eta = res
-    return ndo.NdoParams.from_vector(params.dim, params.m_h, params.m_a, xn), eta
+        return gram(kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair, ev.grad_log_z))
 
 
 def fit_ndo(

@@ -30,10 +30,12 @@ def dim(n_steps: int) -> int:
 
 
 def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within atol."""
+    """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD within atol."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > atol:
         raise ValueError(f"not Hermitian: max deviation {herm:.3e} > {atol:.1e}")

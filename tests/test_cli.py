@@ -172,6 +172,13 @@ class TestTrainAndEvaluate:
         assert doc["similarity"] > 0.999
         assert 0 < doc["purity"] <= 1.0 + 1e-9
 
+    def test_evaluate_non_physical_reference(self, tmp_path, hadamard_state, capsys):
+        bad = tmp_path / "bad.state"
+        fileio.save_state(np.diag([2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), bad, n_steps=2)
+        code = run(["evaluate", "--state", str(hadamard_state), "--reference", str(bad)])
+        assert code == 1
+        assert "not PSD" in capsys.readouterr().err
+
     def test_maxlik_round_trip(self, tmp_path, small_dataset, hadamard_state, capsys):
         out = tmp_path / "ml.state"
         code = run([

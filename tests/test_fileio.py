@@ -41,6 +41,29 @@ class TestStateFile:
         with pytest.raises(ValueError, match="dim"):
             fileio.load_state(path)
 
+    @pytest.mark.parametrize(
+        "rho,fragment",
+        [
+            (np.diag([2.0, -1.0, 0.0, 0.0]), "not PSD"),
+            (np.eye(4) / 2, "trace"),
+            (np.diag([1.0, 0.0, 0.0, 0.0]) + np.diag([0.1, 0.0, 0.0], k=1), "not Hermitian"),
+        ],
+    )
+    def test_non_physical_state_rejected(self, tmp_path, rho, fragment):
+        path = tmp_path / "bad.state"
+        fileio.save_state(rho, path, n_steps=1)
+        with pytest.raises(ValueError, match=fragment):
+            fileio.load_state(path)
+
+    def test_non_finite_entry_rejected(self, tmp_path):
+        path = tmp_path / "rho.state"
+        fileio.save_state(walk.initial_state(1), path)
+        doc = json.loads(path.read_text())
+        doc["im"][0][1] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.load_state(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.state"
         path.write_text("{{{")

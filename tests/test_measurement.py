@@ -218,6 +218,17 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError, match=fragment):
             measurement.load_dataset(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_probability_named(self, tmp_path, value):
+        ds = measurement.generate_dataset(walk.initial_state(1), 1)
+        path = tmp_path / "ds.json"
+        measurement.save_dataset(ds, path)
+        doc = json.loads(path.read_text())
+        doc["bases"][2]["probs"][1] = value
+        path.write_text(json.dumps(doc))  # written as NaN / Infinity
+        with pytest.raises(DatasetFormatError, match="basis n=2: non-finite 'probs' entry"):
+            measurement.load_dataset(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all {")

@@ -6,6 +6,8 @@ import pytest
 from qwndo import ndo
 from qwndo.kernels import param_offsets
 
+from oracles import a_entry, grad_a
+
 
 def finite_diff_a(params, v, vp, h=1e-6):
     x0 = params.to_vector()
@@ -16,8 +18,8 @@ def finite_diff_a(params, v, vp, h=1e-6):
         xp[j] += h
         xm = x0.copy()
         xm[j] -= h
-        hi = ndo.a_entry(ndo.NdoParams.from_vector(d, m_h, m_a, xp), v, vp)
-        lo = ndo.a_entry(ndo.NdoParams.from_vector(d, m_h, m_a, xm), v, vp)
+        hi = a_entry(ndo.NdoParams.from_vector(d, m_h, m_a, xp), v, vp)
+        lo = a_entry(ndo.NdoParams.from_vector(d, m_h, m_a, xm), v, vp)
         out[j] = (hi - lo) / (2 * h)
     return out
 
@@ -51,12 +53,6 @@ class TestParams:
             rho = ndo.density_matrix(params)
             assert np.max(np.abs(rho - np.full((d, d), 1 / d))) <= 0.1 / d
 
-    def test_one_hot(self):
-        vec = ndo.one_hot(4, 2)
-        assert vec.tolist() == [0, 0, 1, 0]
-        with pytest.raises(ValueError):
-            ndo.one_hot(4, 4)
-
 
 class TestAEntry:
     def test_zero_params_constant(self):
@@ -65,38 +61,38 @@ class TestAEntry:
         expected = (m_h + m_a) * np.log(2.0)
         for v in range(5):
             for vp in range(5):
-                assert ndo.a_entry(params, v, vp) == pytest.approx(expected, abs=1e-14)
+                assert a_entry(params, v, vp) == pytest.approx(expected, abs=1e-14)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             params = ndo.init_params(4, 3, 3, scale=1.0, seed=int(rng.integers(2**31)))
             v, vp = rng.integers(0, 4, size=2)
-            a = ndo.a_entry(params, int(v), int(vp))
-            b = ndo.a_entry(params, int(vp), int(v))
+            a = a_entry(params, int(v), int(vp))
+            b = a_entry(params, int(vp), int(v))
             assert a == pytest.approx(np.conj(b), abs=1e-13)
 
     def test_matches_log_of_oracle_entry(self):
         params = ndo.init_params(4, 3, 3, scale=0.9, seed=12)
         rho = ndo.purification_oracle(params)
-        lz = ndo.log_z(params)
+        lz = ndo.evaluate(params).log_z
         for v, vp in ((0, 1), (2, 3), (1, 1)):
-            direct = np.exp(ndo.a_entry(params, v, vp) - lz)
+            direct = np.exp(a_entry(params, v, vp) - lz)
             assert abs(direct - rho[v, vp]) <= 1e-10
 
     def test_matrix_agrees_with_entries(self):
         params = ndo.init_params(5, 3, 2, scale=0.6, seed=4)
-        mat = ndo.a_matrix(params)
+        mat = ndo.evaluate(params).a
         for v in range(5):
             for vp in range(5):
-                assert mat[v, vp] == pytest.approx(ndo.a_entry(params, v, vp), abs=1e-13)
+                assert mat[v, vp] == pytest.approx(a_entry(params, v, vp), abs=1e-13)
 
 
 class TestLogZ:
     def test_zero_params(self):
         d, m_h, m_a = 6, 4, 3
         params = ndo.init_params(d, m_h, m_a, scale=0.0)
-        assert ndo.log_z(params) == pytest.approx(np.log(d) + (m_h + m_a) * np.log(2), abs=1e-12)
+        assert ndo.evaluate(params).log_z == pytest.approx(np.log(d) + (m_h + m_a) * np.log(2), abs=1e-12)
 
     def test_visible_bias_shift(self):
         params = ndo.init_params(4, 3, 3, scale=0.5, seed=7)
@@ -106,7 +102,7 @@ class TestLogZ:
             b_lam=params.b_lam + kappa, b_mu=params.b_mu,
             c_lam=params.c_lam, c_mu=params.c_mu, d_lam=params.d_lam,
         )
-        assert ndo.log_z(shifted) == pytest.approx(ndo.log_z(params) + kappa, abs=1e-10)
+        assert ndo.evaluate(shifted).log_z == pytest.approx(ndo.evaluate(params).log_z + kappa, abs=1e-10)
 
     def test_trace_one_for_random_params(self):
         rng = np.random.default_rng(3)
@@ -129,6 +125,10 @@ class TestDensityMatrix:
             rho = ndo.density_matrix(params)
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+
+    def test_same_bits_as_evaluate(self):
+        params = ndo.init_params(6, 4, 3, scale=1.0, seed=14)
+        np.testing.assert_array_equal(ndo.density_matrix(params), ndo.evaluate(params).rho)
 
     @pytest.mark.parametrize("m_a", [1, 2, 3])
     def test_matches_purification_oracle(self, m_a):
@@ -162,7 +162,7 @@ class TestGradA:
         for _ in range(5):
             params = ndo.init_params(4, 3, 2, scale=0.8, seed=int(rng.integers(2**31)))
             v, vp = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            analytic = ndo.grad_a(params, v, vp)
+            analytic = grad_a(params, v, vp)
             numeric = finite_diff_a(params, v, vp)
             denom = np.maximum(np.abs(numeric), 1e-8)
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
@@ -170,7 +170,7 @@ class TestGradA:
     def test_mu_derivatives_vanish_on_diagonal(self):
         params = ndo.init_params(5, 4, 3, scale=1.0, seed=13)
         off = param_offsets(5, 4, 3)
-        g = ndo.grad_a(params, 2, 2)
+        g = grad_a(params, 2, 2)
         mu_slices = np.r_[
             np.arange(off["w_mu"], off["w_mu"] + 4 * 5),
             np.arange(off["u_mu"], off["u_mu"] + 3 * 5),
@@ -182,7 +182,7 @@ class TestGradA:
     def test_zero_params_hidden_bias_half(self):
         params = ndo.init_params(4, 3, 2, scale=0.0)
         off = param_offsets(4, 3, 2)
-        g = ndo.grad_a(params, 0, 2)
+        g = grad_a(params, 0, 2)
         np.testing.assert_allclose(g[off["c_lam"] : off["c_lam"] + 3], 0.5, atol=1e-14)
 
 

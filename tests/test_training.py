@@ -1,5 +1,7 @@
 """Cost, exact gradient, the pullback metric, and the four optimizers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ class TestGradCost:
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-6)
             assert rel.max() <= 1e-5
 
+    def test_non_hermitian_state_raises_runtime_error(self):
+        rho, ds, bases = hadamard_setup(1)
+        ev = ndo.evaluate(ndo.init_params(4, 3, 2, scale=0.6, seed=2))
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1] = 0.3j
+        tampered = dataclasses.replace(ev, rho=ev.rho + skew)
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            training._grad_from_eval(tampered, ds.probs, np.asarray(bases))
+
     def test_stationary_on_own_dataset(self):
         params = ndo.init_params(6, 4, 3, scale=0.8, seed=9)
         ds = measurement.generate_dataset(ndo.density_matrix(params), 2)
@@ -89,7 +100,7 @@ class TestMetric:
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = ndo.init_params(4, 3, 3, scale=0.9, seed=int(rng.integers(2**31)))
-            g = training.gngd_metric(params)
+            g = training.gram(ndo.rho_jacobian(params))
             assert np.max(np.abs(g - g.T)) <= 1e-12
             w = np.linalg.eigvalsh(g)
             assert w.min() >= -1e-8 * np.linalg.norm(g)
@@ -130,7 +141,7 @@ class TestMetric:
         # rule keeps inside range(G); the regularized solve then stays accurate
         rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
         params = ndo.init_params(4, 3, 3, scale=0.8, seed=8)
-        g_mat = training.gngd_metric(params)
+        g_mat = training.gram(ndo.rho_jacobian(params))
         grad = training.grad_cost(params, ds, bases)
         delta = training.solve_metric(g_mat, grad, 1e-6)
         t_bar = np.trace(g_mat) / g_mat.shape[0]
@@ -143,7 +154,7 @@ class TestMetric:
         # zeroes them and must still solve the system with them kept
         rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
         params = ndo.init_params(4, 3, 3, scale=0.8, seed=8)
-        g_mat = training.gngd_metric(params)
+        g_mat = training.gram(ndo.rho_jacobian(params))
         g_mat[0, 1:] *= 1e-290
         g_mat[1:, 0] *= 1e-290
         grad = training.grad_cost(params, ds, bases)
@@ -182,14 +193,15 @@ class TestGngdStep:
     def test_identity_metric_matches_gd_step(self):
         rho, ds, bases = hadamard_setup(1)
         params = ndo.init_params(4, 3, 2, scale=0.3, seed=3)
-        grad = training.grad_cost(params, ds, bases)
+        obj = training._NdoObjective(ds, bases, 4, 3, 2)
+        x0 = params.to_vector()
         eye = np.eye(params.n_params)
-        stepped, eta = training.gngd_step(params, grad, eye, ds, bases)
+        config = TrainConfig(optimizer="gngd", max_iters=1)
+        x, report = training.minimize_vector(obj.cost, obj.grad, x0, config, metric_fun=lambda _: eye)
         # identity metric with relative jitter solves (1 + eps)x = grad
-        expected_dir = -grad / (1.0 + 1e-6)
-        np.testing.assert_allclose(
-            stepped.to_vector(), params.to_vector() + eta * expected_dir, atol=1e-12
-        )
+        expected_dir = -obj.grad(x0) / (1.0 + 1e-6)
+        assert report.iterations == 1
+        np.testing.assert_allclose(x, x0 + report.step_sizes[0] * expected_dir, atol=1e-12)
 
     def test_accepted_steps_decrease_cost(self):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
@@ -199,24 +211,19 @@ class TestGngdStep:
         costs = np.array(report.costs)
         assert np.all(np.diff(costs) <= 0.0)
 
-    def test_constant_cost_raises(self, monkeypatch):
+    def test_constant_cost_ends_in_line_search_failure(self):
         # a cost surface that never decreases defeats both the metric
         # direction and the gradient fallback
         rho, ds, bases = hadamard_setup(1)
         params = ndo.init_params(4, 3, 2, scale=0.3, seed=5)
-        grad = training.grad_cost(params, ds, bases)
-        metric = training.gngd_metric(params)
-
-        class _Stub:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def cost(self, x):
-                return 1.0
-
-        monkeypatch.setattr(training, "_NdoObjective", _Stub)
-        with pytest.raises(training.LineSearchError):
-            training.gngd_step(params, grad, metric, ds, bases)
+        obj = training._NdoObjective(ds, bases, 4, 3, 2)
+        metric = training.gram(ndo.rho_jacobian(params))
+        config = TrainConfig(optimizer="gngd", max_iters=10)
+        _, report = training.minimize_vector(
+            lambda x: 1.0, obj.grad, params.to_vector(), config, metric_fun=lambda _: metric
+        )
+        assert report.termination == "line-search failure"
+        assert report.iterations == 0
 
     def test_minimize_reports_line_search_failure(self):
         # inconsistent oracle: constant cost with a nonzero reported gradient
