@@ -8,6 +8,7 @@ names to values); explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -231,14 +232,7 @@ def _run_all_optimizers(ds, bases, init, base_config, target=None):
     """Same init through gd/cg/lbfgs/gngd; returns {name: report}."""
     reports = {}
     for name in training.OPTIMIZERS:
-        config = training.TrainConfig(
-            optimizer=name,
-            grad_tol=base_config.grad_tol,
-            max_iters=base_config.max_iters,
-            metric_eps=base_config.metric_eps,
-            init_scale=base_config.init_scale,
-            seed=base_config.seed,
-        )
+        config = dataclasses.replace(base_config, optimizer=name)
         _, report = training.optimize(config, ds, bases, init, target=target)
         reports[name] = report
     return reports

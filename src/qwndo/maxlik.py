@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import training
-from .training import PROB_FLOOR, TrainConfig, TrainReport, kl_distance, minimize_vector
+from .measurement import BasisTables
+from .training import PROB_FLOOR, TrainConfig, TrainReport, _data_probs, kl_distance, minimize_vector
 
 
 def n_t_params(d: int) -> int:
@@ -67,15 +68,13 @@ def init_t_params(d: int, seed: int = 0, scale: float = 0.1, diag_offset: float 
 class _MaxlikObjective:
     """Cost and analytic gradient of the KL distance over the T parameters."""
 
-    def __init__(self, ds, bases):
-        self.data = np.asarray(ds.probs if hasattr(ds, "probs") else ds, dtype=float)
-        self.stack = np.asarray(bases, dtype=np.complex128)
-        self.d = self.stack.shape[1]
-        if self.data.shape != (self.stack.shape[0], self.d):
-            raise ValueError("dataset/bases dimensions do not match")
+    def __init__(self, ds, bases: BasisTables):
+        self.bases = bases
+        self.d = bases.dim
+        self.data = _data_probs(ds, bases, self.d)
 
     def cost(self, x: np.ndarray) -> float:
-        pm = training.model_distributions(rho_from_t(x), self.stack)
+        pm = training.model_distributions(rho_from_t(x), self.bases)
         return kl_distance(self.data, pm)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -84,11 +83,10 @@ class _MaxlikObjective:
         tau = float(np.sum(np.abs(t) ** 2))
         if tau <= 0.0:
             raise ValueError("all-zero parameter vector has no associated state")
-        v = self.stack @ t  # (n_b, d, d)
-        q = np.sum(np.abs(v) ** 2, axis=2)  # (n_b, d)
+        q = self.bases.probabilities(t @ t.conj().T)  # (n_b, d)
         pm = q / tau
         w = np.where(self.data > 0, self.data / np.maximum(pm, PROB_FLOOR), 0.0)
-        k = np.einsum("nja,nj,njc->ac", self.stack.conj(), w, self.stack) @ t
+        k = self.bases.adjoint(w).conj() @ t
         swp = float(np.sum(w * pm))
         gm = (2.0 / tau) * (swp * t - k)
         return pack_t(gm)
@@ -108,7 +106,7 @@ def maxlik_fit(
     state is given the report carries fidelity/purity comparisons against it.
     """
     obj = _MaxlikObjective(ds, bases)
-    config = TrainConfig(optimizer="cg", grad_tol=grad_tol, max_iters=max_iters, seed=seed)
+    config = TrainConfig(optimizer="cg", grad_tol=grad_tol, max_iters=max_iters)
     x0 = init_t_params(obj.d, seed=seed)
     x, report = minimize_vector(obj.cost, obj.grad, x0, config)
     rho = rho_from_t(x)

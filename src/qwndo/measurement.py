@@ -7,8 +7,11 @@ basis. For k = 1..N+1, base 2k-1 pairs each up-site l with the down-site
     <v[2k]_(+,l)|   = (|up,l> + |down,(l-(k-1)) mod (N+1)>)^dag / sqrt(2)
     <v[2k-1]_(+,l)| = (|up,l> + i|down,(l-(k-1)) mod (N+1)>)^dag / sqrt(2)
 
-Rows of each basis matrix are these bras, ordered coin-major like the
-reference basis, so outcome probabilities are diag(U^n rho U^n^dag).
+Rows of each basis matrix U^n are these bras, ordered coin-major like the
+reference basis, so outcome probabilities are diag(U^n rho U^n^dag). Every
+row has at most two nonzeros, so `BasisTables` stores each basis as two
+(column index, coefficient) pairs per row instead of a dense d x d matrix,
+and contracts states and outcome weights with them in O(n_bases * d).
 """
 
 from __future__ import annotations
@@ -35,49 +38,63 @@ def n_bases(n_steps: int) -> int:
     return 2 * (n_steps + 1) + 1
 
 
-def cyclic_shift(n_steps: int) -> np.ndarray:
-    """Conditioned cyclic shift S': |down, l> -> |down, (l-1) mod (N+1)>, up fixed."""
+@dataclass(frozen=True)
+class BasisTables:
+    """All bases as 2-sparse rows: U^n(j, index[n, j, s]) = coef[n, j, s], s = 0, 1.
+
+    Every other entry of U^n is zero. A row with a single nonzero (basis 0)
+    carries coefficient 0 in its second slot.
+    """
+
+    index: np.ndarray  # (n_bases, d, 2) integer column indices
+    coef: np.ndarray  # (n_bases, d, 2) complex coefficients
+
+    @property
+    def n_bases(self) -> int:
+        return self.index.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.index.shape[1]
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """diag(U^n rho U^n^dag) for every basis n, shape (n_bases, d)."""
+        d = self.dim
+        if rho.shape != (d, d):
+            raise ValueError(f"rho shape {rho.shape} does not match basis dimension {d}")
+        c = self.coef
+        sub = rho[self.index[..., :, None], self.index[..., None, :]]  # (n_b, d, 2, 2)
+        return (c[..., :, None] * sub * c.conj()[..., None, :]).sum(axis=(-2, -1)).real
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """M(a, b) = sum_nj w[n, j] U^n(j, a) conj(U^n(j, b)) for real weights w."""
+        d = self.dim
+        c = self.coef
+        vals = (w[..., None, None] * c[..., :, None] * c.conj()[..., None, :]).ravel()
+        flat = (self.index[..., :, None] * d + self.index[..., None, :]).ravel()
+        m = np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
+        return m.reshape(d, d)
+
+
+def all_basis_unitaries(n_steps: int) -> BasisTables:
+    """Tables of all 2*(N+1)+1 bases in index order, built from the pairing above.
+
+    Row j = 2l + c of basis 2k-1 (2k) holds K_Y[c] (K_X[c]) on (up, l) and
+    (down, (l-(k-1)) mod (N+1)); basis 0 holds coefficient 1 on column j.
+    """
     n_sites = n_steps + 1
     d = 2 * n_sites
-    s = np.zeros((d, d), dtype=np.complex128)
-    for l in range(n_sites):
-        s[2 * l, 2 * l] = 1.0
-        s[2 * ((l - 1) % n_sites) + 1, 2 * l + 1] = 1.0
-    return s
-
-
-def basis_unitary(n: int, n_steps: int) -> np.ndarray:
-    """Base-transformation matrix U^n whose rows are the bras of basis n.
-
-    n = 0 is the identity. For n = 2k-1 (sigma_y) and n = 2k (sigma_x) the
-    transpose of S'^(k-1) pairs row (c, l) with down-site (l-(k-1)) mod (N+1),
-    matching the basis-vector convention in the module docstring.
-    """
-    if not 0 <= n <= 2 * (n_steps + 1):
-        raise ValueError(f"basis index {n} out of range [0, {2 * (n_steps + 1)}]")
-    d = 2 * (n_steps + 1)
-    if n == 0:
-        return np.eye(d, dtype=np.complex128)
-    k = (n + 1) // 2
-    gate = K_Y if n % 2 == 1 else K_X
-    cycle = np.linalg.matrix_power(cyclic_shift(n_steps).T, k - 1)
-    return np.kron(np.eye(n_steps + 1), gate) @ cycle
-
-
-def all_basis_unitaries(n_steps: int) -> list[np.ndarray]:
-    """All 2*(N+1)+1 basis matrices in index order."""
-    return [basis_unitary(n, n_steps) for n in range(n_bases(n_steps))]
-
-
-def measure_distribution(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Outcome probabilities diag(U rho U^dag) in the given basis."""
-    if rho.shape != basis.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape}, basis {basis.shape}")
-    probs = np.einsum("ij,jk,ik->i", basis, rho, basis.conj()).real
-    worst = probs.min()
-    if worst < -CLAMP_TOL:
-        raise ValueError(f"probability {worst:.3e} below -{CLAMP_TOL:.0e}; invalid state")
-    return np.clip(probs, 0.0, None)
+    index = np.empty((n_bases(n_steps), d, 2), dtype=np.intp)
+    coef = np.zeros((n_bases(n_steps), d, 2), dtype=np.complex128)
+    index[0] = np.arange(d)[:, None]
+    coef[0, :, 0] = 1.0
+    sites = np.arange(n_sites)
+    partner = (sites[None, :] - sites[:, None]) % n_sites  # [k-1, l]
+    index[1:, :, 0] = np.repeat(2 * sites, 2)
+    for first, gate in ((1, K_Y), (2, K_X)):
+        index[first::2, :, 1] = np.repeat(2 * partner + 1, 2, axis=1)
+        coef[first::2] = np.tile(gate, (n_sites, 1))
+    return BasisTables(index=index, coef=coef)
 
 
 @dataclass(frozen=True)
@@ -109,22 +126,28 @@ def generate_dataset(
 ) -> MeasurementDataset:
     """Measure rho in every basis; exact probabilities or multinomial frequencies.
 
-    Shot mode draws one multinomial of size `shots` per basis from an RNG
-    seeded with seed XOR basis index, so bases are independent of evaluation
-    order. Stored values are empirical frequencies, not counts.
+    All bases are measured with one `BasisTables.probabilities` call. Shot
+    mode draws one multinomial of size `shots` per basis n from an RNG
+    seeded with SeedSequence((seed, n)), so bases are independent of each
+    other and of evaluation order, and distinct seeds give distinct streams.
+    With seed None, shot mode draws fresh entropy once and records it as the
+    dataset's seed, so the saved file reproduces the draw. Stored values are
+    empirical frequencies, not counts.
     """
-    d = 2 * (n_steps + 1)
-    if rho.shape != (d, d):
-        raise ValueError(f"rho shape {rho.shape} does not match n_steps={n_steps}")
     if shots is not None and shots <= 0:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = np.empty((n_bases(n_steps), d))
-    for n, basis in enumerate(all_basis_unitaries(n_steps)):
-        p = measure_distribution(rho, basis)
-        if shots is None:
-            probs[n] = p
-        else:
-            rng = np.random.default_rng((seed or 0) ^ n)
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    probs = all_basis_unitaries(n_steps).probabilities(rho)
+    worst = probs.min()
+    if worst < -CLAMP_TOL:
+        raise ValueError(f"probability {worst:.3e} below -{CLAMP_TOL:.0e}; invalid state")
+    probs = np.clip(probs, 0.0, None)
+    if shots is not None:
+        if seed is None:
+            seed = int(np.random.SeedSequence().entropy)
+        for n, p in enumerate(probs):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
             probs[n] = rng.multinomial(shots, p / p.sum()) / shots
     return MeasurementDataset(n_steps=n_steps, probs=probs, shots=shots, seed=seed)
 

@@ -2,8 +2,10 @@
 
 The cost is the total statistical distance summed over all measured bases,
 D = sum_n sum_j P_n(j) log[P_n(j) / P_model_n(j)], with the exact analytic
-gradient (no sampling). Four optimizers share one Armijo backtracking line
-search and stopping rule: plain gradient descent, Polak-Ribiere-plus
+gradient (no sampling). Model distributions and the gradient's weighted
+sum over basis rows come from the 2-sparse `measurement.BasisTables`, the
+only basis representation. Four optimizers share one Armijo backtracking
+line search and stopping rule: plain gradient descent, Polak-Ribiere-plus
 conjugate gradient, L-BFGS, and natural gradient descent preconditioned by
 the Gram metric G = Re(J^dag J) of the flattened-state Jacobian J, i.e. the
 pullback of a flat metric on density-matrix entries.
@@ -20,6 +22,7 @@ from scipy.linalg.blas import dsyrk
 
 from . import kernels, ndo
 from .kernels import param_offsets
+from .measurement import BasisTables
 
 PROB_FLOOR = 1e-12  # inside logs and the matching gradient weights
 # Jacobian and metric entries this far below their matrix's scale are zeroed.
@@ -31,6 +34,12 @@ FLUSH = 1e-150
 
 OPTIMIZERS = ("gd", "cg", "lbfgs", "gngd")
 
+LS_INIT_STEP = 1.0  # first Armijo trial step
+LS_SHRINK = 0.5  # backtracking factor
+LS_ARMIJO = 1e-4  # sufficient-decrease constant
+LS_MAX_HALVINGS = 30
+LBFGS_MEMORY = 10  # curvature pairs kept by L-BFGS
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -38,11 +47,6 @@ class TrainConfig:
     grad_tol: float = 1e-8
     max_iters: int = 2000
     metric_eps: float = 1e-6  # relative jitter on the metric solve
-    ls_init_step: float = 1.0
-    ls_shrink: float = 0.5
-    ls_armijo: float = 1e-4
-    ls_max_halvings: int = 30
-    lbfgs_memory: int = 10
     init_scale: float = 0.01
     seed: int = 0
 
@@ -109,18 +113,19 @@ class TrainReport:
             fh.write("\n")
 
 
-def _data_probs(ds) -> np.ndarray:
-    return np.asarray(ds.probs if hasattr(ds, "probs") else ds, dtype=float)
+def _data_probs(ds, bases: BasisTables, d: int) -> np.ndarray:
+    """The dataset's (n_bases, d) probabilities, checked against the bases and model dimension d."""
+    data = np.asarray(ds.probs if hasattr(ds, "probs") else ds, dtype=float)
+    if data.ndim != 2 or data.shape[0] != bases.n_bases:
+        raise ValueError(f"n_bases mismatch: dataset shape {data.shape}, {bases.n_bases} bases")
+    if data.shape[1] != d or bases.dim != d:
+        raise ValueError(f"dim mismatch: dataset {data.shape[1]}, bases {bases.dim}, model {d}")
+    return data
 
 
-def _basis_stack(bases) -> np.ndarray:
-    return np.asarray(bases, dtype=np.complex128)
-
-
-def model_distributions(rho: np.ndarray, bases) -> np.ndarray:
+def model_distributions(rho: np.ndarray, bases: BasisTables) -> np.ndarray:
     """diag(U^n rho U^n^dag) for every basis, shape (n_bases, d)."""
-    stack = _basis_stack(bases)
-    return np.einsum("nij,jk,nik->ni", stack, rho, stack.conj()).real
+    return bases.probabilities(rho)
 
 
 def kl_distance(data: np.ndarray, model: np.ndarray) -> float:
@@ -131,25 +136,13 @@ def kl_distance(data: np.ndarray, model: np.ndarray) -> float:
     return float(np.sum(d * (np.log(d) - np.log(m))))
 
 
-def _check_dims(params: ndo.NdoParams, data: np.ndarray, stack: np.ndarray) -> None:
-    d = params.dim
-    if stack.ndim != 3 or stack.shape[1:] != (d, d):
-        raise ValueError(f"bases shape {stack.shape} does not match model dimension {d}")
-    if data.shape != (stack.shape[0], d):
-        raise ValueError(
-            f"dataset shape {data.shape} does not match {stack.shape[0]} bases of dimension {d}"
-        )
-
-
-def cost(params: ndo.NdoParams, ds, bases) -> float:
+def cost(params: ndo.NdoParams, ds, bases: BasisTables) -> float:
     """Total statistical distance of the model to the dataset over the given bases."""
-    data = _data_probs(ds)
-    stack = _basis_stack(bases)
-    _check_dims(params, data, stack)
-    return kl_distance(data, model_distributions(ndo.density_matrix(params), stack))
+    data = _data_probs(ds, bases, params.dim)
+    return kl_distance(data, model_distributions(ndo.density_matrix(params), bases))
 
 
-def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, stack: np.ndarray) -> np.ndarray:
+def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, bases: BasisTables) -> np.ndarray:
     """Analytic cost gradient: contract the error matrix E with dA's structure.
 
     E = -rho .* M + N_b diag(rho_vv), where M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b))
@@ -159,10 +152,10 @@ def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, stack: np.ndarray) -> np.
     d = ev.rho.shape[0]
     m_h = ev.sig_lam.shape[0]
     m_a = ev.s_pair.shape[0]
-    n_b = stack.shape[0]
-    pm = np.einsum("nij,jk,nik->ni", stack, ev.rho, stack.conj()).real
+    n_b = bases.n_bases
+    pm = bases.probabilities(ev.rho)
     w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)
-    m_mat = np.einsum("nja,nj,njb->ab", stack, w, stack.conj())
+    m_mat = bases.adjoint(w)
     e_mat = -(ev.rho * m_mat)
     idx = np.arange(d)
     e_mat[idx, idx] += n_b * ev.rho.diagonal().real
@@ -188,12 +181,10 @@ def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, stack: np.ndarray) -> np.
     return g.real.copy()
 
 
-def grad_cost(params: ndo.NdoParams, ds, bases) -> np.ndarray:
+def grad_cost(params: ndo.NdoParams, ds, bases: BasisTables) -> np.ndarray:
     """Exact derivative of `cost` w.r.t. the flattened parameter vector."""
-    data = _data_probs(ds)
-    stack = _basis_stack(bases)
-    _check_dims(params, data, stack)
-    return _grad_from_eval(ndo.evaluate(params), data, stack)
+    data = _data_probs(ds, bases, params.dim)
+    return _grad_from_eval(ndo.evaluate(params), data, bases)
 
 
 def _flush(mat: np.ndarray, threshold: float) -> None:
@@ -235,27 +226,27 @@ def solve_metric(metric: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray
     return x
 
 
-def _armijo(fun, x, f0, g, p, config: TrainConfig):
+def _armijo(fun, x, f0, g, p):
     """Backtrack from the initial step; None when all halvings fail."""
     slope = float(g @ p)
     if slope >= 0.0:
         return None
-    eta = config.ls_init_step
-    for _ in range(config.ls_max_halvings + 1):
+    eta = LS_INIT_STEP
+    for _ in range(LS_MAX_HALVINGS + 1):
         xn = x + eta * p
         fn = fun(xn)
-        if fn <= f0 + config.ls_armijo * eta * slope:
+        if fn <= f0 + LS_ARMIJO * eta * slope:
             return xn, fn, eta
-        eta *= config.ls_shrink
+        eta *= LS_SHRINK
     return None
 
 
-def _gradient_fallback(fun, x, f0, g, config: TrainConfig):
+def _gradient_fallback(fun, x, f0, g):
     """Plain gradient step at the last backtracked step size."""
-    eta = config.ls_init_step * config.ls_shrink**config.ls_max_halvings
+    eta = LS_INIT_STEP * LS_SHRINK**LS_MAX_HALVINGS
     xn = x - eta * g
     fn = fun(xn)
-    if fn <= f0 - config.ls_armijo * eta * float(g @ g):
+    if fn <= f0 - LS_ARMIJO * eta * float(g @ g):
         return xn, fn, eta
     return None
 
@@ -309,7 +300,7 @@ def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
     step_sizes: list[float] = []
     millis: list[float] = []
     termination = "max_iters"
-    lbfgs = _Lbfgs(config.lbfgs_memory)
+    lbfgs = _Lbfgs(LBFGS_MEMORY)
     prev_g = None
     prev_p = None
     since_restart = 0
@@ -345,9 +336,9 @@ def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
                 p = -g
         else:  # gngd
             p = -solve_metric(metric_fun(x), g, eps)
-        res = _armijo(fun, x, f, g, p, config)
+        res = _armijo(fun, x, f, g, p)
         if res is None and opt != "gd":
-            res = _gradient_fallback(fun, x, f, g, config)
+            res = _gradient_fallback(fun, x, f, g)
             if res is not None:
                 lbfgs.pairs.clear()
                 prev_g = None
@@ -390,12 +381,10 @@ def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
 class _NdoObjective:
     """Cost/gradient/metric on the flattened parameter vector, cached per point."""
 
-    def __init__(self, ds, bases, d: int, m_h: int, m_a: int):
-        self.data = _data_probs(ds)
-        self.stack = _basis_stack(bases)
+    def __init__(self, ds, bases: BasisTables, d: int, m_h: int, m_a: int):
+        self.data = _data_probs(ds, bases, d)
+        self.bases = bases
         self.dims = (d, m_h, m_a)
-        if self.stack.shape[1:] != (d, d) or self.data.shape != (self.stack.shape[0], d):
-            raise ValueError("dataset/bases dimensions do not match the model")
         self._key = None
         self._ev = None
 
@@ -409,10 +398,10 @@ class _NdoObjective:
 
     def cost(self, x: np.ndarray) -> float:
         ev = self._eval(x)
-        return kl_distance(self.data, model_distributions(ev.rho, self.stack))
+        return kl_distance(self.data, model_distributions(ev.rho, self.bases))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return _grad_from_eval(self._eval(x), self.data, self.stack)
+        return _grad_from_eval(self._eval(x), self.data, self.bases)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         ev = self._eval(x)
@@ -449,15 +438,9 @@ def fit_ndo(
     (params, merged TrainReport).
     """
     init = ndo.mixed_init_params(d, m_h, m_a, scale=init_scale, seed=seed)
-    warm_config = TrainConfig(
-        optimizer="lbfgs", grad_tol=grad_tol, max_iters=warmup_iters,
-        init_scale=init_scale, seed=seed,
-    )
+    warm_config = TrainConfig(optimizer="lbfgs", grad_tol=grad_tol, max_iters=warmup_iters)
     mid, warm = optimize(warm_config, ds, bases, init)
-    polish_config = TrainConfig(
-        optimizer="gngd", grad_tol=grad_tol, max_iters=polish_iters,
-        init_scale=init_scale, seed=seed,
-    )
+    polish_config = TrainConfig(optimizer="gngd", grad_tol=grad_tol, max_iters=polish_iters)
     params, polish = optimize(polish_config, ds, bases, mid, target=target)
     report = TrainReport(
         optimizer="lbfgs+gngd",

@@ -1,11 +1,19 @@
-"""Per-entry reference implementations that pin the vectorized kernels in tests."""
+"""Reference implementations that pin the vectorized kernels and tables in tests.
+
+The per-entry NDO references check the kernels; the dense basis builder
+(`basis_unitary` and friends) and the einsum contractions over its
+(n_bases, d, d) stack check `measurement.BasisTables`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from qwndo.kernels import _logistic, _logistic_c, _softplus, _softplus_c, param_offsets
+from qwndo.maxlik import pack_t, t_matrix
+from qwndo.measurement import K_X, K_Y, n_bases
 from qwndo.ndo import NdoParams
+from qwndo.training import PROB_FLOOR
 
 
 def a_entry(params: NdoParams, v: int, vp: int) -> complex:
@@ -61,3 +69,75 @@ def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
     g[off["u_mu"] + rows_a + vp] -= 0.5j * s
     g[off["d_lam"] : off["d_lam"] + m_a] = s
     return g
+
+
+def cyclic_shift(n_steps: int) -> np.ndarray:
+    """Conditioned cyclic shift S': |down, l> -> |down, (l-1) mod (N+1)>, up fixed."""
+    n_sites = n_steps + 1
+    d = 2 * n_sites
+    s = np.zeros((d, d), dtype=np.complex128)
+    for l in range(n_sites):
+        s[2 * l, 2 * l] = 1.0
+        s[2 * ((l - 1) % n_sites) + 1, 2 * l + 1] = 1.0
+    return s
+
+
+def basis_unitary(n: int, n_steps: int) -> np.ndarray:
+    """Base-transformation matrix U^n whose rows are the bras of basis n.
+
+    n = 0 is the identity. For n = 2k-1 (sigma_y) and n = 2k (sigma_x) the
+    transpose of S'^(k-1) pairs row (c, l) with down-site (l-(k-1)) mod (N+1),
+    matching the basis-vector convention in the measurement module docstring.
+    """
+    if not 0 <= n <= 2 * (n_steps + 1):
+        raise ValueError(f"basis index {n} out of range [0, {2 * (n_steps + 1)}]")
+    d = 2 * (n_steps + 1)
+    if n == 0:
+        return np.eye(d, dtype=np.complex128)
+    k = (n + 1) // 2
+    gate = K_Y if n % 2 == 1 else K_X
+    cycle = np.linalg.matrix_power(cyclic_shift(n_steps).T, k - 1)
+    return np.kron(np.eye(n_steps + 1), gate) @ cycle
+
+
+def all_basis_unitaries(n_steps: int) -> list[np.ndarray]:
+    """All 2*(N+1)+1 basis matrices in index order."""
+    return [basis_unitary(n, n_steps) for n in range(n_bases(n_steps))]
+
+
+def scatter(tables) -> np.ndarray:
+    """The dense (n_bases, d, d) stack that a `BasisTables` describes."""
+    n_b, d = tables.n_bases, tables.dim
+    dense = np.zeros((n_b, d, d), dtype=np.complex128)
+    rows = np.arange(d)[None, :]
+    for s in range(2):
+        dense[np.arange(n_b)[:, None], rows, tables.index[..., s]] += tables.coef[..., s]
+    return dense
+
+
+class DenseBases:
+    """The dense stack behind the two contractions of `measurement.BasisTables`."""
+
+    def __init__(self, n_steps: int):
+        self.stack = np.asarray(all_basis_unitaries(n_steps))
+        self.n_bases, self.dim = self.stack.shape[:2]
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        return np.einsum("nij,jk,nik->ni", self.stack, rho, self.stack.conj()).real
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        return np.einsum("nja,nj,njb->ab", self.stack, w, self.stack.conj())
+
+
+def maxlik_grad(x: np.ndarray, data: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """MaxLik KL gradient contracted with the dense stack, index order U^n T."""
+    d = stack.shape[1]
+    t = t_matrix(x, d)
+    tau = float(np.sum(np.abs(t) ** 2))
+    v = stack @ t  # (n_b, d, d)
+    q = np.sum(np.abs(v) ** 2, axis=2)  # (n_b, d)
+    pm = q / tau
+    w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)
+    k = np.einsum("nja,nj,njc->ac", stack.conj(), w, stack) @ t
+    swp = float(np.sum(w * pm))
+    return pack_t((2.0 / tau) * (swp * t - k))

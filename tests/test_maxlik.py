@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qwndo import maxlik, measurement, metrics, training, walk
 
 
@@ -63,6 +64,23 @@ class TestMaxlikGradient:
             fd[j] = (obj.cost(xp) - obj.cost(xm)) / (2 * h)
         rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() <= 1e-5
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 5, 30])
+    def test_matches_dense_oracle(self, n_steps):
+        d = 2 * (n_steps + 1)
+        target = maxlik.rho_from_t(maxlik.init_t_params(d, seed=n_steps, scale=0.5))
+        ds = measurement.generate_dataset(target, n_steps, shots=1000, seed=n_steps)
+        obj = maxlik._MaxlikObjective(ds, measurement.all_basis_unitaries(n_steps))
+        x = maxlik.init_t_params(d, seed=n_steps + 1, scale=0.3)
+        ref = oracles.maxlik_grad(x, ds.probs, np.asarray(oracles.all_basis_unitaries(n_steps)))
+        assert np.linalg.norm(obj.grad(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_dimension_mismatch_named(self):
+        ds = measurement.generate_dataset(walk.initial_state(1), 1)
+        with pytest.raises(ValueError, match="n_bases"):
+            maxlik._MaxlikObjective(ds, measurement.all_basis_unitaries(2))
+        with pytest.raises(ValueError, match="dim"):
+            maxlik._MaxlikObjective(ds.probs[:, :2], measurement.all_basis_unitaries(1))
 
 
 class TestMaxlikFit:

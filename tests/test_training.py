@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from qwndo import measurement, ndo, training, walk
 from qwndo.kernels import param_offsets
 from qwndo.training import TrainConfig
@@ -18,6 +19,12 @@ def hadamard_setup(n_steps, noise="none", **kwargs):
     return rho, ds, bases
 
 
+def reference_basis_only(n_steps):
+    """Tables holding only basis 0, the computational basis."""
+    bases = measurement.all_basis_unitaries(n_steps)
+    return measurement.BasisTables(index=bases.index[:1], coef=bases.coef[:1])
+
+
 class TestCost:
     def test_own_dataset_zero(self):
         params = ndo.init_params(4, 3, 3, scale=0.6, seed=1)
@@ -28,7 +35,7 @@ class TestCost:
     def test_single_binary_basis_log_two(self):
         params = ndo.init_params(2, 2, 2, scale=0.0)  # uniform state: P = (1/2, 1/2)
         data = np.array([[1.0, 0.0]])
-        bases = [np.eye(2, dtype=complex)]
+        bases = reference_basis_only(0)
         assert training.cost(params, data, bases) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_nonnegative_for_random_pairs(self):
@@ -43,8 +50,10 @@ class TestCost:
     def test_dimension_mismatch(self):
         params = ndo.init_params(4, 3, 2)
         ds = measurement.generate_dataset(walk.initial_state(2), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dim"):
             training.cost(params, ds, measurement.all_basis_unitaries(2))
+        with pytest.raises(ValueError, match="n_bases"):
+            training.cost(ndo.init_params(6, 3, 2), ds.probs[:5], measurement.all_basis_unitaries(2))
 
 
 class TestGradCost:
@@ -77,7 +86,18 @@ class TestGradCost:
         skew[0, 1] = 0.3j
         tampered = dataclasses.replace(ev, rho=ev.rho + skew)
         with pytest.raises(RuntimeError, match="imaginary residue"):
-            training._grad_from_eval(tampered, ds.probs, np.asarray(bases))
+            training._grad_from_eval(tampered, ds.probs, bases)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 5, 30])
+    def test_matches_dense_oracle(self, n_steps):
+        d = 2 * (n_steps + 1)
+        rng = np.random.default_rng(n_steps)
+        target = ndo.density_matrix(ndo.init_params(d, 3, 2, scale=0.8, seed=int(rng.integers(2**31))))
+        data = measurement.generate_dataset(target, n_steps).probs
+        ev = ndo.evaluate(ndo.init_params(d, 3, 2, scale=0.8, seed=int(rng.integers(2**31))))
+        g = training._grad_from_eval(ev, data, measurement.all_basis_unitaries(n_steps))
+        ref = training._grad_from_eval(ev, data, oracles.DenseBases(n_steps))
+        assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_stationary_on_own_dataset(self):
         params = ndo.init_params(6, 4, 3, scale=0.8, seed=9)
@@ -87,10 +107,9 @@ class TestGradCost:
 
     def test_mu_bias_gradient_zero_with_reference_basis_only(self):
         params = ndo.init_params(4, 3, 2, scale=0.7, seed=11)
-        data = measurement.measure_distribution(
-            walk.evolve(walk.WalkConfig(1, (0.6,))), np.eye(4, dtype=complex)
-        )[None, :]
-        g = training.grad_cost(params, data, [np.eye(4, dtype=complex)])
+        bases = reference_basis_only(1)
+        data = bases.probabilities(walk.evolve(walk.WalkConfig(1, (0.6,))))
+        g = training.grad_cost(params, data, bases)
         off = param_offsets(4, 3, 2)
         np.testing.assert_array_equal(g[off["b_mu"] : off["b_mu"] + 4], 0.0)
 
