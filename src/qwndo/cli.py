@@ -212,8 +212,10 @@ def cmd_evaluate(args) -> int:
         params = ndo.load_checkpoint(args.checkpoint)
         rho = ndo.density_matrix(params)
         n_steps = params.dim // 2 - 1
+        source = f"checkpoint {args.checkpoint}"
     else:
         rho, n_steps = fileio.load_state(args.state)
+        source = f"state file {args.state}"
     summary: dict = {"dim": rho.shape[0], "purity": metrics.purity(rho)}
     if args.reference:
         ref, _ = fileio.load_state(args.reference)
@@ -221,20 +223,23 @@ def cmd_evaluate(args) -> int:
         summary["purity_error"] = metrics.purity_error(rho, ref)
     if args.dataset:
         ds = measurement.load_dataset(args.dataset)
-        _check_steps(n_steps, ds.n_steps, f"dataset {args.dataset}")
+        if n_steps != ds.n_steps:
+            raise ValueError(f"{source} has N={n_steps} but dataset {args.dataset} has N={ds.n_steps}")
         model_ds = measurement.generate_dataset(rho, ds.n_steps)
         summary["similarity"] = metrics.classical_similarity(model_ds, ds)
     _emit(args, summary)
     return 0
 
 
-def _run_all_optimizers(ds, bases, init, base_config, target=None):
-    """Same init through gd/cg/lbfgs/gngd; returns {name: report}."""
+def _run_all_optimizers(ds, bases, init, base_config, csv_path, target=None):
+    """Same init through every optimizer, cost traces to `csv_path`; returns {name: report}."""
     reports = {}
     for name in training.OPTIMIZERS:
         config = dataclasses.replace(base_config, optimizer=name)
         _, report = training.optimize(config, ds, bases, init, target=target)
         reports[name] = report
+    rows = [(i, name, c) for name, report in reports.items() for i, c in enumerate(report.costs)]
+    fileio.write_csv(csv_path, ["iter", "optimizer", "cost"], rows)
     return reports
 
 
@@ -247,11 +252,7 @@ def cmd_bench_opt(args) -> int:
     train_config = _train_config(args, optimizer="gngd")
     init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a,
                            scale=train_config.init_scale, seed=args.seed)
-    reports = _run_all_optimizers(ds, bases, init, train_config, target=rho)
-    rows = []
-    for name, report in reports.items():
-        rows.extend((i, name, c) for i, c in enumerate(report.costs))
-    fileio.write_csv(args.out, ["iter", "optimizer", "cost"], rows)
+    reports = _run_all_optimizers(ds, bases, init, train_config, args.out, target=rho)
     summary = {"bench_csv": args.out}
     for name, report in reports.items():
         summary[f"{name}_iterations"] = report.iterations
@@ -365,11 +366,7 @@ def _reproduce_fig5(args, out_dir: Path) -> dict:
         optimizer="gngd", grad_tol=args.grad_tol, max_iters=args.max_iters, seed=args.seed,
     )
     init = ndo.init_params(2 * (n + 1), m_h, m_a, scale=base_config.init_scale, seed=args.seed)
-    reports = _run_all_optimizers(ds, bases, init, base_config)
-    rows = []
-    for name, report in reports.items():
-        rows.extend((i, name, c) for i, c in enumerate(report.costs))
-    fileio.write_csv(out_dir / "fig5_cost.csv", ["iter", "optimizer", "cost"], rows)
+    reports = _run_all_optimizers(ds, bases, init, base_config, out_dir / "fig5_cost.csv")
     gd_level = reports["gd"].final_cost
     summary = {"gd_final_cost": gd_level, "csv": str(out_dir / "fig5_cost.csv")}
     for name, report in reports.items():

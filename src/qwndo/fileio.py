@@ -46,9 +46,12 @@ def load_state(path) -> tuple[np.ndarray, int]:
     im = np.array(doc["im"], dtype=float)
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"state file field 're'/'im' shape does not match dim {d}")
+    n_steps = doc["n_steps"]
+    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or 2 * (n_steps + 1) != d:
+        raise ValueError(f"state file field 'n_steps' = {n_steps!r} does not match dim {d}")
     rho = re + 1j * im
     validate_density_matrix(rho)
-    return rho, int(doc["n_steps"])
+    return rho, n_steps
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -1,28 +1,33 @@
 """Hot numeric kernels for the density-operator ansatz, vectorized in NumPy.
 
-Parameter flattening order (row-major matrices): W_lam, W_mu, U_lam, U_mu,
-b_lam, b_mu, c_lam, c_mu, d_lam.
+Parameters flatten block by block in the order of `param_shapes`, each
+matrix row-major.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 
-def param_offsets(d: int, m_h: int, m_a: int) -> dict[str, int]:
-    """Start offset of each parameter block in the flattened vector."""
+def param_shapes(d: int, m_h: int, m_a: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter block, in flattening order."""
     return {
-        "w_lam": 0,
-        "w_mu": m_h * d,
-        "u_lam": 2 * m_h * d,
-        "u_mu": 2 * m_h * d + m_a * d,
-        "b_lam": 2 * m_h * d + 2 * m_a * d,
-        "b_mu": 2 * m_h * d + 2 * m_a * d + d,
-        "c_lam": 2 * m_h * d + 2 * m_a * d + 2 * d,
-        "c_mu": 2 * m_h * d + 2 * m_a * d + 2 * d + m_h,
-        "d_lam": 2 * m_h * d + 2 * m_a * d + 2 * d + 2 * m_h,
-        "total": 2 * m_h * d + 2 * m_a * d + 2 * d + 2 * m_h + m_a,
+        "w_lam": (m_h, d), "w_mu": (m_h, d),  # hidden weights
+        "u_lam": (m_a, d), "u_mu": (m_a, d),  # ancilla weights
+        "b_lam": (d,), "b_mu": (d,),  # visible biases
+        "c_lam": (m_h,), "c_mu": (m_h,),  # hidden biases
+        "d_lam": (m_a,),  # ancilla bias (amplitude network only)
     }
+
+
+def param_offsets(d: int, m_h: int, m_a: int) -> dict[str, int]:
+    """Start offset of each parameter block in the flattened vector, plus "total"."""
+    shapes = param_shapes(d, m_h, m_a)
+    starts = itertools.accumulate(map(math.prod, shapes.values()), initial=0)
+    return dict(zip([*shapes, "total"], starts))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

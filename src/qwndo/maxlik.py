@@ -12,7 +12,7 @@ import numpy as np
 
 from . import training
 from .measurement import BasisTables
-from .training import PROB_FLOOR, TrainConfig, TrainReport, _data_probs, kl_distance, minimize_vector
+from .training import TrainConfig, TrainReport, _data_probs, kl_distance, minimize_vector
 
 
 def n_t_params(d: int) -> int:
@@ -83,13 +83,10 @@ class _MaxlikObjective:
         tau = float(np.sum(np.abs(t) ** 2))
         if tau <= 0.0:
             raise ValueError("all-zero parameter vector has no associated state")
-        q = self.bases.probabilities(t @ t.conj().T)  # (n_b, d)
-        pm = q / tau
-        w = np.where(self.data > 0, self.data / np.maximum(pm, PROB_FLOOR), 0.0)
-        k = self.bases.adjoint(w).conj() @ t
-        swp = float(np.sum(w * pm))
-        gm = (2.0 / tau) * (swp * t - k)
-        return pack_t(gm)
+        rho = (t @ t.conj().T) / tau
+        m_mat = training._data_adjoint(rho, self.data, self.bases)
+        swp = float(np.sum(rho * m_mat).real)  # sum_nj w_nj * model_nj
+        return pack_t((2.0 / tau) * (swp * t - m_mat.conj() @ t))
 
 
 def maxlik_fit(

@@ -170,10 +170,11 @@ def save_dataset(ds: MeasurementDataset, path) -> None:
 
 
 def _require(doc: dict, field: str, kind) -> object:
+    """doc[field], which must be of type `kind`; JSON booleans are not integers."""
     if field not in doc:
         raise DatasetFormatError(f"missing field {field!r}")
     value = doc[field]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise DatasetFormatError(f"field {field!r} has wrong type {type(value).__name__}")
     return value
 
@@ -194,10 +195,10 @@ def load_dataset(path) -> MeasurementDataset:
     if n_steps < 0:
         raise DatasetFormatError(f"field 'n_steps' must be >= 0, got {n_steps}")
     shots = doc.get("shots")
-    if shots is not None and (not isinstance(shots, int) or shots <= 0):
-        raise DatasetFormatError(f"field 'shots' must be a positive integer or null")
+    if shots is not None and (not isinstance(shots, int) or isinstance(shots, bool) or shots <= 0):
+        raise DatasetFormatError("field 'shots' must be a positive integer or null")
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise DatasetFormatError("field 'seed' must be an integer or null")
     bases = _require(doc, "bases", list)
     d = 2 * (n_steps + 1)

@@ -18,15 +18,16 @@ its conjugate, so the parameter set carries only the lambda ancilla bias.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import hadamard
 
 from . import kernels
-from .kernels import _softplus, param_offsets
+from .kernels import _softplus, param_offsets, param_shapes
 
-ARRAY_NAMES = ("w_lam", "w_mu", "u_lam", "u_mu", "b_lam", "b_mu", "c_lam", "c_mu", "d_lam")
+ARRAY_NAMES = tuple(param_shapes(0, 0, 0))
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -38,17 +39,18 @@ def n_params(d: int, m_h: int, m_a: int) -> int:
 
 @dataclass(frozen=True)
 class NdoParams:
-    """The nine real parameter arrays of the amplitude (lam) and phase (mu) networks."""
+    """The nine real parameter arrays of the amplitude (lam) and phase (mu)
+    networks, with the shapes and order of `kernels.param_shapes`."""
 
-    w_lam: np.ndarray  # (m_h, d) hidden weights
+    w_lam: np.ndarray
     w_mu: np.ndarray
-    u_lam: np.ndarray  # (m_a, d) ancilla weights
+    u_lam: np.ndarray
     u_mu: np.ndarray
-    b_lam: np.ndarray  # (d,) visible biases
+    b_lam: np.ndarray
     b_mu: np.ndarray
-    c_lam: np.ndarray  # (m_h,) hidden biases
+    c_lam: np.ndarray
     c_mu: np.ndarray
-    d_lam: np.ndarray  # (m_a,) ancilla bias (amplitude network only)
+    d_lam: np.ndarray
 
     def __post_init__(self):
         for name in ARRAY_NAMES:
@@ -57,13 +59,7 @@ class NdoParams:
             object.__setattr__(self, name, arr)
         m_h, d = self.w_lam.shape
         m_a = self.u_lam.shape[0]
-        expected = {
-            "w_lam": (m_h, d), "w_mu": (m_h, d),
-            "u_lam": (m_a, d), "u_mu": (m_a, d),
-            "b_lam": (d,), "b_mu": (d,),
-            "c_lam": (m_h,), "c_mu": (m_h,), "d_lam": (m_a,),
-        }
-        for name, shape in expected.items():
+        for name, shape in param_shapes(d, m_h, m_a).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -101,15 +97,10 @@ class NdoParams:
         if vec.shape != (expected,):
             raise ValueError(f"vector length {vec.shape}, expected ({expected},)")
         off = param_offsets(d, m_h, m_a)
-        shapes = {
-            "w_lam": (m_h, d), "w_mu": (m_h, d), "u_lam": (m_a, d), "u_mu": (m_a, d),
-            "b_lam": (d,), "b_mu": (d,), "c_lam": (m_h,), "c_mu": (m_h,), "d_lam": (m_a,),
-        }
-        arrays = {}
-        for name, shape in shapes.items():
-            size = int(np.prod(shape))
-            arrays[name] = vec[off[name] : off[name] + size].reshape(shape)
-        return cls(**arrays)
+        return cls(**{
+            name: vec[off[name] : off[name] + math.prod(shape)].reshape(shape)
+            for name, shape in param_shapes(d, m_h, m_a).items()
+        })
 
 
 def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) -> NdoParams:

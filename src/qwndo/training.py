@@ -8,29 +8,28 @@ only basis representation. Four optimizers share one Armijo backtracking
 line search and stopping rule: plain gradient descent, Polak-Ribiere-plus
 conjugate gradient, L-BFGS, and natural gradient descent preconditioned by
 the Gram metric G = Re(J^dag J) of the flattened-state Jacobian J, i.e. the
-pullback of a flat metric on density-matrix entries.
+pullback of a flat metric on density-matrix entries. rho is Hermitian, so J
+has d^2 independent real rows J_r (`_hermitian_rows`: the diagonal, then
+sqrt(2) Re and sqrt(2) Im of the strict upper triangle), G = J_r^T J_r, and
+the gradient is J_r^T e for the same rows e of the cost's derivative in rho.
+The push-through identity (J_r^T J_r + lam I)^-1 J_r^T = J_r^T (J_r J_r^T +
+lam I)^-1 (Rende et al., Commun. Phys. 2024) makes the metric solve d^2 x d^2.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
 from . import kernels, ndo
-from .kernels import param_offsets
 from .measurement import BasisTables
 
 PROB_FLOOR = 1e-12  # inside logs and the matching gradient weights
-# Jacobian and metric entries this far below their matrix's scale are zeroed.
-# They cannot change the metric solve above roundoff (its jitter is 1e-6 of
-# the mean diagonal), but products of them in the subnormal range slow the
-# BLAS Gram and Cholesky kernels 3-4x. Fits to nearly pure targets reach such
-# entries when the weights of zero-population states run far out.
-FLUSH = 1e-150
 
 OPTIMIZERS = ("gd", "cg", "lbfgs", "gngd")
 
@@ -142,38 +141,48 @@ def cost(params: ndo.NdoParams, ds, bases: BasisTables) -> float:
     return kl_distance(data, model_distributions(ndo.density_matrix(params), bases))
 
 
+def _data_adjoint(rho: np.ndarray, data: np.ndarray, bases: BasisTables) -> np.ndarray:
+    """M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b)), w = data/model: d cost/d rho(a,b) = -M(a,b)."""
+    pm = bases.probabilities(rho)
+    w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)
+    return bases.adjoint(w)
+
+
+def _hermitian_rows(a: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates of a Hermitian (d, d, ...) array, in which
+    Re tr(X^dag Y) is a dot product: the diagonal, then sqrt(2) Re and
+    sqrt(2) Im of the strict upper triangle in row-major order."""
+    d = a.shape[0]
+    upper = a[np.triu_indices(d, 1)]
+    rows = np.concatenate([a[np.arange(d), np.arange(d)].real, upper.real, upper.imag])
+    rows[d:] *= np.sqrt(2.0)
+    return rows
+
+
 def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, bases: BasisTables) -> np.ndarray:
     """Analytic cost gradient: contract the error matrix E with dA's structure.
 
-    E = -rho .* M + N_b diag(rho_vv), where M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b))
-    and w = data/model. E is Hermitian, so the contraction is real up to roundoff;
-    a larger imaginary part raises RuntimeError.
+    E = -rho .* M + N_b diag(rho_vv), with M from `_data_adjoint`. E is
+    Hermitian, so the contraction is real up to roundoff; a larger imaginary
+    part raises RuntimeError.
     """
     d = ev.rho.shape[0]
-    m_h = ev.sig_lam.shape[0]
-    m_a = ev.s_pair.shape[0]
-    n_b = bases.n_bases
-    pm = bases.probabilities(ev.rho)
-    w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)
-    m_mat = bases.adjoint(w)
-    e_mat = -(ev.rho * m_mat)
+    e_mat = -(ev.rho * _data_adjoint(ev.rho, data, bases))
     idx = np.arange(d)
-    e_mat[idx, idx] += n_b * ev.rho.diagonal().real
+    e_mat[idx, idx] += bases.n_bases * ev.rho.diagonal().real
     rs = e_mat.sum(axis=1)
     cs = e_mat.sum(axis=0)
-    off = param_offsets(d, m_h, m_a)
-    g = np.zeros(off["total"], dtype=np.complex128)
-    g[off["w_lam"] : off["w_lam"] + m_h * d] = (0.5 * ev.sig_lam * (rs + cs)[None, :]).ravel()
-    g[off["w_mu"] : off["w_mu"] + m_h * d] = (0.5j * ev.sig_mu * (rs - cs)[None, :]).ravel()
+    plus, minus = 0.5 * (rs + cs), 0.5j * (rs - cs)
     row_u = np.einsum("iab,ab->ia", ev.s_pair, e_mat)
     col_u = np.einsum("iab,ab->ib", ev.s_pair, e_mat)
-    g[off["u_lam"] : off["u_lam"] + m_a * d] = (0.5 * (row_u + col_u)).ravel()
-    g[off["u_mu"] : off["u_mu"] + m_a * d] = (0.5j * (row_u - col_u)).ravel()
-    g[off["b_lam"] : off["b_lam"] + d] = 0.5 * (rs + cs)
-    g[off["b_mu"] : off["b_mu"] + d] = 0.5j * (rs - cs)
-    g[off["c_lam"] : off["c_lam"] + m_h] = 0.5 * (ev.sig_lam @ (rs + cs))
-    g[off["c_mu"] : off["c_mu"] + m_h] = 0.5j * (ev.sig_mu @ (rs - cs))
-    g[off["d_lam"] : off["d_lam"] + m_a] = np.einsum("iab,ab->i", ev.s_pair, e_mat)
+    blocks = {
+        "w_lam": ev.sig_lam * plus, "w_mu": ev.sig_mu * minus,
+        "u_lam": 0.5 * (row_u + col_u), "u_mu": 0.5j * (row_u - col_u),
+        "b_lam": plus, "b_mu": minus,
+        "c_lam": ev.sig_lam @ plus, "c_mu": ev.sig_mu @ minus,
+        "d_lam": np.einsum("iab,ab->i", ev.s_pair, e_mat),
+    }
+    g = np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
     resid = np.max(np.abs(g.imag))
     scale = max(1.0, float(np.max(np.abs(g.real))))
     if resid > 1e-10 * scale:
@@ -187,47 +196,39 @@ def grad_cost(params: ndo.NdoParams, ds, bases: BasisTables) -> np.ndarray:
     return _grad_from_eval(ndo.evaluate(params), data, bases)
 
 
-def _flush(mat: np.ndarray, threshold: float) -> None:
-    """Zero the entries of magnitude below `threshold` in place (see FLUSH)."""
-    mat[(mat > -threshold) & (mat < threshold)] = 0.0
-
-
-def gram(jac: np.ndarray) -> np.ndarray:
-    """Re(J^dag J) as one real rank-k update on the stacked [Re J; Im J]."""
-    rows, cols = jac.shape
-    stacked = np.empty((2 * rows, cols))
-    stacked[:rows] = jac.real
-    stacked[rows:] = jac.imag
-    _flush(stacked, FLUSH * max(stacked.max(initial=0.0), -stacked.min(initial=0.0)))
-    upper = dsyrk(1.0, stacked, trans=1, lower=0)
+def gram(jr: np.ndarray) -> np.ndarray:
+    """K = J_r J_r^T, the (d^2, d^2) metric in rho-space, as one real rank-P update."""
+    upper = dsyrk(1.0, jr.T, trans=1, lower=0)
     return upper + np.triu(upper, 1).T
 
 
-def solve_metric(metric: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
-    """Solve (G + eps*(tr G / P)*I) x = grad through a Cholesky factorization.
+def solve_metric(jr: np.ndarray, e: np.ndarray, eps: float) -> np.ndarray:
+    """The natural-gradient direction x = (G + lam I)^-1 J_r^T e, G = J_r^T J_r.
 
-    The jittered system can be conditioned like 1/eps, so one round of
-    iterative refinement keeps the relative residual at roundoff level.
+    By the push-through identity x = J_r^T y with (K + lam I) y = e, K = `gram`(J_r),
+    and lam = eps * tr(G) / P, where tr G = tr K. The jittered system can be
+    conditioned like 1/eps, so iterative refinement keeps the residual at roundoff.
     """
-    p = metric.shape[0]
-    t_bar = float(np.trace(metric)) / p
+    k = gram(jr)
+    t_bar = float(np.trace(k)) / jr.shape[1]
     if not np.isfinite(t_bar) or t_bar <= 0.0:
-        return grad.copy()  # degenerate metric: fall back to the identity
-    reg = metric + (eps * t_bar) * np.eye(p)
-    _flush(reg, FLUSH * t_bar)
+        return jr.T @ e  # degenerate metric: fall back to the identity
+    reg = k + (eps * t_bar) * np.eye(k.shape[0])
     factor = cho_factor(reg, lower=True, check_finite=False)
-    x = cho_solve(factor, grad)
-    scale = np.linalg.norm(grad)
+    y = cho_solve(factor, e)
+    scale = np.linalg.norm(e)
     for _ in range(3):
-        residual = grad - reg @ x
+        residual = e - reg @ y
         if np.linalg.norm(residual) <= 1e-12 * scale:
             break
-        x = x + cho_solve(factor, residual)
-    return x
+        y = y + cho_solve(factor, residual)
+    return jr.T @ y
 
 
 def _armijo(fun, x, f0, g, p):
-    """Backtrack from the initial step; None when all halvings fail."""
+    """Backtrack from the initial step; None when all halvings fail.
+
+    fn - f0 is tested, since f0 + a decrease below f0's resolution is f0."""
     slope = float(g @ p)
     if slope >= 0.0:
         return None
@@ -235,7 +236,7 @@ def _armijo(fun, x, f0, g, p):
     for _ in range(LS_MAX_HALVINGS + 1):
         xn = x + eta * p
         fn = fun(xn)
-        if fn <= f0 + LS_ARMIJO * eta * slope:
+        if fn - f0 <= LS_ARMIJO * eta * slope:
             return xn, fn, eta
         eta *= LS_SHRINK
     return None
@@ -246,7 +247,7 @@ def _gradient_fallback(fun, x, f0, g):
     eta = LS_INIT_STEP * LS_SHRINK**LS_MAX_HALVINGS
     xn = x - eta * g
     fn = fun(xn)
-    if fn <= f0 - LS_ARMIJO * eta * float(g @ g):
+    if fn - f0 <= -LS_ARMIJO * eta * float(g @ g):
         return xn, fn, eta
     return None
 
@@ -284,9 +285,10 @@ class _Lbfgs:
 def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
     """Shared optimizer loop. Returns (x, TrainReport without final metrics).
 
-    `metric_fun` supplies the preconditioner for the gngd optimizer and is
-    ignored otherwise. Line-search failures first retry a plain gradient step
-    at the last backtracked step size, then terminate.
+    `metric_fun(x)` supplies the pair (J_r, e) of `solve_metric` for the gngd
+    optimizer, with J_r^T e the gradient at x, and is ignored otherwise.
+    Line-search failures first retry a plain gradient step at the last
+    backtracked step size, then terminate.
     """
     opt = config.optimizer
     if opt == "gngd" and metric_fun is None:
@@ -335,7 +337,7 @@ def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
                 lbfgs.pairs.clear()
                 p = -g
         else:  # gngd
-            p = -solve_metric(metric_fun(x), g, eps)
+            p = -solve_metric(*metric_fun(x), eps)
         res = _armijo(fun, x, f, g, p)
         if res is None and opt != "gd":
             res = _gradient_fallback(fun, x, f, g)
@@ -403,9 +405,17 @@ class _NdoObjective:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return _grad_from_eval(self._eval(x), self.data, self.bases)
 
-    def metric(self, x: np.ndarray) -> np.ndarray:
+    def metric(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J_r, e): the Hermitian rows of the state Jacobian and of -M^T, the
+        cost's derivative in rho, so J_r^T e is the gradient. rho keeps unit
+        trace, so J_r^T annihilates the identity; e drops its identity part,
+        which the solve would scale by 1/lam only for J_r^T y to cancel it."""
         ev = self._eval(x)
-        return gram(kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair, ev.grad_log_z))
+        d = ev.rho.shape[0]
+        jac = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair, ev.grad_log_z)
+        e = _hermitian_rows(-_data_adjoint(ev.rho, self.data, self.bases).T)
+        e[:d] -= e[:d].mean()
+        return _hermitian_rows(jac.reshape(d, d, -1)), e
 
 
 def fit_ndo(
@@ -442,21 +452,15 @@ def fit_ndo(
     mid, warm = optimize(warm_config, ds, bases, init)
     polish_config = TrainConfig(optimizer="gngd", grad_tol=grad_tol, max_iters=polish_iters)
     params, polish = optimize(polish_config, ds, bases, mid, target=target)
-    report = TrainReport(
+    return params, dataclasses.replace(
+        polish,
         optimizer="lbfgs+gngd",
         iterations=warm.iterations + polish.iterations,
         costs=warm.costs + polish.costs[1:],
         grad_norms=warm.grad_norms + polish.grad_norms,
         step_sizes=warm.step_sizes + polish.step_sizes,
         millis=warm.millis + polish.millis,
-        termination=polish.termination,
-        final_cost=polish.final_cost,
-        final_grad_norm=polish.final_grad_norm,
-        fidelity=polish.fidelity,
-        purity=polish.purity,
-        purity_error=polish.purity_error,
     )
-    return params, report
 
 
 def optimize(

@@ -2,7 +2,8 @@
 
 The per-entry NDO references check the kernels; the dense basis builder
 (`basis_unitary` and friends) and the einsum contractions over its
-(n_bases, d, d) stack check `measurement.BasisTables`.
+(n_bases, d, d) stack check `measurement.BasisTables`; the dense P x P
+metric and its plain solve check the rho-space `training.solve_metric`.
 """
 
 from __future__ import annotations
@@ -141,3 +142,14 @@ def maxlik_grad(x: np.ndarray, data: np.ndarray, stack: np.ndarray) -> np.ndarra
     k = np.einsum("nja,nj,njc->ac", stack.conj(), w, stack) @ t
     swp = float(np.sum(w * pm))
     return pack_t((2.0 / tau) * (swp * t - k))
+
+
+def dense_metric(jac: np.ndarray) -> np.ndarray:
+    """G = Re(J^dag J) over the (d^2, P) complex state Jacobian."""
+    return (jac.conj().T @ jac).real
+
+
+def dense_metric_direction(metric: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
+    """(G + eps * (tr G / P) I)^-1 grad by a plain dense solve."""
+    p = metric.shape[0]
+    return np.linalg.solve(metric + eps * np.trace(metric) / p * np.eye(p), grad)

@@ -172,6 +172,15 @@ class TestTrainAndEvaluate:
         assert doc["similarity"] > 0.999
         assert 0 < doc["purity"] <= 1.0 + 1e-9
 
+    def test_evaluate_dataset_mismatch_names_state_file(self, tmp_path, hadamard_state, capsys):
+        ds = tmp_path / "ds1.json"
+        measurement.save_dataset(measurement.generate_dataset(np.eye(4) / 4, 1), ds)
+        code = run(["evaluate", "--state", str(hadamard_state), "--dataset", str(ds)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"state file {hadamard_state} has N=2 but dataset {ds} has N=1" in err
+        assert "--steps" not in err
+
     def test_evaluate_non_physical_reference(self, tmp_path, hadamard_state, capsys):
         bad = tmp_path / "bad.state"
         fileio.save_state(np.diag([2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), bad, n_steps=2)

@@ -41,6 +41,16 @@ class TestStateFile:
         with pytest.raises(ValueError, match="dim"):
             fileio.load_state(path)
 
+    @pytest.mark.parametrize("n_steps", [3, 0, True, "1"])
+    def test_n_steps_must_match_dim(self, tmp_path, n_steps):
+        path = tmp_path / "rho.state"
+        fileio.save_state(walk.initial_state(1), path)
+        doc = json.loads(path.read_text())
+        doc["n_steps"] = n_steps
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="n_steps"):
+            fileio.load_state(path)
+
     @pytest.mark.parametrize(
         "rho,fragment",
         [

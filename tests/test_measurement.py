@@ -274,6 +274,18 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError, match=fragment):
             measurement.load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["shots", "seed", "n_steps", "index"])
+    def test_boolean_integer_rejected(self, tmp_path, field):
+        # JSON true/false load as Python bools, which are ints to isinstance
+        ds = measurement.generate_dataset(walk.initial_state(1), 1, shots=10, seed=2)
+        path = tmp_path / "ds.json"
+        measurement.save_dataset(ds, path)
+        doc = json.loads(path.read_text())
+        (doc["bases"][0] if field == "index" else doc)[field] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=field):
+            measurement.load_dataset(path)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_probability_named(self, tmp_path, value):
         ds = measurement.generate_dataset(walk.initial_state(1), 1)

@@ -119,7 +119,7 @@ class TestMetric:
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = ndo.init_params(4, 3, 3, scale=0.9, seed=int(rng.integers(2**31)))
-            g = training.gram(ndo.rho_jacobian(params))
+            g = training.gram(training._hermitian_rows(ndo.rho_jacobian(params).reshape(4, 4, -1)))
             assert np.max(np.abs(g - g.T)) <= 1e-12
             w = np.linalg.eigvalsh(g)
             assert w.min() >= -1e-8 * np.linalg.norm(g)
@@ -144,45 +144,88 @@ class TestMetric:
 
     def test_gram_of_orthonormal_columns(self):
         rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.normal(size=(30, 8)) + 1j * rng.normal(size=(30, 8)))
-        np.testing.assert_allclose(training.gram(q), np.eye(8), atol=1e-12)
+        q, _ = np.linalg.qr(rng.normal(size=(30, 8)))
+        np.testing.assert_allclose(training.gram(q.T), np.eye(8), atol=1e-12)
 
     def test_gram_with_subnormal_range_rows(self):
-        # rows near 1e-200 (density entries of states driven to zero) are
-        # zeroed before the product; their exact contribution is below 1e-300
+        # rows near 1e-200 (density entries of states driven to zero) add
+        # products near 1e-200 and in the subnormal range to K
         rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.normal(size=(30, 8)) + 1j * rng.normal(size=(30, 8)))
-        tiny = 1e-200 * (rng.normal(size=(10, 8)) + 1j * rng.normal(size=(10, 8)))
-        np.testing.assert_allclose(training.gram(np.vstack([q, tiny])), np.eye(8), atol=1e-12)
+        q, _ = np.linalg.qr(rng.normal(size=(30, 8)))
+        tiny = 1e-200 * rng.normal(size=(10, 30))
+        expected = np.zeros((18, 18))
+        expected[:8, :8] = np.eye(8)
+        np.testing.assert_allclose(training.gram(np.vstack([q.T, tiny])), expected, atol=1e-12)
 
     def test_solve_metric_residual(self):
         # the solved right-hand side is the cost gradient, which the chain
         # rule keeps inside range(G); the regularized solve then stays accurate
         rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
         params = ndo.init_params(4, 3, 3, scale=0.8, seed=8)
-        g_mat = training.gram(ndo.rho_jacobian(params))
+        obj = training._NdoObjective(ds, bases, 4, 3, 3)
+        delta = training.solve_metric(*obj.metric(params.to_vector()), 1e-6)
+        g_mat = oracles.dense_metric(ndo.rho_jacobian(params))
         grad = training.grad_cost(params, ds, bases)
-        delta = training.solve_metric(g_mat, grad, 1e-6)
         t_bar = np.trace(g_mat) / g_mat.shape[0]
         reg = g_mat + 1e-6 * t_bar * np.eye(g_mat.shape[0])
         resid = np.linalg.norm(reg @ delta - grad) / np.linalg.norm(grad)
         assert resid <= 1e-10
 
     def test_solve_metric_unchanged_by_subnormal_range_entries(self):
-        # weights driven far out leave metric entries near 1e-290; the solve
-        # zeroes them and must still solve the system with them kept
+        # weights driven far out leave Jacobian rows near 1e-290 and 1e-200,
+        # whose products in K reach and pass the subnormal range
         rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
         params = ndo.init_params(4, 3, 3, scale=0.8, seed=8)
-        g_mat = training.gram(ndo.rho_jacobian(params))
-        g_mat[0, 1:] *= 1e-290
-        g_mat[1:, 0] *= 1e-290
-        grad = training.grad_cost(params, ds, bases)
-        delta = training.solve_metric(g_mat, grad, 1e-6)
+        obj = training._NdoObjective(ds, bases, 4, 3, 3)
+        jr, e = obj.metric(params.to_vector())
+        jr[0] *= 1e-290
+        jr[1] *= 1e-200
+        assert np.min(np.abs(training.gram(jr)[0, 2:])) < 1e-280
+        delta = training.solve_metric(jr, e, 1e-6)
+        g_mat = jr.T @ jr
+        grad = jr.T @ e
         t_bar = np.trace(g_mat) / g_mat.shape[0]
         reg = g_mat + 1e-6 * t_bar * np.eye(g_mat.shape[0])
-        assert np.min(np.abs(reg[0, 1:])) < 1e-280
         resid = np.linalg.norm(reg @ delta - grad) / np.linalg.norm(grad)
         assert resid <= 1e-10
+
+
+class TestRhoSpaceSolve:
+    """The d^2 x d^2 push-through solve against the dense P x P oracle."""
+
+    @staticmethod
+    def objective_at(n_steps, m_h=3, m_a=2, scale=0.8):
+        d = 2 * (n_steps + 1)
+        seeds = np.random.default_rng(100 + n_steps).integers(2**31, size=2)
+        target = ndo.density_matrix(ndo.init_params(d, m_h, m_a, scale=scale, seed=int(seeds[0])))
+        ds = measurement.generate_dataset(target, n_steps)
+        params = ndo.init_params(d, m_h, m_a, scale=scale, seed=int(seeds[1]))
+        obj = training._NdoObjective(ds, measurement.all_basis_unitaries(n_steps), d, m_h, m_a)
+        return obj, params
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 5])
+    def test_rows_reproduce_cost_gradient(self, n_steps):
+        obj, params = self.objective_at(n_steps)
+        jr, e = obj.metric(params.to_vector())
+        g = training.grad_cost(params, obj.data, obj.bases)
+        assert np.linalg.norm(jr.T @ e - g) <= 1e-12 * np.linalg.norm(g)
+
+    def test_gram_shape(self):
+        obj, params = self.objective_at(2)
+        jr, e = obj.metric(params.to_vector())
+        assert jr.shape == (36, params.n_params)
+        assert e.shape == (36,)
+        assert training.gram(jr).shape == (36, 36)
+
+    # relative differences measured: 3.5e-9, 4.2e-9, 1.2e-9, 1.4e-9 at N = 1, 2, 5, 10
+    @pytest.mark.parametrize("n_steps", [1, 2, 5, 10])
+    def test_direction_matches_dense_oracle(self, n_steps):
+        obj, params = self.objective_at(n_steps, m_h=15, m_a=15, scale=0.3)
+        x = params.to_vector()
+        direction = training.solve_metric(*obj.metric(x), 1e-6)
+        metric = oracles.dense_metric(ndo.rho_jacobian(params))
+        ref = oracles.dense_metric_direction(metric, obj.grad(x), 1e-6)
+        assert np.linalg.norm(direction - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 class TestMixedStart:
@@ -216,7 +259,9 @@ class TestGngdStep:
         x0 = params.to_vector()
         eye = np.eye(params.n_params)
         config = TrainConfig(optimizer="gngd", max_iters=1)
-        x, report = training.minimize_vector(obj.cost, obj.grad, x0, config, metric_fun=lambda _: eye)
+        x, report = training.minimize_vector(
+            obj.cost, obj.grad, x0, config, metric_fun=lambda x: (eye, obj.grad(x))
+        )
         # identity metric with relative jitter solves (1 + eps)x = grad
         expected_dir = -obj.grad(x0) / (1.0 + 1e-6)
         assert report.iterations == 1
@@ -236,13 +281,21 @@ class TestGngdStep:
         rho, ds, bases = hadamard_setup(1)
         params = ndo.init_params(4, 3, 2, scale=0.3, seed=5)
         obj = training._NdoObjective(ds, bases, 4, 3, 2)
-        metric = training.gram(ndo.rho_jacobian(params))
+        metric = obj.metric(params.to_vector())
         config = TrainConfig(optimizer="gngd", max_iters=10)
         _, report = training.minimize_vector(
             lambda x: 1.0, obj.grad, params.to_vector(), config, metric_fun=lambda _: metric
         )
         assert report.termination == "line-search failure"
         assert report.iterations == 0
+
+    def test_armijo_rejects_unchanged_cost(self):
+        # the predicted decrease 1e-4 * 1e-40 is far below the resolution of
+        # the cost 1.0, so 1.0 + decrease rounds to 1.0; no step may be
+        # accepted that leaves the cost where it was
+        g = np.array([1e-20])
+        assert training._armijo(lambda x: 1.0, np.zeros(1), 1.0, g, -g) is None
+        assert training._gradient_fallback(lambda x: 1.0, np.zeros(1), 1.0, g) is None
 
     def test_minimize_reports_line_search_failure(self):
         # inconsistent oracle: constant cost with a nonzero reported gradient
