@@ -48,10 +48,7 @@ def _add_walk_flags(sp) -> None:
     sp.add_argument("--w-s", type=float, default=0.0, help="coin-projection mixing weight")
     sp.add_argument("--w-l", type=float, default=0.0, help="site-projection mixing weight")
     sp.add_argument("--delta-beta", type=float, default=0.0, help="dephasing range in [0, pi]")
-    sp.add_argument("--dephasing-mode", choices=walk.DEPHASING_MODES, default="analytic")
-    sp.add_argument("--mc-samples", type=int, default=100_000)
     sp.add_argument("--p", type=float, default=0.0, help="depolarizing probability")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def _walk_config(args) -> walk.WalkConfig:
@@ -71,10 +68,7 @@ def _walk_config(args) -> walk.WalkConfig:
         w_s=args.w_s,
         w_l=args.w_l,
         delta_beta=args.delta_beta,
-        dephasing_mode=args.dephasing_mode,
-        mc_samples=args.mc_samples,
         p=args.p,
-        seed=args.seed,
     )
 
 
@@ -86,15 +80,8 @@ def _network_sizes(args) -> tuple[int, int]:
     return hidden, ancillary
 
 
-def _train_config(args, optimizer: str | None = None) -> training.TrainConfig:
-    return training.TrainConfig(
-        optimizer=optimizer or args.optimizer,
-        grad_tol=args.grad_tol,
-        max_iters=args.max_iters,
-        metric_eps=args.metric_eps,
-        init_scale=args.init_scale,
-        seed=args.seed,
-    )
+def _train_config(args, **fields) -> training.TrainConfig:
+    return training.TrainConfig(grad_tol=args.grad_tol, max_iters=args.max_iters, **fields)
 
 
 def _check_steps(flag_steps, file_steps: int, what: str) -> None:
@@ -152,8 +139,8 @@ def cmd_train(args) -> int:
     target = None
     if args.target:
         target, _ = fileio.load_state(args.target)
-    config = _train_config(args)
-    init = ndo.init_params(d, m_h, m_a, scale=config.init_scale, seed=config.seed)
+    config = _train_config(args, optimizer=args.optimizer)
+    init = ndo.init_params(d, m_h, m_a, seed=args.seed)
     params, report = training.optimize(config, ds, bases, init, target=target)
     if args.checkpoint:
         ndo.save_checkpoint(params, args.checkpoint)
@@ -249,10 +236,8 @@ def cmd_bench_opt(args) -> int:
     ds = measurement.generate_dataset(rho, config.n_steps)
     bases = measurement.all_basis_unitaries(config.n_steps)
     m_h, m_a = _network_sizes(args)
-    train_config = _train_config(args, optimizer="gngd")
-    init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a,
-                           scale=train_config.init_scale, seed=args.seed)
-    reports = _run_all_optimizers(ds, bases, init, train_config, args.out, target=rho)
+    init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a, seed=args.seed)
+    reports = _run_all_optimizers(ds, bases, init, _train_config(args), args.out, target=rho)
     summary = {"bench_csv": args.out}
     for name, report in reports.items():
         summary[f"{name}_iterations"] = report.iterations
@@ -353,20 +338,15 @@ def _reproduce_fig4(args, out_dir: Path) -> dict:
 
 
 def _reproduce_fig5(args, out_dir: Path) -> dict:
-    n = 30 if args.full else args.steps
-    if args.full and (args.hidden is None or args.ancillary is None):
-        raise ValueError("--full requires explicit --hidden and --ancillary")
+    n = args.steps
     m_h = args.hidden if args.hidden is not None else 10
     m_a = args.ancillary if args.ancillary is not None else 10
     config = walk.WalkConfig(n, (np.pi / 4,) * n)
     rho = walk.evolve(config)
     ds = measurement.generate_dataset(rho, n)
     bases = measurement.all_basis_unitaries(n)
-    base_config = training.TrainConfig(
-        optimizer="gngd", grad_tol=args.grad_tol, max_iters=args.max_iters, seed=args.seed,
-    )
-    init = ndo.init_params(2 * (n + 1), m_h, m_a, scale=base_config.init_scale, seed=args.seed)
-    reports = _run_all_optimizers(ds, bases, init, base_config, out_dir / "fig5_cost.csv")
+    init = ndo.init_params(2 * (n + 1), m_h, m_a, seed=args.seed)
+    reports = _run_all_optimizers(ds, bases, init, _train_config(args), out_dir / "fig5_cost.csv")
     gd_level = reports["gd"].final_cost
     summary = {"gd_final_cost": gd_level, "csv": str(out_dir / "fig5_cost.csv")}
     for name, report in reports.items():
@@ -433,8 +413,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     help="walk noise the dataset came from; sets size defaults only")
     sp.add_argument("--grad-tol", type=float, default=1e-8)
     sp.add_argument("--max-iters", type=int, default=2000)
-    sp.add_argument("--metric-eps", type=float, default=1e-6)
-    sp.add_argument("--init-scale", type=float, default=0.01)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--checkpoint", help="parameter checkpoint file to write")
     sp.add_argument("--report", help="training report JSON to write")
@@ -474,8 +452,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--ancillary", type=int)
     sp.add_argument("--grad-tol", type=float, default=1e-8)
     sp.add_argument("--max-iters", type=int, default=200)
-    sp.add_argument("--metric-eps", type=float, default=1e-6)
-    sp.add_argument("--init-scale", type=float, default=0.01)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the shared initialization")
     sp.add_argument("--out", required=True, help="combined cost-trace CSV")
     _add_common(sp)
     sp.set_defaults(handler=cmd_bench_opt)
@@ -486,9 +463,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--max-steps", type=int, default=5, help="fig3: largest N")
     sp.add_argument("--samples", type=int, default=5, help="instances per scenario point")
     sp.add_argument("--steps", type=int, default=10, help="fig5: walk length")
-    sp.add_argument("--full", action="store_true", help="fig5: paper-scale N=30 run")
-    sp.add_argument("--hidden", type=int, help="fig5: hidden units (required with --full)")
-    sp.add_argument("--ancillary", type=int, help="fig5: ancilla units (required with --full)")
+    sp.add_argument("--hidden", type=int, help="fig5: hidden units (default 10)")
+    sp.add_argument("--ancillary", type=int, help="fig5: ancilla units (default 10)")
     sp.add_argument("--grad-tol", type=float, default=1e-8)
     sp.add_argument("--max-iters", type=int, default=300)
     sp.add_argument("--seed", type=int, default=0)

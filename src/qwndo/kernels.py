@@ -83,19 +83,27 @@ def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
     return a, _logistic(x_lam), _logistic(x_mu), _logistic_c(z)
 
 
-def assemble_jacobian(rho, sig_lam, sig_mu, s_pair, z_norm):
+def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
     """Jacobian d(rho)/d(theta) as a (d*d, P) complex matrix.
 
-    Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z_norm),
-    where z_norm is the gradient of log Z (zero on mu-group entries). The
-    one-hot visible encoding confines weight-block nonzeros to the two
-    columns alpha and beta, which keeps the fill O(d) per block.
+    Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z), where
+    z = sum_v rho[v, v] dA[v, v, :] is the gradient of log Z (zero on mu-group
+    entries). The one-hot visible encoding confines weight-block nonzeros to
+    the two columns alpha and beta, which keeps the fill O(d) per block.
     """
     d = rho.shape[0]
     m_h = sig_lam.shape[0]
     m_a = s_pair.shape[0]
     off = param_offsets(d, m_h, m_a)
-    jac = rho.reshape(-1)[:, None] * (-z_norm)[None, :].astype(np.complex128)
+    pd = rho.diagonal().real
+    s_diag = s_pair[:, np.arange(d), np.arange(d)].real
+    z = np.zeros(off["total"])
+    z[off["w_lam"] : off["w_lam"] + m_h * d] = (sig_lam * pd[None, :]).ravel()
+    z[off["u_lam"] : off["u_lam"] + m_a * d] = (s_diag * pd[None, :]).ravel()
+    z[off["b_lam"] : off["b_lam"] + d] = pd
+    z[off["c_lam"] : off["c_lam"] + m_h] = sig_lam @ pd
+    z[off["d_lam"] : off["d_lam"] + m_a] = s_diag @ pd
+    jac = rho.reshape(-1)[:, None] * (-z)[None, :].astype(np.complex128)
     j3 = jac.reshape(d, d, off["total"])
     wl = j3[:, :, off["w_lam"] : off["w_lam"] + m_h * d].reshape(d, d, m_h, d)
     wm = j3[:, :, off["w_mu"] : off["w_mu"] + m_h * d].reshape(d, d, m_h, d)

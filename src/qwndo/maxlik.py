@@ -57,11 +57,11 @@ def rho_from_t(t_params: np.ndarray) -> np.ndarray:
     return gram / tr
 
 
-def init_t_params(d: int, seed: int = 0, scale: float = 0.1, diag_offset: float = 1.0) -> np.ndarray:
-    """Uniform [-scale, scale] draw with the diagonal offset away from zero trace."""
+def init_t_params(d: int, seed: int = 0, scale: float = 0.1) -> np.ndarray:
+    """Uniform [-scale, scale] draw with the diagonal offset by 1, away from zero trace."""
     rng = np.random.default_rng(seed)
     params = rng.uniform(-scale, scale, d * d)
-    params[:d] += diag_offset
+    params[:d] += 1.0
     return params
 
 
@@ -108,9 +108,5 @@ def maxlik_fit(
     x, report = minimize_vector(obj.cost, obj.grad, x0, config)
     rho = rho_from_t(x)
     if target is not None:
-        from . import metrics
-
-        report.fidelity = metrics.fidelity(rho, target)
-        report.purity = metrics.purity(rho)
-        report.purity_error = metrics.purity_error(rho, target)
+        report.score(rho, target)
     return rho, report

@@ -7,9 +7,7 @@ closed form, giving every log density entry
 
     A(v, v') = Gamma_lam_plus(v, v') + i*Gamma_mu_minus(v, v') + Pi(v, v')
 
-with rho = exp(A) / Z and Z = sum_v exp(A(v, v)). The same state is also
-computable by brute-force enumeration of the 2^m_a ancilla configurations
-(`purification_oracle`), which pins the closed form in tests.
+with rho = exp(A) / Z and Z = sum_v exp(A(v, v)).
 
 The phase-network ancilla bias cancels between a purification amplitude and
 its conjugate, so the parameter set carries only the lambda ancilla bias.
@@ -25,7 +23,7 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from . import kernels
-from .kernels import _softplus, param_offsets, param_shapes
+from .kernels import param_offsets, param_shapes
 
 ARRAY_NAMES = tuple(param_shapes(0, 0, 0))
 
@@ -124,7 +122,7 @@ def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) 
 MIXING_PHASE = 3.0 * np.pi / 4.0
 
 
-def mixed_init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) -> NdoParams:
+def mixed_init_params(d: int, m_h: int, m_a: int, seed: int = 0) -> NdoParams:
     """`init_params` plus phase-network ancilla weights that make the state nearly I/d.
 
     Ancilla i gives basis state v the weight u_mu[i, v] = MIXING_PHASE * H[v + 1, i + 1],
@@ -136,7 +134,7 @@ def mixed_init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int
     Smaller m_a keeps only the first columns and mixes less; the random draw
     only breaks the symmetry.
     """
-    base = init_params(d, m_h, m_a, scale=scale, seed=seed)
+    base = init_params(d, m_h, m_a, seed=seed)
     order = 1
     while order <= max(d, m_a):
         order *= 2
@@ -160,33 +158,6 @@ def density_matrix(params: NdoParams) -> np.ndarray:
     return _normalize(a)[0]
 
 
-def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
-    """Brute-force state from the purified wavefunction, tracing the ancilla.
-
-    Enumerates all 2^m_a binary ancilla configurations a and forms
-    Psi(v, a) ~ sqrt(p_lam(v, a)) * exp(i log p_mu(v, a) / 2) with hidden
-    units already marginalized inside p; the Gram sum over a, normalized to
-    unit trace, must reproduce `density_matrix`.
-    """
-    if params.m_a > max_ancilla:
-        raise ValueError(
-            f"refusing to enumerate 2^{params.m_a} ancilla configurations "
-            f"(limit m_a <= {max_ancilla})"
-        )
-    d = params.dim
-    confs = (
-        (np.arange(2 ** params.m_a)[:, None] >> np.arange(params.m_a)[None, :]) & 1
-    ).astype(float)
-    hs_lam = _softplus(params.w_lam + params.c_lam[:, None]).sum(axis=0)
-    hs_mu = _softplus(params.w_mu + params.c_mu[:, None]).sum(axis=0)
-    log_p_lam = hs_lam[None, :] + confs @ params.u_lam + params.b_lam[None, :] + (confs @ params.d_lam)[:, None]
-    log_p_mu = hs_mu[None, :] + confs @ params.u_mu + params.b_mu[None, :]
-    shift = log_p_lam.max()  # cancels in the trace normalization
-    psi = np.exp(0.5 * (log_p_lam - shift) + 0.5j * log_p_mu)
-    rho = psi.T @ psi.conj()
-    return rho / np.trace(rho).real
-
-
 @dataclass(frozen=True)
 class NdoEval:
     """One-pass evaluation of everything the cost, gradient and metric reuse."""
@@ -197,32 +168,13 @@ class NdoEval:
     sig_lam: np.ndarray    # (m_h, d) hidden logistic, amplitude net
     sig_mu: np.ndarray
     s_pair: np.ndarray     # (m_a, d, d) complex ancilla logistic per index pair
-    s_diag: np.ndarray     # (m_a, d) its real diagonal
-    grad_log_z: np.ndarray  # (P,) real, zero on mu-group entries
 
 
 def evaluate(params: NdoParams) -> NdoEval:
     """Compute the state plus the gradient caches in one pass."""
-    d, m_h, m_a = params.dim, params.m_h, params.m_a
     a, sig_lam, sig_mu, s_pair = kernels.pair_cache(*params.arrays())
     rho, lz = _normalize(a)
-    pd = rho.diagonal().real
-    idx = np.arange(d)
-    s_diag = s_pair[:, idx, idx].real
-    off = param_offsets(d, m_h, m_a)
-    z = np.zeros(off["total"])
-    z[off["w_lam"] : off["w_lam"] + m_h * d] = (sig_lam * pd[None, :]).ravel()
-    z[off["u_lam"] : off["u_lam"] + m_a * d] = (s_diag * pd[None, :]).ravel()
-    z[off["b_lam"] : off["b_lam"] + d] = pd
-    z[off["c_lam"] : off["c_lam"] + m_h] = sig_lam @ pd
-    z[off["d_lam"] : off["d_lam"] + m_a] = s_diag @ pd
-    return NdoEval(a, rho, lz, sig_lam, sig_mu, s_pair, s_diag, z)
-
-
-def rho_jacobian(params: NdoParams) -> np.ndarray:
-    """d(rho)/d(theta) flattened row-major over (alpha, beta): (d*d, P) complex."""
-    ev = evaluate(params)
-    return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair, ev.grad_log_z)
+    return NdoEval(a, rho, lz, sig_lam, sig_mu, s_pair)
 
 
 def save_checkpoint(params: NdoParams, path) -> None:

@@ -19,7 +19,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 NOISE_KINDS = ("none", "mixing", "dephasing", "depolarizing")
-DEPHASING_MODES = ("analytic", "monte_carlo")
 
 
 def dim(n_steps: int) -> int:
@@ -57,10 +56,7 @@ class WalkConfig:
     w_s: float = 0.0  # coin-projection mixing weight
     w_l: float = 0.0  # lattice-projection mixing weight
     delta_beta: float = 0.0  # dephasing fluctuation range, radians
-    dephasing_mode: str = "analytic"
-    mc_samples: int = 100_000
     p: float = 0.0  # depolarizing probability
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_steps < 0:
@@ -75,8 +71,6 @@ class WalkConfig:
             raise ValueError(f"need w_s, w_l >= 0 and w_s + w_l <= 1, got ({self.w_s}, {self.w_l})")
         if not 0.0 <= self.delta_beta <= np.pi:
             raise ValueError(f"delta_beta must lie in [0, pi], got {self.delta_beta}")
-        if self.dephasing_mode not in DEPHASING_MODES:
-            raise ValueError(f"unknown dephasing mode {self.dephasing_mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"depolarizing p must lie in [0, 1], got {self.p}")
 
@@ -141,33 +135,16 @@ def apply_kraus_step(rho: np.ndarray, alpha: float, w_s: float, w_l: float) -> n
     return out
 
 
-def dephasing_step(
-    rho: np.ndarray,
-    delta_beta: float,
-    mode: str = "analytic",
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> np.ndarray:
+def dephasing_step(rho: np.ndarray, delta_beta: float) -> np.ndarray:
     """Coin dephasing: average over conjugations by the phase gate exp(i*beta*sigma_z/2).
 
     Conjugation multiplies the up-down coin blocks elementwise by exp(i*beta),
     so averaging beta ~ U[-delta_beta, delta_beta] attenuates them by
-    sinc(delta_beta) = sin(delta_beta)/delta_beta in analytic mode. Monte Carlo
-    mode applies the empirical mean phase of n_samples draws, which equals the
-    sample average of the conjugations by linearity.
+    sinc(delta_beta) = sin(delta_beta)/delta_beta.
     """
     if not 0.0 <= delta_beta <= np.pi:
         raise ValueError(f"delta_beta must lie in [0, pi], got {delta_beta}")
-    if mode == "analytic":
-        factor = complex(np.sinc(delta_beta / np.pi))
-    elif mode == "monte_carlo":
-        if n_samples <= 0:
-            raise ValueError(f"monte_carlo mode needs n_samples >= 1, got {n_samples}")
-        rng = np.random.default_rng(seed)
-        betas = rng.uniform(-delta_beta, delta_beta, n_samples)
-        factor = complex(np.exp(1j * betas).mean())
-    else:
-        raise ValueError(f"unknown dephasing mode {mode!r}")
+    factor = complex(np.sinc(delta_beta / np.pi))
     out = np.array(rho, dtype=np.complex128, copy=True)
     out[0::2, 1::2] *= factor
     out[1::2, 0::2] *= np.conj(factor)
@@ -226,13 +203,7 @@ def evolve(config: WalkConfig) -> np.ndarray:
         u = step_unitary(alpha, n)
         rho = u @ rho @ u.conj().T
         if config.noise == "dephasing":
-            rho = dephasing_step(
-                rho,
-                config.delta_beta,
-                mode=config.dephasing_mode,
-                n_samples=config.mc_samples,
-                seed=np.random.SeedSequence((config.seed, t)).generate_state(1)[0],
-            )
+            rho = dephasing_step(rho, config.delta_beta)
         elif config.noise == "depolarizing":
             rho = depolarizing_step(rho, config.p)
     return rho

@@ -1,15 +1,18 @@
 """Reference implementations that pin the vectorized kernels and tables in tests.
 
-The per-entry NDO references check the kernels; the dense basis builder
+The per-entry NDO references and the brute-force purification check the
+kernels and the closed-form state; the dense basis builder
 (`basis_unitary` and friends) and the einsum contractions over its
 (n_bases, d, d) stack check `measurement.BasisTables`; the dense P x P
-metric and its plain solve check the rho-space `training.solve_metric`.
+metric and its plain solve check the rho-space `training.solve_metric`;
+a Monte-Carlo average over coin phases checks `walk.dephasing_step`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qwndo import kernels, ndo
 from qwndo.kernels import _logistic, _logistic_c, _softplus, _softplus_c, param_offsets
 from qwndo.maxlik import pack_t, t_matrix
 from qwndo.measurement import K_X, K_Y, n_bases
@@ -70,6 +73,50 @@ def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
     g[off["u_mu"] + rows_a + vp] -= 0.5j * s
     g[off["d_lam"] : off["d_lam"] + m_a] = s
     return g
+
+
+def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
+    """Brute-force state from the purified wavefunction, tracing the ancilla.
+
+    Enumerates all 2^m_a binary ancilla configurations a and forms
+    Psi(v, a) ~ sqrt(p_lam(v, a)) * exp(i log p_mu(v, a) / 2) with hidden
+    units already marginalized inside p; the Gram sum over a, normalized to
+    unit trace, must reproduce `ndo.density_matrix`.
+    """
+    if params.m_a > max_ancilla:
+        raise ValueError(
+            f"refusing to enumerate 2^{params.m_a} ancilla configurations "
+            f"(limit m_a <= {max_ancilla})"
+        )
+    confs = (
+        (np.arange(2 ** params.m_a)[:, None] >> np.arange(params.m_a)[None, :]) & 1
+    ).astype(float)
+    hs_lam = _softplus(params.w_lam + params.c_lam[:, None]).sum(axis=0)
+    hs_mu = _softplus(params.w_mu + params.c_mu[:, None]).sum(axis=0)
+    log_p_lam = hs_lam[None, :] + confs @ params.u_lam + params.b_lam[None, :] + (confs @ params.d_lam)[:, None]
+    log_p_mu = hs_mu[None, :] + confs @ params.u_mu + params.b_mu[None, :]
+    shift = log_p_lam.max()  # cancels in the trace normalization
+    psi = np.exp(0.5 * (log_p_lam - shift) + 0.5j * log_p_mu)
+    rho = psi.T @ psi.conj()
+    return rho / np.trace(rho).real
+
+
+def rho_jacobian(params: NdoParams) -> np.ndarray:
+    """d(rho)/d(theta) flattened row-major over (alpha, beta): (d*d, P) complex."""
+    ev = ndo.evaluate(params)
+    return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+
+
+def monte_carlo_dephasing(rho: np.ndarray, delta_beta: float, n_samples: int, seed: int) -> np.ndarray:
+    """Coin dephasing by the empirical mean phase of n_samples draws of
+    beta ~ U[-delta_beta, delta_beta], which equals the sample average of the
+    conjugations by exp(i*beta*sigma_z/2) by linearity."""
+    betas = np.random.default_rng(seed).uniform(-delta_beta, delta_beta, n_samples)
+    factor = complex(np.exp(1j * betas).mean())
+    out = np.array(rho, dtype=np.complex128, copy=True)
+    out[0::2, 1::2] *= factor
+    out[1::2, 0::2] *= np.conj(factor)
+    return out
 
 
 def cyclic_shift(n_steps: int) -> np.ndarray:

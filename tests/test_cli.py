@@ -1,6 +1,9 @@
 """End-to-end CLI contracts: exit codes, files, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,8 +93,7 @@ class TestSimulate:
         a, b = tmp_path / "a.state", tmp_path / "b.state"
         for p in (a, b):
             run(["simulate", "--steps", "3", "--disordered-seed", "4", "--noise",
-                 "dephasing", "--delta-beta", "1.0", "--dephasing-mode", "monte_carlo",
-                 "--mc-samples", "2000", "--seed", "9", "--out", str(p)])
+                 "dephasing", "--delta-beta", "1.0", "--out", str(p)])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -211,11 +213,17 @@ class TestTrainAndEvaluate:
         assert doc["ancillary"] == 5  # config fills the gap
         assert doc["iterations"] <= 2
 
-    def test_config_file_unknown_key(self, tmp_path, small_dataset, capsys):
+    @pytest.mark.parametrize("key", ["no-such-flag", "metric-eps", "init-scale", "mc-samples"])
+    def test_config_file_unknown_key(self, tmp_path, small_dataset, capsys, key):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"no-such-flag": 1}))
+        config.write_text(json.dumps({key: 1}))
         assert run(["train", "--dataset", str(small_dataset), "--config", str(config)]) == 1
-        assert "no-such-flag" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
+
+    def test_removed_flag_is_usage_error(self, small_dataset):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--dataset", str(small_dataset), "--metric-eps", "1e-3"])
+        assert exc.value.code == 2
 
 
 class TestBenchOpt:
@@ -280,6 +288,18 @@ class TestReproduce:
         lines = (out_dir / "fig5_cost.csv").read_text().splitlines()
         assert lines[0] == "iter,optimizer,cost"
 
-    def test_fig5_full_requires_sizes(self, capsys):
-        assert run(["reproduce", "fig5", "--full"]) == 1
-        assert "--hidden" in capsys.readouterr().err
+
+def readme_commands():
+    """Every `qwndo ...` command in the README's bash blocks, as argument lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qwndo ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    parser, registry = cli.build_parser()
+    assert {argv[0] for argv in commands} == set(registry)
+    for argv in commands:
+        parser.parse_args(argv)  # SystemExit(2) on an unknown or malformed flag

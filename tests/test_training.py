@@ -119,7 +119,7 @@ class TestMetric:
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = ndo.init_params(4, 3, 3, scale=0.9, seed=int(rng.integers(2**31)))
-            g = training.gram(training._hermitian_rows(ndo.rho_jacobian(params).reshape(4, 4, -1)))
+            g = training.gram(training._hermitian_rows(oracles.rho_jacobian(params).reshape(4, 4, -1)))
             assert np.max(np.abs(g - g.T)) <= 1e-12
             w = np.linalg.eigvalsh(g)
             assert w.min() >= -1e-8 * np.linalg.norm(g)
@@ -127,7 +127,7 @@ class TestMetric:
     def test_jacobian_matches_finite_differences(self):
         d, m_h, m_a = 4, 3, 2
         params = ndo.init_params(d, m_h, m_a, scale=0.7, seed=6)
-        jac = ndo.rho_jacobian(params)
+        jac = oracles.rho_jacobian(params)
         x0 = params.to_vector()
         h = 1e-6
         for j in range(x0.size):
@@ -164,7 +164,7 @@ class TestMetric:
         params = ndo.init_params(4, 3, 3, scale=0.8, seed=8)
         obj = training._NdoObjective(ds, bases, 4, 3, 3)
         delta = training.solve_metric(*obj.metric(params.to_vector()), 1e-6)
-        g_mat = oracles.dense_metric(ndo.rho_jacobian(params))
+        g_mat = oracles.dense_metric(oracles.rho_jacobian(params))
         grad = training.grad_cost(params, ds, bases)
         t_bar = np.trace(g_mat) / g_mat.shape[0]
         reg = g_mat + 1e-6 * t_bar * np.eye(g_mat.shape[0])
@@ -223,7 +223,7 @@ class TestRhoSpaceSolve:
         obj, params = self.objective_at(n_steps, m_h=15, m_a=15, scale=0.3)
         x = params.to_vector()
         direction = training.solve_metric(*obj.metric(x), 1e-6)
-        metric = oracles.dense_metric(ndo.rho_jacobian(params))
+        metric = oracles.dense_metric(oracles.rho_jacobian(params))
         ref = oracles.dense_metric_direction(metric, obj.grad(x), 1e-6)
         assert np.linalg.norm(direction - ref) <= 1e-6 * np.linalg.norm(ref)
 
@@ -269,7 +269,7 @@ class TestGngdStep:
 
     def test_accepted_steps_decrease_cost(self):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
-        config = TrainConfig(optimizer="gngd", max_iters=200, seed=1)
+        config = TrainConfig(optimizer="gngd", max_iters=200)
         init = ndo.init_params(6, 4, 4, scale=0.01, seed=1)
         _, report = training.optimize(config, ds, bases, init)
         costs = np.array(report.costs)
@@ -310,7 +310,7 @@ class TestGngdStep:
 class TestOptimize:
     def test_n1_hadamard_gngd_high_fidelity(self):
         rho, ds, bases = hadamard_setup(1)
-        config = TrainConfig(optimizer="gngd", max_iters=500, seed=0)
+        config = TrainConfig(optimizer="gngd", max_iters=500)
         init = ndo.init_params(4, 4, 4, scale=0.01, seed=0)
         _, report = training.optimize(config, ds, bases, init, target=rho)
         assert report.iterations <= 500
@@ -318,7 +318,7 @@ class TestOptimize:
 
     def test_deterministic_traces(self):
         rho, ds, bases = hadamard_setup(2)
-        config = TrainConfig(optimizer="gngd", max_iters=40, seed=7)
+        config = TrainConfig(optimizer="gngd", max_iters=40)
         init = ndo.init_params(6, 3, 3, scale=0.01, seed=7)
         _, rep_a = training.optimize(config, ds, bases, init)
         _, rep_b = training.optimize(config, ds, bases, init)
@@ -328,7 +328,7 @@ class TestOptimize:
     @pytest.mark.parametrize("optimizer", ["gd", "cg", "gngd"])
     def test_line_searched_costs_non_increasing(self, optimizer):
         rho, ds, bases = hadamard_setup(1, noise="depolarizing", p=0.3)
-        config = TrainConfig(optimizer=optimizer, max_iters=120, seed=2)
+        config = TrainConfig(optimizer=optimizer, max_iters=120)
         init = ndo.init_params(4, 3, 3, scale=0.01, seed=2)
         _, report = training.optimize(config, ds, bases, init)
         assert np.all(np.diff(report.costs) <= 0.0)
@@ -340,7 +340,7 @@ class TestOptimize:
         bases = measurement.all_basis_unitaries(1)
         config = TrainConfig(
             optimizer=optimizer, grad_tol=1e-6,
-            max_iters=20000 if optimizer in ("gd", "cg") else 5000, seed=3,
+            max_iters=20000 if optimizer in ("gd", "cg") else 5000,
         )
         init = ndo.init_params(4, 2, 2, scale=0.01, seed=3)
         _, report = training.optimize(config, ds, bases, init)
@@ -359,7 +359,7 @@ class TestOptimize:
 class TestTrainReport:
     def test_csv_round_trip(self, tmp_path):
         rho, ds, bases = hadamard_setup(1)
-        config = TrainConfig(optimizer="gd", max_iters=20, seed=1)
+        config = TrainConfig(optimizer="gd", max_iters=20)
         init = ndo.init_params(4, 2, 2, scale=0.01, seed=1)
         _, report = training.optimize(config, ds, bases, init)
         path = tmp_path / "trace.csv"
@@ -374,7 +374,7 @@ class TestTrainReport:
         import json
 
         rho, ds, bases = hadamard_setup(1)
-        config = TrainConfig(optimizer="lbfgs", max_iters=15, seed=4)
+        config = TrainConfig(optimizer="lbfgs", max_iters=15)
         init = ndo.init_params(4, 2, 2, scale=0.01, seed=4)
         _, report = training.optimize(config, ds, bases, init, target=rho)
         path = tmp_path / "report.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from qwndo import walk
 
 
@@ -155,13 +156,9 @@ class TestDephasingStep:
     def test_monte_carlo_matches_analytic(self):
         rho = random_density(6, 3)
         n_samples = 100_000
-        mc = walk.dephasing_step(rho, 1.1, mode="monte_carlo", n_samples=n_samples, seed=7)
+        mc = oracles.monte_carlo_dephasing(rho, 1.1, n_samples=n_samples, seed=7)
         an = walk.dephasing_step(rho, 1.1)
         assert np.max(np.abs(mc - an)) <= 5.0 / np.sqrt(n_samples)
-
-    def test_monte_carlo_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            walk.dephasing_step(random_density(4, 4), 0.5, mode="monte_carlo", n_samples=0)
 
 
 class TestDepolarizingStep:
@@ -270,7 +267,8 @@ class TestEvolve:
         for _ in range(25):
             n = int(rng.integers(1, 5))
             angles = tuple(rng.uniform(0, np.pi, n))
-            config = walk.WalkConfig(n, angles, noise=noise, seed=int(rng.integers(2**31)), **kwargs)
+            rng.integers(2**31)  # unused draw: keeps the instances the recorded results used
+            config = walk.WalkConfig(n, angles, noise=noise, **kwargs)
             walk.validate_density_matrix(walk.evolve(config), atol=1e-10)
 
     def test_wrap_source_never_populated_before_final_step(self):
@@ -278,13 +276,6 @@ class TestEvolve:
         for n in (1, 4, 7):
             config = walk.WalkConfig(n, (np.pi / 4,) * n)
             walk.evolve(config)
-
-    def test_monte_carlo_dephasing_deterministic(self):
-        config = walk.WalkConfig(
-            3, (np.pi / 4,) * 3, noise="dephasing", delta_beta=1.0,
-            dephasing_mode="monte_carlo", mc_samples=2000, seed=5,
-        )
-        np.testing.assert_array_equal(walk.evolve(config), walk.evolve(config))
 
 
 class TestWalkConfigValidation:
