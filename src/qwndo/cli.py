@@ -3,12 +3,16 @@
 Exit codes: 0 success, 1 domain or runtime error, 2 usage error. All angles
 are radians. Any subcommand accepts --config FILE (JSON mapping long flag
 names to values); explicit flags override file values.
+
+This module parses flags, runs the subcommands and prints their summaries.
+Every file it names is read and written by `fileio` or by the dataset,
+checkpoint and report functions built on it, so a malformed file of any
+kind exits with code 1 and an error naming the kind of file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,11 +35,6 @@ def _emit(args, payload: dict) -> None:
                 print(f"{key}: {value:.12g}")
             else:
                 print(f"{key}: {value}")
-
-
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
-    sp.add_argument("--json", action="store_true", help="emit the summary as JSON")
 
 
 def _add_walk_flags(sp) -> None:
@@ -72,9 +71,14 @@ def _walk_config(args) -> walk.WalkConfig:
     )
 
 
+def _network_size(noise: str) -> int:
+    """Default hidden and ancilla units: 15 for an open walk, otherwise 10."""
+    return 15 if noise in OPEN_NOISE else 10
+
+
 def _network_sizes(args) -> tuple[int, int]:
-    """Hidden/ancillary defaults: 10, or 15 when the noise flag implies an open walk."""
-    default = 15 if getattr(args, "noise", "none") in OPEN_NOISE else 10
+    """--hidden/--ancillary, defaulting by --noise on subcommands that have it."""
+    default = _network_size(getattr(args, "noise", "none"))
     hidden = args.hidden if args.hidden is not None else default
     ancillary = args.ancillary if args.ancillary is not None else default
     return hidden, ancillary
@@ -87,6 +91,29 @@ def _train_config(args, **fields) -> training.TrainConfig:
 def _check_steps(flag_steps, file_steps: int, what: str) -> None:
     if flag_steps is not None and flag_steps != file_steps:
         raise ValueError(f"--steps says N={flag_steps} but {what} has N={file_steps}")
+
+
+def _load_fit_inputs(args):
+    """The --dataset checked against --steps, its basis tables and the --target state or None."""
+    ds = measurement.load_dataset(args.dataset)
+    _check_steps(args.steps, ds.n_steps, f"dataset {args.dataset}")
+    bases = measurement.all_basis_unitaries(ds.n_steps)
+    target = fileio.load_state(args.target)[0] if args.target else None
+    return ds, bases, target
+
+
+def _report_fit(args, report: training.TrainReport) -> dict:
+    """Write --report and --report-csv; returns the summary fields of every fit."""
+    if args.report:
+        report.save_json(args.report)
+    if args.report_csv:
+        report.save_csv(args.report_csv)
+    return {
+        "iterations": report.iterations,
+        "termination": report.termination,
+        "final_cost": report.final_cost,
+        "final_grad_norm": report.final_grad_norm,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +158,15 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = measurement.load_dataset(args.dataset)
-    _check_steps(args.steps, ds.n_steps, f"dataset {args.dataset}")
-    bases = measurement.all_basis_unitaries(ds.n_steps)
-    d = 2 * (ds.n_steps + 1)
+    ds, bases, target = _load_fit_inputs(args)
     m_h, m_a = _network_sizes(args)
-    target = None
-    if args.target:
-        target, _ = fileio.load_state(args.target)
     config = _train_config(args, optimizer=args.optimizer)
-    init = ndo.init_params(d, m_h, m_a, seed=args.seed)
+    init = ndo.init_params(2 * (ds.n_steps + 1), m_h, m_a, seed=args.seed)
     params, report = training.optimize(config, ds, bases, init, target=target)
     if args.checkpoint:
         ndo.save_checkpoint(params, args.checkpoint)
-    if args.report:
-        report.save_json(args.report)
-    if args.report_csv:
-        report.save_csv(args.report_csv)
-    summary = {
-        "optimizer": config.optimizer,
-        "hidden": m_h,
-        "ancillary": m_a,
-        "iterations": report.iterations,
-        "termination": report.termination,
-        "final_cost": report.final_cost,
-        "final_grad_norm": report.final_grad_norm,
-    }
+    summary = {"optimizer": config.optimizer, "hidden": m_h, "ancillary": m_a,
+               **_report_fit(args, report)}
     if target is not None:
         summary.update(fidelity=report.fidelity, purity=report.purity,
                        purity_error=report.purity_error)
@@ -165,29 +175,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_maxlik(args) -> int:
-    ds = measurement.load_dataset(args.dataset)
-    _check_steps(args.steps, ds.n_steps, f"dataset {args.dataset}")
-    bases = measurement.all_basis_unitaries(ds.n_steps)
-    target = None
-    if args.target:
-        target, _ = fileio.load_state(args.target)
+    ds, bases, target = _load_fit_inputs(args)
     rho, report = maxlik.maxlik_fit(
         ds, bases, seed=args.seed, grad_tol=args.grad_tol,
         max_iters=args.max_iters, target=target,
     )
     if args.out_state:
         fileio.save_state(rho, args.out_state, n_steps=ds.n_steps)
-    if args.report:
-        report.save_json(args.report)
-    if args.report_csv:
-        report.save_csv(args.report_csv)
-    summary = {
-        "iterations": report.iterations,
-        "termination": report.termination,
-        "final_cost": report.final_cost,
-        "final_grad_norm": report.final_grad_norm,
-        "purity": metrics.purity(rho),
-    }
+    summary = {**_report_fit(args, report), "purity": metrics.purity(rho)}
     if target is not None:
         summary.update(fidelity=report.fidelity, purity_error=report.purity_error)
     _emit(args, summary)
@@ -218,26 +213,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _run_all_optimizers(ds, bases, init, base_config, csv_path, target=None):
-    """Same init through every optimizer, cost traces to `csv_path`; returns {name: report}."""
+def _compare_optimizers(args, config: walk.WalkConfig, csv_path) -> dict:
+    """Every optimizer from one `init_params` start on the walk's exact dataset.
+
+    Writes the cost traces to `csv_path`; returns {optimizer: report}, each
+    scored against the walk's state.
+    """
+    rho = walk.evolve(config)
+    ds = measurement.generate_dataset(rho, config.n_steps)
+    bases = measurement.all_basis_unitaries(config.n_steps)
+    m_h, m_a = _network_sizes(args)
+    init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a, seed=args.seed)
     reports = {}
     for name in training.OPTIMIZERS:
-        config = dataclasses.replace(base_config, optimizer=name)
-        _, report = training.optimize(config, ds, bases, init, target=target)
-        reports[name] = report
+        train_config = _train_config(args, optimizer=name)
+        _, reports[name] = training.optimize(train_config, ds, bases, init, target=rho)
     rows = [(i, name, c) for name, report in reports.items() for i, c in enumerate(report.costs)]
     fileio.write_csv(csv_path, ["iter", "optimizer", "cost"], rows)
     return reports
 
 
 def cmd_bench_opt(args) -> int:
-    config = _walk_config(args)
-    rho = walk.evolve(config)
-    ds = measurement.generate_dataset(rho, config.n_steps)
-    bases = measurement.all_basis_unitaries(config.n_steps)
-    m_h, m_a = _network_sizes(args)
-    init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a, seed=args.seed)
-    reports = _run_all_optimizers(ds, bases, init, _train_config(args), args.out, target=rho)
+    reports = _compare_optimizers(args, _walk_config(args), args.out)
     summary = {"bench_csv": args.out}
     for name, report in reports.items():
         summary[f"{name}_iterations"] = report.iterations
@@ -247,12 +244,12 @@ def cmd_bench_opt(args) -> int:
     return 0
 
 
-def _fit_instance(rho, n_steps, m_h, m_a, args, run_maxlik=True, seed=0):
-    """Exact dataset from rho, NDO fit, optional MaxLik fit; returns metric dict."""
+def _fit_instance(rho, n_steps, m, args, run_maxlik=True, seed=0):
+    """Exact dataset from rho, NDO fit with m + m units, optional MaxLik fit; returns metrics."""
     ds = measurement.generate_dataset(rho, n_steps)
     bases = measurement.all_basis_unitaries(n_steps)
     params, report = training.fit_ndo(
-        ds, bases, 2 * (n_steps + 1), m_h, m_a, seed=seed,
+        ds, bases, 2 * (n_steps + 1), m, m, seed=seed,
         warmup_iters=args.max_iters, polish_iters=args.max_iters,
         grad_tol=args.grad_tol, target=rho,
     )
@@ -287,8 +284,7 @@ def _reproduce_fig3(args, out_dir: Path) -> dict:
             )
         for scenario, s, config in scenarios:
             rho = walk.evolve(config)
-            m = 15 if scenario == "dephasing" else 10
-            res = _fit_instance(rho, n, m, m, args, seed=args.seed + 7 * s)
+            res = _fit_instance(rho, n, _network_size(config.noise), args, seed=args.seed + 7 * s)
             rows.append((
                 scenario, n, s,
                 res["fidelity_ndo"], res["purity_error_ndo"],
@@ -319,7 +315,8 @@ def _reproduce_fig4(args, out_dir: Path) -> dict:
         rho = walk.evolve(config)
         fids, purs = [], []
         for s in range(args.samples):
-            res = _fit_instance(rho, n, 15, 15, args, run_maxlik=False, seed=args.seed + 13 * s)
+            res = _fit_instance(rho, n, _network_size(config.noise), args,
+                                run_maxlik=False, seed=args.seed + 13 * s)
             fids.append(res["fidelity_ndo"])
             purs.append(res["purity_ndo"])
         rows.append((float(db), metrics.purity(rho), float(np.mean(purs)), float(np.mean(fids))))
@@ -339,16 +336,10 @@ def _reproduce_fig4(args, out_dir: Path) -> dict:
 
 def _reproduce_fig5(args, out_dir: Path) -> dict:
     n = args.steps
-    m_h = args.hidden if args.hidden is not None else 10
-    m_a = args.ancillary if args.ancillary is not None else 10
-    config = walk.WalkConfig(n, (np.pi / 4,) * n)
-    rho = walk.evolve(config)
-    ds = measurement.generate_dataset(rho, n)
-    bases = measurement.all_basis_unitaries(n)
-    init = ndo.init_params(2 * (n + 1), m_h, m_a, seed=args.seed)
-    reports = _run_all_optimizers(ds, bases, init, _train_config(args), out_dir / "fig5_cost.csv")
+    csv_path = out_dir / "fig5_cost.csv"
+    reports = _compare_optimizers(args, walk.WalkConfig(n, (np.pi / 4,) * n), csv_path)
     gd_level = reports["gd"].final_cost
-    summary = {"gd_final_cost": gd_level, "csv": str(out_dir / "fig5_cost.csv")}
+    summary = {"gd_final_cost": gd_level, "csv": str(csv_path)}
     for name, report in reports.items():
         reached = next((i for i, c in enumerate(report.costs) if c <= gd_level), None)
         summary[f"{name}_iters_to_gd_level"] = reached if reached is not None else "not reached"
@@ -356,15 +347,16 @@ def _reproduce_fig5(args, out_dir: Path) -> dict:
     return summary
 
 
+REPRODUCE_PRESETS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4, "fig5": _reproduce_fig5}
+
+
 def cmd_reproduce(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--max-steps", args.max_steps)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     out_dir = Path(args.out_dir or f"reproduce_{args.preset}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.preset == "fig3":
-        summary = _reproduce_fig3(args, out_dir)
-    elif args.preset == "fig4":
-        summary = _reproduce_fig4(args, out_dir)
-    else:
-        summary = _reproduce_fig5(args, out_dir)
+    summary = REPRODUCE_PRESETS[args.preset](args, out_dir)
     with open(out_dir / "summary.txt", "w", encoding="utf-8") as fh:
         for key, value in summary.items():
             fh.write(f"{key}: {value}\n")
@@ -376,6 +368,28 @@ def cmd_reproduce(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _add_fit_flags(sp, max_iters: int, seed_help: str | None = None) -> None:
+    """--grad-tol/--max-iters/--seed of the subcommands that run an optimizer."""
+    sp.add_argument("--grad-tol", type=float, default=1e-8)
+    sp.add_argument("--max-iters", type=int, default=max_iters)
+    sp.add_argument("--seed", type=int, default=0, help=seed_help)
+
+
+def _add_size_flags(sp, help_fmt: str | None = None) -> None:
+    """--hidden/--ancillary; `help_fmt` is formatted with the kind of unit."""
+    for flag, unit in (("--hidden", "hidden"), ("--ancillary", "ancilla")):
+        sp.add_argument(flag, type=int, help=help_fmt.format(unit) if help_fmt else None)
+
+
+def _add_dataset_flags(sp, steps_help: str | None = None, csv_help: str | None = None) -> None:
+    """The input and report flags of the subcommands that fit a dataset."""
+    sp.add_argument("--dataset", required=True)
+    sp.add_argument("--steps", type=int, help=steps_help)
+    sp.add_argument("--report", help="training report JSON to write")
+    sp.add_argument("--report-csv", help=csv_help)
+    sp.add_argument("--target", help="reference state file for final metrics")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="qwndo",
@@ -383,97 +397,64 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     "(all angles in radians)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
-    sp = subs.add_parser("simulate", help="evolve a walk and write the final state")
+    def add(name, handler, help_text):
+        sp = subs.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
+        sp.add_argument("--json", action="store_true", help="emit the summary as JSON")
+        return sp
+
+    sp = add("simulate", cmd_simulate, "evolve a walk and write the final state")
     _add_walk_flags(sp)
     sp.add_argument("--out", help="state file to write")
     sp.add_argument("--marginal-csv", help="CSV of the position marginal")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_simulate)
-    registry["simulate"] = sp
 
-    sp = subs.add_parser("gen-data", help="measure a state file in every basis")
+    sp = add("gen-data", cmd_gen_data, "measure a state file in every basis")
     sp.add_argument("--steps", type=int, help="expected N (checked against the state file)")
     sp.add_argument("--from-state", required=True, help="state file to measure")
     sp.add_argument("--shots", type=int, help="multinomial sample size (default: exact)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="dataset file to write")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_gen_data)
-    registry["gen-data"] = sp
 
-    sp = subs.add_parser("train", help="fit the network ansatz to a dataset")
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--steps", type=int, help="expected N (checked against the dataset)")
+    sp = add("train", cmd_train, "fit the network ansatz to a dataset")
+    _add_dataset_flags(sp, steps_help="expected N (checked against the dataset)",
+                       csv_help="per-iteration trace CSV to write")
+    _add_fit_flags(sp, max_iters=2000)
+    _add_size_flags(sp, "{} units (default 10; 15 for open noise)")
     sp.add_argument("--optimizer", choices=training.OPTIMIZERS, default="gngd")
-    sp.add_argument("--hidden", type=int, help="hidden units (default 10; 15 for open noise)")
-    sp.add_argument("--ancillary", type=int, help="ancilla units (default 10; 15 for open noise)")
     sp.add_argument("--noise", choices=walk.NOISE_KINDS, default="none",
                     help="walk noise the dataset came from; sets size defaults only")
-    sp.add_argument("--grad-tol", type=float, default=1e-8)
-    sp.add_argument("--max-iters", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--checkpoint", help="parameter checkpoint file to write")
-    sp.add_argument("--report", help="training report JSON to write")
-    sp.add_argument("--report-csv", help="per-iteration trace CSV to write")
-    sp.add_argument("--target", help="reference state file for final metrics")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_train)
-    registry["train"] = sp
 
-    sp = subs.add_parser("maxlik", help="maximum-likelihood fit of a dataset")
-    sp.add_argument("--dataset", required=True)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--grad-tol", type=float, default=1e-8)
-    sp.add_argument("--max-iters", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp = add("maxlik", cmd_maxlik, "maximum-likelihood fit of a dataset")
+    _add_dataset_flags(sp)
+    _add_fit_flags(sp, max_iters=2000)
     sp.add_argument("--out-state", help="reconstructed state file to write")
-    sp.add_argument("--report", help="training report JSON to write")
-    sp.add_argument("--report-csv")
-    sp.add_argument("--target", help="reference state file for final metrics")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_maxlik)
-    registry["maxlik"] = sp
 
-    sp = subs.add_parser("evaluate", help="metrics of a reconstruction vs a reference")
+    sp = add("evaluate", cmd_evaluate, "metrics of a reconstruction vs a reference")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--checkpoint", help="network checkpoint to evaluate")
     group.add_argument("--state", help="state file to evaluate")
     sp.add_argument("--reference", help="reference state file")
     sp.add_argument("--dataset", help="dataset for the classical similarity")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_evaluate)
-    registry["evaluate"] = sp
 
-    sp = subs.add_parser("bench-opt", help="compare all four optimizers on one dataset")
+    sp = add("bench-opt", cmd_bench_opt, "compare all four optimizers on one dataset")
     _add_walk_flags(sp)
-    sp.add_argument("--hidden", type=int)
-    sp.add_argument("--ancillary", type=int)
-    sp.add_argument("--grad-tol", type=float, default=1e-8)
-    sp.add_argument("--max-iters", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0, help="seed of the shared initialization")
+    _add_size_flags(sp)
+    _add_fit_flags(sp, max_iters=200, seed_help="seed of the shared initialization")
     sp.add_argument("--out", required=True, help="combined cost-trace CSV")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_bench_opt)
-    registry["bench-opt"] = sp
 
-    sp = subs.add_parser("reproduce", help="desk-scale reruns of the reported figures")
-    sp.add_argument("preset", choices=("fig3", "fig4", "fig5"))
+    sp = add("reproduce", cmd_reproduce, "desk-scale reruns of the reported figures")
+    sp.add_argument("preset", choices=tuple(REPRODUCE_PRESETS))
     sp.add_argument("--max-steps", type=int, default=5, help="fig3: largest N")
     sp.add_argument("--samples", type=int, default=5, help="instances per scenario point")
     sp.add_argument("--steps", type=int, default=10, help="fig5: walk length")
-    sp.add_argument("--hidden", type=int, help="fig5: hidden units (default 10)")
-    sp.add_argument("--ancillary", type=int, help="fig5: ancilla units (default 10)")
-    sp.add_argument("--grad-tol", type=float, default=1e-8)
-    sp.add_argument("--max-iters", type=int, default=300)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_size_flags(sp, "fig5: {} units (default 10)")
+    _add_fit_flags(sp, max_iters=300)
     sp.add_argument("--out-dir", help="report directory (default reproduce_<preset>)")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_reproduce)
-    registry["reproduce"] = sp
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _apply_config(parser, registry, argv, args):
@@ -482,13 +463,7 @@ def _apply_config(parser, registry, argv, args):
     Inserting the file values as tokens right after the subcommand lets
     argparse's last-occurrence rule give explicit flags precedence.
     """
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ValueError("config file must hold a JSON object of flag values")
+    values = fileio.read_json(args.config, "config file")
     by_dest = {
         action.dest: action
         for action in registry[args.command]._actions

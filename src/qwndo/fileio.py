@@ -1,4 +1,9 @@
-"""File formats shared by the CLI: density-matrix state files and CSV helpers."""
+"""The file layer: the JSON reader and writer behind every file format, state files and CSV.
+
+State files, datasets (`measurement`), checkpoints (`ndo`), training
+reports (`training`) and config files (`cli`) all go through `read_json`
+and `write_json`, so a malformed file fails the same way whatever its kind.
+"""
 
 from __future__ import annotations
 
@@ -11,31 +16,43 @@ from .walk import validate_density_matrix
 STATE_FORMAT_VERSION = 1
 
 
+def read_json(path, kind: str, error: type[ValueError] = ValueError) -> dict:
+    """The JSON object in `path`; `error` names `kind` when the file is not one."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{kind} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{kind} {path} must hold a JSON object at the top level")
+    return doc
+
+
+def write_json(path, doc: dict) -> None:
+    """Write `doc` with one-space indentation and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def save_state(rho: np.ndarray, path, n_steps: int | None = None) -> None:
     """Write a density matrix as JSON with separate real/imaginary parts."""
     rho = np.asarray(rho, dtype=np.complex128)
     d = rho.shape[0]
     if n_steps is None:
         n_steps = d // 2 - 1
-    doc = {
+    write_json(path, {
         "format_version": STATE_FORMAT_VERSION,
         "n_steps": int(n_steps),
         "dim": int(d),
         "re": rho.real.tolist(),
         "im": rho.imag.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_state(path) -> tuple[np.ndarray, int]:
     """Read a state file; returns (rho, n_steps). The state must be a density matrix."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"state file is not valid JSON: {exc}") from exc
+    doc = read_json(path, "state file")
     for field in ("format_version", "n_steps", "dim", "re", "im"):
         if field not in doc:
             raise ValueError(f"state file missing field {field!r}")

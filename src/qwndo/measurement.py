@@ -16,10 +16,11 @@ and contracts states and outcome weights with them in O(n_bases * d).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import fileio
 
 K_X = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 K_Y = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=np.complex128) / np.sqrt(2.0)
@@ -154,7 +155,7 @@ def generate_dataset(
 
 def save_dataset(ds: MeasurementDataset, path) -> None:
     """Write the dataset as JSON (schema: format_version/n_steps/shots/seed/bases)."""
-    doc = {
+    fileio.write_json(path, {
         "format_version": DATASET_FORMAT_VERSION,
         "n_steps": ds.n_steps,
         "shots": ds.shots,
@@ -163,10 +164,7 @@ def save_dataset(ds: MeasurementDataset, path) -> None:
             {"index": n, "probs": [float(p) for p in ds.probs[n]]}
             for n in range(ds.probs.shape[0])
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def _require(doc: dict, field: str, kind) -> object:
@@ -181,13 +179,7 @@ def _require(doc: dict, field: str, kind) -> object:
 
 def load_dataset(path) -> MeasurementDataset:
     """Read a dataset file, validating schema and basis completeness."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DatasetFormatError("top level must be an object")
+    doc = fileio.read_json(path, "dataset", DatasetFormatError)
     version = _require(doc, "format_version", int)
     if version != DATASET_FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported format_version {version}")

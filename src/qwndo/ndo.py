@@ -15,14 +15,13 @@ its conjugate, so the parameter set carries only the lambda ancilla bias.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import hadamard
 
-from . import kernels
+from . import fileio, kernels
 from .kernels import param_offsets, param_shapes
 
 ARRAY_NAMES = tuple(param_shapes(0, 0, 0))
@@ -179,29 +178,24 @@ def evaluate(params: NdoParams) -> NdoEval:
 
 def save_checkpoint(params: NdoParams, path) -> None:
     """Write parameters as JSON; float repr keeps the round trip bit-exact."""
-    doc = {
+    fileio.write_json(path, {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "dim": params.dim,
         "m_h": params.m_h,
         "m_a": params.m_a,
         "arrays": {name: getattr(params, name).tolist() for name in ARRAY_NAMES},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(path) -> NdoParams:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"checkpoint is not valid JSON: {exc}") from exc
+    doc = fileio.read_json(path, "checkpoint")
     for field in ("format_version", "dim", "m_h", "m_a", "arrays"):
         if field not in doc:
             raise ValueError(f"checkpoint missing field {field!r}")
     if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {doc['format_version']}")
+    if not isinstance(doc["arrays"], dict):
+        raise ValueError("checkpoint field 'arrays' must be a JSON object")
     arrays = {}
     for name in ARRAY_NAMES:
         if name not in doc["arrays"]:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
-from . import kernels, metrics, ndo
+from . import fileio, kernels, metrics, ndo
 from .measurement import BasisTables
 
 PROB_FLOOR = 1e-12  # inside logs and the matching gradient weights
@@ -58,20 +58,33 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Optimizer trace: costs[i] is the cost before step i, plus the final cost."""
+    """Optimizer trace: costs[i] is the cost before step i, plus the final cost.
+
+    grad_norms[i] is the gradient norm before step i, plus the final one on
+    every exit, so the last entries of costs and grad_norms are final.
+    """
 
     optimizer: str
-    iterations: int
     costs: list[float]
     grad_norms: list[float]
     step_sizes: list[float]
     millis: list[float]
     termination: str  # grad_tol | max_iters | line-search failure
-    final_cost: float
-    final_grad_norm: float
     fidelity: float | None = None
     purity: float | None = None
     purity_error: float | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_sizes)
+
+    @property
+    def final_cost(self) -> float:
+        return self.costs[-1]
+
+    @property
+    def final_grad_norm(self) -> float:
+        return self.grad_norms[-1]
 
     def score(self, rho: np.ndarray, target: np.ndarray) -> None:
         """Record the fidelity, purity and purity error of the fitted rho against target."""
@@ -87,10 +100,7 @@ class TrainReport:
         ]
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iter,cost,grad_norm,step,millis\n")
-            for row in self.rows():
-                fh.write("%d,%.17g,%.17g,%.17g,%.6g\n" % row)
+        fileio.write_csv(path, ["iter", "cost", "grad_norm", "step", "millis"], self.rows())
 
     def to_dict(self) -> dict:
         return {
@@ -109,11 +119,7 @@ class TrainReport:
         }
 
     def save_json(self, path) -> None:
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        fileio.write_json(path, self.to_dict())
 
 
 def _data_probs(ds, bases: BasisTables, d: int) -> np.ndarray:
@@ -372,14 +378,11 @@ def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
         grad_norms.append(float(np.linalg.norm(g)))
     report = TrainReport(
         optimizer=opt,
-        iterations=len(step_sizes),
         costs=costs,
         grad_norms=grad_norms,
         step_sizes=step_sizes,
         millis=millis,
         termination=termination,
-        final_cost=f,
-        final_grad_norm=float(np.linalg.norm(g)),
     )
     return x, report
 
@@ -459,7 +462,6 @@ def fit_ndo(
     return params, dataclasses.replace(
         polish,
         optimizer="lbfgs+gngd",
-        iterations=warm.iterations + polish.iterations,
         costs=warm.costs + polish.costs[1:],
         grad_norms=warm.grad_norms + polish.grad_norms,
         step_sizes=warm.step_sizes + polish.step_sizes,

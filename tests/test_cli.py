@@ -225,6 +225,29 @@ class TestTrainAndEvaluate:
             run(["train", "--dataset", str(small_dataset), "--metric-eps", "1e-3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "role,content",
+        [(role, content)
+         for role in ("state", "reference", "checkpoint", "dataset", "config")
+         for content in ("5", "[]", "null", '"text"')]
+        + [("checkpoint", '{"format_version": 1, "dim": 6, "m_h": 1, "m_a": 1, "arrays": 7}')],
+    )
+    def test_malformed_file_exit_one(self, tmp_path, hadamard_state, capsys, role, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv, kind = {
+            "state": (["evaluate", "--state", str(bad)], "state file"),
+            "reference": (["evaluate", "--state", str(hadamard_state), "--reference", str(bad)],
+                          "state file"),
+            "checkpoint": (["evaluate", "--checkpoint", str(bad)], "checkpoint"),
+            "dataset": (["train", "--dataset", str(bad)], "dataset"),
+            "config": (["simulate", "--steps", "1", "--config", str(bad)], "config file"),
+        }[role]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} ")
+        assert "Traceback" not in err
+
 
 class TestBenchOpt:
     def test_four_monotone_columns(self, tmp_path):
@@ -288,6 +311,13 @@ class TestReproduce:
         lines = (out_dir / "fig5_cost.csv").read_text().splitlines()
         assert lines[0] == "iter,optimizer,cost"
 
+    @pytest.mark.parametrize("preset,flag", [("fig4", "--samples"), ("fig3", "--max-steps")])
+    def test_count_below_one_exit_one(self, tmp_path, capsys, preset, flag):
+        out_dir = tmp_path / "out"
+        assert run(["reproduce", preset, flag, "0", "--out-dir", str(out_dir)]) == 1
+        assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 def readme_commands():
     """Every `qwndo ...` command in the README's bash blocks, as argument lists."""
@@ -303,3 +333,122 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == set(registry)
     for argv in commands:
         parser.parse_args(argv)  # SystemExit(2) on an unknown or malformed flag
+
+
+NOISE = ["none", "mixing", "dephasing", "depolarizing"]
+WALK_FLAGS = {
+    "steps": (("--steps",), None, None, True),
+    "alpha": (("--alpha",), None, None, False),
+    "angles": (("--angles",), None, None, False),
+    "disordered_seed": (("--disordered-seed",), None, None, False),
+    "noise": (("--noise",), "none", NOISE, False),
+    "w_s": (("--w-s",), 0.0, None, False),
+    "w_l": (("--w-l",), 0.0, None, False),
+    "delta_beta": (("--delta-beta",), 0.0, None, False),
+    "p": (("--p",), 0.0, None, False),
+}
+COMMON_FLAGS = {
+    "config": (("--config",), None, None, False),
+    "json": (("--json",), False, None, False),
+}
+
+# dest: (option strings, default, choices, required) of every subcommand option
+CLI_SURFACE = {
+    "simulate": {
+        **WALK_FLAGS,
+        "out": (("--out",), None, None, False),
+        "marginal_csv": (("--marginal-csv",), None, None, False),
+        **COMMON_FLAGS,
+    },
+    "gen-data": {
+        "steps": (("--steps",), None, None, False),
+        "from_state": (("--from-state",), None, None, True),
+        "shots": (("--shots",), None, None, False),
+        "seed": (("--seed",), 0, None, False),
+        "out": (("--out",), None, None, True),
+        **COMMON_FLAGS,
+    },
+    "train": {
+        "dataset": (("--dataset",), None, None, True),
+        "steps": (("--steps",), None, None, False),
+        "optimizer": (("--optimizer",), "gngd", ["gd", "cg", "lbfgs", "gngd"], False),
+        "hidden": (("--hidden",), None, None, False),
+        "ancillary": (("--ancillary",), None, None, False),
+        "noise": (("--noise",), "none", NOISE, False),
+        "grad_tol": (("--grad-tol",), 1e-08, None, False),
+        "max_iters": (("--max-iters",), 2000, None, False),
+        "seed": (("--seed",), 0, None, False),
+        "checkpoint": (("--checkpoint",), None, None, False),
+        "report": (("--report",), None, None, False),
+        "report_csv": (("--report-csv",), None, None, False),
+        "target": (("--target",), None, None, False),
+        **COMMON_FLAGS,
+    },
+    "maxlik": {
+        "dataset": (("--dataset",), None, None, True),
+        "steps": (("--steps",), None, None, False),
+        "grad_tol": (("--grad-tol",), 1e-08, None, False),
+        "max_iters": (("--max-iters",), 2000, None, False),
+        "seed": (("--seed",), 0, None, False),
+        "out_state": (("--out-state",), None, None, False),
+        "report": (("--report",), None, None, False),
+        "report_csv": (("--report-csv",), None, None, False),
+        "target": (("--target",), None, None, False),
+        **COMMON_FLAGS,
+    },
+    "evaluate": {
+        "checkpoint": (("--checkpoint",), None, None, False),
+        "state": (("--state",), None, None, False),
+        "reference": (("--reference",), None, None, False),
+        "dataset": (("--dataset",), None, None, False),
+        **COMMON_FLAGS,
+    },
+    "bench-opt": {
+        **WALK_FLAGS,
+        "hidden": (("--hidden",), None, None, False),
+        "ancillary": (("--ancillary",), None, None, False),
+        "grad_tol": (("--grad-tol",), 1e-08, None, False),
+        "max_iters": (("--max-iters",), 200, None, False),
+        "seed": (("--seed",), 0, None, False),
+        "out": (("--out",), None, None, True),
+        **COMMON_FLAGS,
+    },
+    "reproduce": {
+        "preset": ((), None, ["fig3", "fig4", "fig5"], True),
+        "max_steps": (("--max-steps",), 5, None, False),
+        "samples": (("--samples",), 5, None, False),
+        "steps": (("--steps",), 10, None, False),
+        "hidden": (("--hidden",), None, None, False),
+        "ancillary": (("--ancillary",), None, None, False),
+        "grad_tol": (("--grad-tol",), 1e-08, None, False),
+        "max_iters": (("--max-iters",), 300, None, False),
+        "seed": (("--seed",), 0, None, False),
+        "out_dir": (("--out-dir",), None, None, False),
+        **COMMON_FLAGS,
+    },
+}
+
+# (subcommand, dests, required) of every mutually exclusive group
+CLI_GROUPS = {
+    ("simulate", ("alpha", "angles", "disordered_seed"), False),
+    ("bench-opt", ("alpha", "angles", "disordered_seed"), False),
+    ("evaluate", ("checkpoint", "state"), True),
+}
+
+
+def test_cli_surface_snapshot():
+    _, registry = cli.build_parser()
+    surface = {
+        name: {
+            a.dest: (tuple(a.option_strings), a.default,
+                     None if a.choices is None else list(a.choices), a.required)
+            for a in sp._actions if a.dest != "help"
+        }
+        for name, sp in registry.items()
+    }
+    assert surface == CLI_SURFACE
+    groups = {
+        (name, tuple(sorted(a.dest for a in g._group_actions)), g.required)
+        for name, sp in registry.items() for g in sp._mutually_exclusive_groups
+    }
+    assert groups == CLI_GROUPS
