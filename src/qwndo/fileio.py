@@ -59,8 +59,13 @@ def load_state(path) -> tuple[np.ndarray, int]:
     if doc["format_version"] != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format_version {doc['format_version']}")
     d = doc["dim"]
-    re = np.array(doc["re"], dtype=float)
-    im = np.array(doc["im"], dtype=float)
+    parts = {}
+    for field in ("re", "im"):
+        try:
+            parts[field] = np.array(doc[field], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"state file field {field!r} is not a numeric array") from exc
+    re, im = parts["re"], parts["im"]
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"state file field 're'/'im' shape does not match dim {d}")
     n_steps = doc["n_steps"]

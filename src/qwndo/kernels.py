@@ -6,8 +6,10 @@ matrix row-major.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,11 +25,15 @@ def param_shapes(d: int, m_h: int, m_a: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-def param_offsets(d: int, m_h: int, m_a: int) -> dict[str, int]:
-    """Start offset of each parameter block in the flattened vector, plus "total"."""
+@functools.lru_cache(maxsize=64)
+def param_offsets(d: int, m_h: int, m_a: int) -> MappingProxyType:
+    """Start offset of each parameter block in the flattened vector, plus "total".
+
+    Built once per (d, m_h, m_a) and returned read-only.
+    """
     shapes = param_shapes(d, m_h, m_a)
     starts = itertools.accumulate(map(math.prod, shapes.values()), initial=0)
-    return dict(zip([*shapes, "total"], starts))
+    return MappingProxyType(dict(zip([*shapes, "total"], starts)))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -61,11 +67,12 @@ def _logistic_c(z: np.ndarray) -> np.ndarray:
 
 
 def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
-    """Matrix of log density entries A plus the logistic caches its gradient needs.
+    """Matrix of log density entries A plus the pre-activations its derivatives need.
 
-    Returns (a, sig_lam, sig_mu, s_pair) with a (d, d) complex,
-    sig_* = logistic(W + c) of shape (m_h, d) and s_pair the complex logistic
-    of the ancilla pair argument, shape (m_a, d, d).
+    Returns (a, x_lam, x_mu, z) with a (d, d) complex, x_* = W + c of shape
+    (m_h, d) and z the complex ancilla pair argument, shape (m_a, d, d). The
+    gradient and the Jacobian read logistic(x_*) and the complex logistic of z
+    (`ndo.NdoEval` computes them on first use).
     """
     x_lam = w_lam + c_lam[:, None]
     x_mu = w_mu + c_mu[:, None]
@@ -80,16 +87,34 @@ def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
     gamma_plus = 0.5 * (hs_lam[:, None] + hs_lam[None, :] + b_lam[:, None] + b_lam[None, :])
     gamma_minus = 0.5 * (hs_mu[:, None] - hs_mu[None, :] + b_mu[:, None] - b_mu[None, :])
     a = gamma_plus + 1j * gamma_minus + pi
-    return a, _logistic(x_lam), _logistic(x_mu), _logistic_c(z)
+    return a, x_lam, x_mu, z
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of the d(d+1)/2 upper entries: the diagonal, then the
+    strict upper triangle in row-major order (read-only, shared by all calls)."""
+    rows, cols = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    pairs = np.concatenate([diag, rows]), np.concatenate([diag, cols])
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
 
 
 def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
-    """Jacobian d(rho)/d(theta) as a (d*d, P) complex matrix.
+    """Real Jacobian J_r of rho's d^2 Hermitian coordinates, shape (d*d, P).
 
-    Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z), where
+    rho is Hermitian, so its derivative is fixed by the upper entries
+    (alpha <= beta): J_r holds d(rho_aa)/d(theta) for the d diagonal entries,
+    then sqrt(2) Re and sqrt(2) Im of d(rho_ab)/d(theta) for the strict upper
+    triangle, row-major; J_r^T J_r = Re(J^dag J) for the complex Jacobian J
+    of all d^2 entries. Row (alpha, beta) of J is
+    rho[alpha, beta] * (dA[alpha, beta, :] - z), where
     z = sum_v rho[v, v] dA[v, v, :] is the gradient of log Z (zero on mu-group
     entries). The one-hot visible encoding confines weight-block nonzeros to
-    the two columns alpha and beta, which keeps the fill O(d) per block.
+    the two columns alpha and beta, so each weight block takes two scatters:
+    the alpha term, then the beta term (both land on a diagonal row).
     """
     d = rho.shape[0]
     m_h = sig_lam.shape[0]
@@ -103,37 +128,37 @@ def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
     z[off["b_lam"] : off["b_lam"] + d] = pd
     z[off["c_lam"] : off["c_lam"] + m_h] = sig_lam @ pd
     z[off["d_lam"] : off["d_lam"] + m_a] = s_diag @ pd
-    jac = rho.reshape(-1)[:, None] * (-z)[None, :].astype(np.complex128)
-    j3 = jac.reshape(d, d, off["total"])
-    wl = j3[:, :, off["w_lam"] : off["w_lam"] + m_h * d].reshape(d, d, m_h, d)
-    wm = j3[:, :, off["w_mu"] : off["w_mu"] + m_h * d].reshape(d, d, m_h, d)
-    ul = j3[:, :, off["u_lam"] : off["u_lam"] + m_a * d].reshape(d, d, m_a, d)
-    um = j3[:, :, off["u_mu"] : off["u_mu"] + m_a * d].reshape(d, d, m_a, d)
-    bl = j3[:, :, off["b_lam"] : off["b_lam"] + d]
-    bm = j3[:, :, off["b_mu"] : off["b_mu"] + d]
-    for v in range(d):
-        row = rho[v, :, None]
-        col = rho[:, v, None]
-        wl[v, :, :, v] += 0.5 * row * sig_lam[:, v][None, :]
-        wl[:, v, :, v] += 0.5 * col * sig_lam[:, v][None, :]
-        wm[v, :, :, v] += 0.5j * row * sig_mu[:, v][None, :]
-        wm[:, v, :, v] -= 0.5j * col * sig_mu[:, v][None, :]
-        ul[v, :, :, v] += 0.5 * row * s_pair[:, v, :].T
-        ul[:, v, :, v] += 0.5 * col * s_pair[:, :, v].T
-        um[v, :, :, v] += 0.5j * row * s_pair[:, v, :].T
-        um[:, v, :, v] -= 0.5j * col * s_pair[:, :, v].T
-        bl[v, :, v] += 0.5 * rho[v, :]
-        bl[:, v, v] += 0.5 * rho[:, v]
-        bm[v, :, v] += 0.5j * rho[v, :]
-        bm[:, v, v] -= 0.5j * rho[:, v]
-    j3[:, :, off["c_lam"] : off["c_lam"] + m_h] += (
-        0.5 * rho[:, :, None] * (sig_lam.T[:, None, :] + sig_lam.T[None, :, :])
-    )
-    j3[:, :, off["c_mu"] : off["c_mu"] + m_h] += (
-        0.5j * rho[:, :, None] * (sig_mu.T[:, None, :] - sig_mu.T[None, :, :])
-    )
-    j3[:, :, off["d_lam"] :] += rho[:, :, None] * np.moveaxis(s_pair, 0, -1)
-    return jac
+    al, be = _upper_pairs(d)
+    r = rho[al, be]
+    jac = r[:, None] * (-z)[None, :].astype(np.complex128)
+    k = np.arange(al.size)[:, None]
+    half, half_j = (0.5 * r)[:, None], (0.5j * r)[:, None]
+    s_ab = s_pair[:, al, be].T  # (pairs, m_a)
+
+    def block(name, width):
+        return jac[:, off[name] : off[name] + width * d].reshape(-1, width, d)
+
+    units_h, units_a = np.arange(m_h)[None, :], np.arange(m_a)[None, :]
+    ul_term, um_term = half * s_ab, half_j * s_ab
+    # alpha terms enter the mu blocks with +, beta terms with -
+    for cols, mu_half, um in ((al, half_j, um_term), (be, -half_j, -um_term)):
+        at_h, at_a = (k, units_h, cols[:, None]), (k, units_a, cols[:, None])
+        block("w_lam", m_h)[at_h] += half * sig_lam.T[cols]
+        block("w_mu", m_h)[at_h] += mu_half * sig_mu.T[cols]
+        block("u_lam", m_a)[at_a] += ul_term
+        block("u_mu", m_a)[at_a] += um
+        jac[k, off["b_lam"] + cols[:, None]] += half
+        jac[k, off["b_mu"] + cols[:, None]] += mu_half
+    jac[:, off["c_lam"] : off["c_lam"] + m_h] += half * (sig_lam.T[al] + sig_lam.T[be])
+    jac[:, off["c_mu"] : off["c_mu"] + m_h] += half_j * (sig_mu.T[al] - sig_mu.T[be])
+    jac[:, off["d_lam"] :] += r[:, None] * s_ab
+    n_up = al.size - d
+    jr = np.empty((d * d, off["total"]))
+    jr[:d] = jac[:d].real
+    jr[d : d + n_up] = jac[d:].real
+    jr[d + n_up :] = jac[d:].imag
+    jr[d:] *= np.sqrt(2.0)
+    return jr
 
 
 def active_backend() -> str:

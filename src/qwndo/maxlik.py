@@ -12,7 +12,7 @@ import numpy as np
 
 from . import training
 from .measurement import BasisTables
-from .training import TrainConfig, TrainReport, _data_probs, kl_distance, minimize_vector
+from .training import TrainConfig, TrainReport, _data_probs, _KlDistance, minimize_vector
 
 
 def n_t_params(d: int) -> int:
@@ -72,10 +72,10 @@ class _MaxlikObjective:
         self.bases = bases
         self.d = bases.dim
         self.data = _data_probs(ds, bases, self.d)
+        self.kl = _KlDistance(self.data)
 
     def cost(self, x: np.ndarray) -> float:
-        pm = training.model_distributions(rho_from_t(x), self.bases)
-        return kl_distance(self.data, pm)
+        return self.kl(training.model_distributions(rho_from_t(x), self.bases))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         d = self.d

@@ -16,6 +16,7 @@ and contracts states and outcome weights with them in O(n_bases * d).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +59,21 @@ class BasisTables:
     def dim(self) -> int:
         return self.index.shape[1]
 
+    @functools.cached_property
+    def _pair_index(self) -> np.ndarray:
+        """(n_bases, d, 2, 2) flat positions index[s] * d + index[t] of the
+        rho entries each outcome reads, built once per table (read-only)."""
+        flat = self.index[..., :, None] * self.dim + self.index[..., None, :]
+        flat.setflags(write=False)
+        return flat
+
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """diag(U^n rho U^n^dag) for every basis n, shape (n_bases, d)."""
         d = self.dim
         if rho.shape != (d, d):
             raise ValueError(f"rho shape {rho.shape} does not match basis dimension {d}")
         c = self.coef
-        sub = rho[self.index[..., :, None], self.index[..., None, :]]  # (n_b, d, 2, 2)
+        sub = rho.reshape(-1)[self._pair_index]  # (n_b, d, 2, 2)
         return (c[..., :, None] * sub * c.conj()[..., None, :]).sum(axis=(-2, -1)).real
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
@@ -72,7 +81,7 @@ class BasisTables:
         d = self.dim
         c = self.coef
         vals = (w[..., None, None] * c[..., :, None] * c.conj()[..., None, :]).ravel()
-        flat = (self.index[..., :, None] * d + self.index[..., None, :]).ravel()
+        flat = self._pair_index.ravel()
         m = np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
         return m.reshape(d, d)
 
@@ -193,16 +202,27 @@ def load_dataset(path) -> MeasurementDataset:
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise DatasetFormatError("field 'seed' must be an integer or null")
     bases = _require(doc, "bases", list)
-    d = 2 * (n_steps + 1)
-    probs = np.full((n_bases(n_steps), d), np.nan)
+    expected = n_bases(n_steps)
+    entries = {}
     for entry in bases:
         if not isinstance(entry, dict):
             raise DatasetFormatError("each basis entry must be an object")
         idx = _require(entry, "index", int)
-        if not 0 <= idx < n_bases(n_steps):
+        if not 0 <= idx < expected:
             raise DatasetFormatError(f"basis index {idx} out of range")
-        if not np.all(np.isnan(probs[idx])):
+        if idx in entries:
             raise DatasetFormatError(f"duplicate basis n={idx}")
+        entries[idx] = entry
+    # checked before the (n_bases, d) array exists, whose size n_steps alone sets
+    missing = next((n for n in range(expected) if n not in entries), None)
+    if missing is not None:
+        raise DatasetFormatError(
+            f"missing basis n={missing}: field 'n_steps' = {n_steps} needs {expected} bases, "
+            f"the file has {len(bases)}"
+        )
+    d = 2 * (n_steps + 1)
+    probs = np.empty((expected, d))
+    for idx, entry in entries.items():
         vec = _require(entry, "probs", list)
         if len(vec) != d:
             raise DatasetFormatError(f"basis n={idx}: expected {d} probabilities, got {len(vec)}")
@@ -212,9 +232,6 @@ def load_dataset(path) -> MeasurementDataset:
             raise DatasetFormatError(f"basis n={idx}: non-numeric 'probs' entry") from exc
         if not np.all(np.isfinite(probs[idx])):
             raise DatasetFormatError(f"basis n={idx}: non-finite 'probs' entry")
-    for n in range(n_bases(n_steps)):
-        if np.any(np.isnan(probs[n])):
-            raise DatasetFormatError(f"missing basis n={n}")
     try:
         return MeasurementDataset(n_steps=n_steps, probs=probs, shots=shots, seed=seed)
     except ValueError as exc:

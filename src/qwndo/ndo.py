@@ -15,6 +15,7 @@ its conjugate, so the parameter set carries only the lambda ancilla bias.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from . import fileio, kernels
 from .kernels import param_offsets, param_shapes
 
 ARRAY_NAMES = tuple(param_shapes(0, 0, 0))
+ARRAY_NDIMS = tuple(map(len, param_shapes(0, 0, 0).values()))
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -50,8 +52,13 @@ class NdoParams:
     d_lam: np.ndarray
 
     def __post_init__(self):
-        for name in ARRAY_NAMES:
-            arr = np.array(getattr(self, name), dtype=float)
+        for name, ndim in zip(ARRAY_NAMES, ARRAY_NDIMS):
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name} is not a numeric array") from exc
+            if arr.ndim != ndim:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {ndim} dimensions")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         m_h, d = self.w_lam.shape
@@ -89,15 +96,30 @@ class NdoParams:
 
     @classmethod
     def from_vector(cls, d: int, m_h: int, m_a: int, vec: np.ndarray) -> "NdoParams":
-        expected = n_params(d, m_h, m_a)
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (expected,):
-            raise ValueError(f"vector length {vec.shape}, expected ({expected},)")
-        off = param_offsets(d, m_h, m_a)
-        return cls(**{
-            name: vec[off[name] : off[name] + math.prod(shape)].reshape(shape)
-            for name, shape in param_shapes(d, m_h, m_a).items()
-        })
+        """Read-only views into one copy of `vec`, checked once for length and finiteness."""
+        blocks = _blocks(d, m_h, m_a)
+        vec = np.array(vec, dtype=float)
+        if vec.shape != (blocks[-1][2],):
+            raise ValueError(f"vector length {vec.shape}, expected ({blocks[-1][2]},)")
+        if not np.isfinite(vec).all():
+            bad = int(np.argmin(np.isfinite(vec)))
+            name = next(name for name, _, stop, _ in blocks if bad < stop)
+            raise ValueError(f"{name} contains non-finite entries")
+        vec.setflags(write=False)
+        params = object.__new__(cls)
+        for name, start, stop, shape in blocks:
+            object.__setattr__(params, name, vec[start:stop].reshape(shape))
+        return params
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks(d: int, m_h: int, m_a: int) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of each block of the flattened vector."""
+    off = param_offsets(d, m_h, m_a)
+    return tuple(
+        (name, off[name], off[name] + math.prod(shape), shape)
+        for name, shape in param_shapes(d, m_h, m_a).items()
+    )
 
 
 def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) -> NdoParams:
@@ -153,27 +175,45 @@ def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 def density_matrix(params: NdoParams) -> np.ndarray:
     """The normalized state exp(A) / Z; Hermitian, unit trace and PSD by construction."""
-    a, _, _, _ = kernels.pair_cache(*params.arrays())
-    return _normalize(a)[0]
+    return _normalize(kernels.pair_cache(*params.arrays())[0])[0]
 
 
 @dataclass(frozen=True)
 class NdoEval:
-    """One-pass evaluation of everything the cost, gradient and metric reuse."""
+    """One-pass evaluation of everything the cost, gradient and metric reuse.
+
+    The logistic caches are computed from the kernel's pre-activations on
+    first use, so a point that only needs its cost (a rejected line-search
+    trial) never pays for them.
+    """
 
     a: np.ndarray          # (d, d) complex log density entries
     rho: np.ndarray        # (d, d) complex state
     log_z: float
-    sig_lam: np.ndarray    # (m_h, d) hidden logistic, amplitude net
-    sig_mu: np.ndarray
-    s_pair: np.ndarray     # (m_a, d, d) complex ancilla logistic per index pair
+    x_lam: np.ndarray      # (m_h, d) hidden pre-activation W + c, amplitude net
+    x_mu: np.ndarray
+    z: np.ndarray          # (m_a, d, d) complex ancilla argument per index pair
+
+    @functools.cached_property
+    def sig_lam(self) -> np.ndarray:
+        """(m_h, d) hidden logistic, amplitude net."""
+        return kernels._logistic(self.x_lam)
+
+    @functools.cached_property
+    def sig_mu(self) -> np.ndarray:
+        return kernels._logistic(self.x_mu)
+
+    @functools.cached_property
+    def s_pair(self) -> np.ndarray:
+        """(m_a, d, d) complex ancilla logistic per index pair."""
+        return kernels._logistic_c(self.z)
 
 
 def evaluate(params: NdoParams) -> NdoEval:
-    """Compute the state plus the gradient caches in one pass."""
-    a, sig_lam, sig_mu, s_pair = kernels.pair_cache(*params.arrays())
+    """Compute the state plus the pre-activations of the gradient caches in one pass."""
+    a, x_lam, x_mu, z = kernels.pair_cache(*params.arrays())
     rho, lz = _normalize(a)
-    return NdoEval(a, rho, lz, sig_lam, sig_mu, s_pair)
+    return NdoEval(a, rho, lz, x_lam, x_mu, z)
 
 
 def save_checkpoint(params: NdoParams, path) -> None:
@@ -200,8 +240,11 @@ def load_checkpoint(path) -> NdoParams:
     for name in ARRAY_NAMES:
         if name not in doc["arrays"]:
             raise ValueError(f"checkpoint missing array {name!r}")
-        arrays[name] = np.array(doc["arrays"][name], dtype=float)
-    params = NdoParams(**arrays)
+        arrays[name] = doc["arrays"][name]
+    try:
+        params = NdoParams(**arrays)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint array {exc}") from exc
     if (params.dim, params.m_h, params.m_a) != (doc["dim"], doc["m_h"], doc["m_a"]):
         raise ValueError("checkpoint header dims do not match array shapes")
     return params

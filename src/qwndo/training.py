@@ -9,9 +9,10 @@ line search and stopping rule: plain gradient descent, Polak-Ribiere-plus
 conjugate gradient, L-BFGS, and natural gradient descent preconditioned by
 the Gram metric G = Re(J^dag J) of the flattened-state Jacobian J, i.e. the
 pullback of a flat metric on density-matrix entries. rho is Hermitian, so J
-has d^2 independent real rows J_r (`_hermitian_rows`: the diagonal, then
-sqrt(2) Re and sqrt(2) Im of the strict upper triangle), G = J_r^T J_r, and
-the gradient is J_r^T e for the same rows e of the cost's derivative in rho.
+has d^2 independent real rows J_r (the diagonal, then sqrt(2) Re and sqrt(2)
+Im of the strict upper triangle), which `kernels.assemble_jacobian` builds;
+G = J_r^T J_r, and the gradient is J_r^T e for the same coordinates e
+(`_hermitian_rows`) of the cost's derivative in rho.
 The push-through identity (J_r^T J_r + lam I)^-1 J_r^T = J_r^T (J_r J_r^T +
 lam I)^-1 (Rende et al., Commun. Phys. 2024) makes the metric solve d^2 x d^2.
 """
@@ -137,18 +138,25 @@ def model_distributions(rho: np.ndarray, bases: BasisTables) -> np.ndarray:
     return bases.probabilities(rho)
 
 
-def kl_distance(data: np.ndarray, model: np.ndarray) -> float:
-    """sum data*log(data/model) with zero-data terms dropped and floored model."""
-    mask = data > 0
-    d = data[mask]
-    m = np.maximum(model[mask], PROB_FLOOR)
-    return float(np.sum(d * (np.log(d) - np.log(m))))
+class _KlDistance:
+    """sum data*log(data/model) over one dataset, with zero-data terms dropped
+    and the model floored; the mask, the kept data and their logs are
+    computed once for all the model distributions of a fit."""
+
+    def __init__(self, data: np.ndarray):
+        self.mask = data > 0
+        self.kept = data[self.mask]
+        self.log_kept = np.log(self.kept)
+
+    def __call__(self, model: np.ndarray) -> float:
+        m = np.maximum(model[self.mask], PROB_FLOOR)
+        return float(np.sum(self.kept * (self.log_kept - np.log(m))))
 
 
 def cost(params: ndo.NdoParams, ds, bases: BasisTables) -> float:
     """Total statistical distance of the model to the dataset over the given bases."""
     data = _data_probs(ds, bases, params.dim)
-    return kl_distance(data, model_distributions(ndo.density_matrix(params), bases))
+    return _KlDistance(data)(model_distributions(ndo.density_matrix(params), bases))
 
 
 def _data_adjoint(rho: np.ndarray, data: np.ndarray, bases: BasisTables) -> np.ndarray:
@@ -392,6 +400,7 @@ class _NdoObjective:
 
     def __init__(self, ds, bases: BasisTables, d: int, m_h: int, m_a: int):
         self.data = _data_probs(ds, bases, d)
+        self.kl = _KlDistance(self.data)
         self.bases = bases
         self.dims = (d, m_h, m_a)
         self._key = None
@@ -406,8 +415,7 @@ class _NdoObjective:
         return self._ev
 
     def cost(self, x: np.ndarray) -> float:
-        ev = self._eval(x)
-        return kl_distance(self.data, model_distributions(ev.rho, self.bases))
+        return self.kl(model_distributions(self._eval(x).rho, self.bases))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return _grad_from_eval(self._eval(x), self.data, self.bases)
@@ -419,10 +427,10 @@ class _NdoObjective:
         which the solve would scale by 1/lam only for J_r^T y to cancel it."""
         ev = self._eval(x)
         d = ev.rho.shape[0]
-        jac = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
         e = _hermitian_rows(-_data_adjoint(ev.rho, self.data, self.bases).T)
         e[:d] -= e[:d].mean()
-        return _hermitian_rows(jac.reshape(d, d, -1)), e
+        return jr, e
 
 
 def fit_ndo(
@@ -463,7 +471,7 @@ def fit_ndo(
         polish,
         optimizer="lbfgs+gngd",
         costs=warm.costs + polish.costs[1:],
-        grad_norms=warm.grad_norms + polish.grad_norms,
+        grad_norms=warm.grad_norms + polish.grad_norms[1:],
         step_sizes=warm.step_sizes + polish.step_sizes,
         millis=warm.millis + polish.millis,
     )

@@ -5,6 +5,9 @@ kernels and the closed-form state; the dense basis builder
 (`basis_unitary` and friends) and the einsum contractions over its
 (n_bases, d, d) stack check `measurement.BasisTables`; the dense P x P
 metric and its plain solve check the rho-space `training.solve_metric`;
+the complex Jacobian of all d^2 entries, filled one visible index at a
+time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`;
+the per-call gather and KL mask check the fit's precomputed ones;
 a Monte-Carlo average over coin phases checks `walk.dephasing_step`.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qwndo import kernels, ndo
+from qwndo import ndo
 from qwndo.kernels import _logistic, _logistic_c, _softplus, _softplus_c, param_offsets
 from qwndo.maxlik import pack_t, t_matrix
 from qwndo.measurement import K_X, K_Y, n_bases
@@ -101,10 +104,77 @@ def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def eager_caches(params: NdoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sig_lam, sig_mu, s_pair) computed up front from the parameters, the
+    values `ndo.NdoEval` computes on first use."""
+    z = (
+        0.5 * (params.u_lam[:, :, None] + params.u_lam[:, None, :])
+        + 0.5j * (params.u_mu[:, :, None] - params.u_mu[:, None, :])
+        + params.d_lam[:, None, None]
+    ).astype(np.complex128)
+    return (
+        _logistic(params.w_lam + params.c_lam[:, None]),
+        _logistic(params.w_mu + params.c_mu[:, None]),
+        _logistic_c(z),
+    )
+
+
+def complex_jacobian(rho, sig_lam, sig_mu, s_pair) -> np.ndarray:
+    """Jacobian d(rho)/d(theta) of all d^2 entries as a (d*d, P) complex matrix.
+
+    Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z), where
+    z = sum_v rho[v, v] dA[v, v, :] is the gradient of log Z (zero on mu-group
+    entries), filled one visible index v at a time. `training._hermitian_rows`
+    of it is `kernels.assemble_jacobian`.
+    """
+    d = rho.shape[0]
+    m_h = sig_lam.shape[0]
+    m_a = s_pair.shape[0]
+    off = param_offsets(d, m_h, m_a)
+    pd = rho.diagonal().real
+    s_diag = s_pair[:, np.arange(d), np.arange(d)].real
+    z = np.zeros(off["total"])
+    z[off["w_lam"] : off["w_lam"] + m_h * d] = (sig_lam * pd[None, :]).ravel()
+    z[off["u_lam"] : off["u_lam"] + m_a * d] = (s_diag * pd[None, :]).ravel()
+    z[off["b_lam"] : off["b_lam"] + d] = pd
+    z[off["c_lam"] : off["c_lam"] + m_h] = sig_lam @ pd
+    z[off["d_lam"] : off["d_lam"] + m_a] = s_diag @ pd
+    jac = rho.reshape(-1)[:, None] * (-z)[None, :].astype(np.complex128)
+    j3 = jac.reshape(d, d, off["total"])
+    wl = j3[:, :, off["w_lam"] : off["w_lam"] + m_h * d].reshape(d, d, m_h, d)
+    wm = j3[:, :, off["w_mu"] : off["w_mu"] + m_h * d].reshape(d, d, m_h, d)
+    ul = j3[:, :, off["u_lam"] : off["u_lam"] + m_a * d].reshape(d, d, m_a, d)
+    um = j3[:, :, off["u_mu"] : off["u_mu"] + m_a * d].reshape(d, d, m_a, d)
+    bl = j3[:, :, off["b_lam"] : off["b_lam"] + d]
+    bm = j3[:, :, off["b_mu"] : off["b_mu"] + d]
+    for v in range(d):
+        row = rho[v, :, None]
+        col = rho[:, v, None]
+        wl[v, :, :, v] += 0.5 * row * sig_lam[:, v][None, :]
+        wl[:, v, :, v] += 0.5 * col * sig_lam[:, v][None, :]
+        wm[v, :, :, v] += 0.5j * row * sig_mu[:, v][None, :]
+        wm[:, v, :, v] -= 0.5j * col * sig_mu[:, v][None, :]
+        ul[v, :, :, v] += 0.5 * row * s_pair[:, v, :].T
+        ul[:, v, :, v] += 0.5 * col * s_pair[:, :, v].T
+        um[v, :, :, v] += 0.5j * row * s_pair[:, v, :].T
+        um[:, v, :, v] -= 0.5j * col * s_pair[:, :, v].T
+        bl[v, :, v] += 0.5 * rho[v, :]
+        bl[:, v, v] += 0.5 * rho[:, v]
+        bm[v, :, v] += 0.5j * rho[v, :]
+        bm[:, v, v] -= 0.5j * rho[:, v]
+    j3[:, :, off["c_lam"] : off["c_lam"] + m_h] += (
+        0.5 * rho[:, :, None] * (sig_lam.T[:, None, :] + sig_lam.T[None, :, :])
+    )
+    j3[:, :, off["c_mu"] : off["c_mu"] + m_h] += (
+        0.5j * rho[:, :, None] * (sig_mu.T[:, None, :] - sig_mu.T[None, :, :])
+    )
+    j3[:, :, off["d_lam"] :] += rho[:, :, None] * np.moveaxis(s_pair, 0, -1)
+    return jac
+
+
 def rho_jacobian(params: NdoParams) -> np.ndarray:
     """d(rho)/d(theta) flattened row-major over (alpha, beta): (d*d, P) complex."""
-    ev = ndo.evaluate(params)
-    return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+    return complex_jacobian(ndo.density_matrix(params), *eager_caches(params))
 
 
 def monte_carlo_dephasing(rho: np.ndarray, delta_beta: float, n_samples: int, seed: int) -> np.ndarray:
@@ -175,6 +245,35 @@ class DenseBases:
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         return np.einsum("nja,nj,njb->ab", self.stack, w, self.stack.conj())
+
+
+class GatherBases:
+    """`measurement.BasisTables` contractions with the gather index formed on
+    every call from the (row, column) index pair."""
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.n_bases, self.dim = tables.n_bases, tables.dim
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        index, c = self.tables.index, self.tables.coef
+        sub = rho[index[..., :, None], index[..., None, :]]  # (n_b, d, 2, 2)
+        return (c[..., :, None] * sub * c.conj()[..., None, :]).sum(axis=(-2, -1)).real
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        d, index, c = self.dim, self.tables.index, self.tables.coef
+        vals = (w[..., None, None] * c[..., :, None] * c.conj()[..., None, :]).ravel()
+        flat = (index[..., :, None] * d + index[..., None, :]).ravel()
+        m = np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
+        return m.reshape(d, d)
+
+
+def kl_distance(data: np.ndarray, model: np.ndarray) -> float:
+    """`training._KlDistance` with the mask and the data's logs taken on every call."""
+    mask = data > 0
+    d = data[mask]
+    m = np.maximum(model[mask], PROB_FLOOR)
+    return float(np.sum(d * (np.log(d) - np.log(m))))
 
 
 def maxlik_grad(x: np.ndarray, data: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -249,6 +249,28 @@ class TestTrainAndEvaluate:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "role,field,value",
+        [("checkpoint", "u_lam", None), ("checkpoint", "u_lam", 5),
+         ("checkpoint", "u_lam", {"a": 1}), ("checkpoint", "u_lam", [[1.0, 2.0], [3.0]]),
+         ("state", "im", {"a": 1})],
+    )
+    def test_malformed_array_exit_one(self, tmp_path, hadamard_state, capsys, role, field, value):
+        bad = tmp_path / "bad.json"
+        if role == "checkpoint":
+            ndo.save_checkpoint(ndo.init_params(6, 1, 1), bad)
+            doc = json.loads(bad.read_text())
+            doc["arrays"][field] = value
+        else:
+            doc = json.loads(hadamard_state.read_text())
+            doc[field] = value
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", f"--{role}", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+
 class TestBenchOpt:
     def test_four_monotone_columns(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,6 +1,7 @@
-"""The vectorized Jacobian must match the per-entry grad_a oracle."""
+"""The vectorized Jacobian must match the complex oracle and the per-entry grad_a oracle."""
 
 import numpy as np
+import pytest
 
 from qwndo import kernels, ndo, training
 
@@ -15,15 +16,15 @@ def grad_log_z(params, rho):
 
 class TestJacobianAgainstNaive:
     def test_matches_grad_a_rows(self):
-        """Fast structured fill vs the per-pair reference path."""
+        """The complex Jacobian oracle vs the per-pair reference path."""
         params = ndo.init_params(5, 3, 2, scale=0.9, seed=3)
         d = params.dim
-        ev = ndo.evaluate(params)
-        jac = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
-        z = grad_log_z(params, ev.rho)
+        rho = ndo.density_matrix(params)
+        jac = oracles.rho_jacobian(params)
+        z = grad_log_z(params, rho)
         for al in range(d):
             for be in range(d):
-                naive = ev.rho[al, be] * (grad_a(params, al, be) - z)
+                naive = rho[al, be] * (grad_a(params, al, be) - z)
                 assert np.max(np.abs(jac[al * d + be] - naive)) <= 1e-12
 
     def test_numpy_path_matches_naive_gram(self):
@@ -35,9 +36,33 @@ class TestJacobianAgainstNaive:
         for al in range(d):
             for be in range(d):
                 naive_j[al * d + be] = ev.rho[al, be] * (grad_a(params, al, be) - z)
-        jr = training._hermitian_rows(oracles.rho_jacobian(params).reshape(d, d, -1))
+        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
         naive_g = oracles.dense_metric(naive_j)
         assert np.max(np.abs(jr.T @ jr - naive_g)) <= 1e-12
+
+
+class TestRealJacobian:
+    """`assemble_jacobian` builds the Hermitian rows of the complex oracle bit for bit."""
+
+    @pytest.mark.parametrize(
+        "d,m_h,m_a,scale,seed",
+        [(4, 3, 2, 0.9, 3), (6, 4, 3, 2.0, 5), (12, 15, 15, 1.0, 1), (22, 15, 15, 0.5, 2)],
+    )
+    def test_equals_hermitian_rows_of_oracle(self, d, m_h, m_a, scale, seed):
+        params = ndo.init_params(d, m_h, m_a, scale=scale, seed=seed)
+        ev = ndo.evaluate(params)
+        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+        ref = training._hermitian_rows(oracles.rho_jacobian(params).reshape(d, d, -1))
+        assert jr.shape == (d * d, params.n_params) and jr.dtype == np.float64
+        assert np.array_equal(jr, ref)
+
+    def test_upper_pairs_follow_hermitian_row_order(self):
+        al, be = kernels._upper_pairs(5)
+        idx = np.arange(25).reshape(5, 5)
+        rows = training._hermitian_rows(idx.astype(complex))
+        n_up = al.size - 5
+        np.testing.assert_array_equal(idx[al, be][:5], rows[:5])
+        np.testing.assert_array_equal(np.sqrt(2.0) * idx[al, be][5:], rows[5 : 5 + n_up])
 
 
 class TestHelpers:
@@ -69,3 +94,9 @@ class TestHelpers:
         starts = [off[k] for k in ("w_lam", "w_mu", "u_lam", "u_mu", "b_lam", "b_mu", "c_lam", "c_mu", "d_lam")]
         assert starts == sorted(starts)
         assert [b - a for a, b in zip(starts, starts[1:] + [off["total"]])] == sizes
+
+    def test_param_offsets_built_once_and_read_only(self):
+        off = kernels.param_offsets(5, 4, 3)
+        assert kernels.param_offsets(5, 4, 3) is off
+        with pytest.raises(TypeError):
+            off["w_lam"] = 1

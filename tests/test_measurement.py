@@ -4,6 +4,7 @@ The dense basis builder in `oracles` is the reference the tables are pinned to.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ class TestDatasetFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetFormatError, match="missing basis n=3"):
             measurement.load_dataset(path)
+
+    def test_n_steps_checked_against_bases_before_allocating(self, tmp_path):
+        # n_steps = 10^6 would need a 2000003 x 2000002 array (29 TiB)
+        doc = {"format_version": 1, "n_steps": 1_000_000, "shots": None, "seed": None,
+               "bases": [{"index": 0, "probs": [0.25, 0.25, 0.25, 0.25]}]}
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match="missing basis n=1: field 'n_steps' = 1000000"):
+                measurement.load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_minimal_handwritten_file(self, tmp_path):
         doc = {

@@ -6,7 +6,7 @@ import pytest
 from qwndo import ndo
 from qwndo.kernels import param_offsets
 
-from oracles import a_entry, grad_a, purification_oracle
+from oracles import a_entry, eager_caches, grad_a, purification_oracle
 
 
 def finite_diff_a(params, v, vp, h=1e-6):
@@ -45,6 +45,23 @@ class TestParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ndo.NdoParams.from_vector(2, 1, 1, np.full(ndo.n_params(2, 1, 1), np.nan))
+
+    def test_from_vector_names_the_non_finite_block(self):
+        vec = ndo.init_params(3, 2, 2).to_vector()
+        vec[param_offsets(3, 2, 2)["c_mu"] + 1] = np.inf
+        with pytest.raises(ValueError, match="c_mu contains non-finite entries"):
+            ndo.NdoParams.from_vector(3, 2, 2, vec)
+
+    def test_from_vector_wraps_read_only_views_of_one_copy(self):
+        vec = ndo.init_params(4, 3, 2, scale=0.5, seed=1).to_vector()
+        params = ndo.NdoParams.from_vector(4, 3, 2, vec)
+        vec[:] = 0.0  # the caller's array is not shared
+        np.testing.assert_array_equal(params.to_vector(), ndo.init_params(4, 3, 2, scale=0.5, seed=1).to_vector())
+        base = params.w_lam.base
+        assert base is not None and base.shape == vec.shape
+        for name in ndo.ARRAY_NAMES:
+            arr = getattr(params, name)
+            assert arr.base is base and not arr.flags.writeable
 
     def test_default_scale_near_uniform_projector(self):
         d = 6
@@ -138,6 +155,17 @@ class TestDensityMatrix:
             closed = ndo.density_matrix(params)
             oracle = purification_oracle(params)
             assert np.max(np.abs(closed - oracle)) <= 1e-10
+
+
+class TestLazyCaches:
+    @pytest.mark.parametrize("scale,seed", [(0.01, 0), (1.0, 4), (3.0, 8)])
+    def test_equal_eager_caches(self, scale, seed):
+        params = ndo.init_params(6, 4, 3, scale=scale, seed=seed)
+        ev = ndo.evaluate(params)
+        assert not {"sig_lam", "sig_mu", "s_pair"} & set(vars(ev))  # nothing computed yet
+        for lazy, eager in zip((ev.sig_lam, ev.sig_mu, ev.s_pair), eager_caches(params)):
+            assert np.array_equal(lazy, eager)
+        assert ev.s_pair is ev.s_pair  # computed once
 
 
 class TestPurificationOracle:

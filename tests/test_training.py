@@ -1,12 +1,13 @@
 """Cost, exact gradient, the pullback metric, and the four optimizers."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from qwndo import measurement, ndo, training, walk
+from qwndo import maxlik, measurement, ndo, training, walk
 from qwndo.kernels import param_offsets
 from qwndo.training import TrainConfig
 
@@ -228,6 +229,62 @@ class TestRhoSpaceSolve:
         assert np.linalg.norm(direction - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
+def nearly_pure_subnormal(d, m_h, m_a):
+    """A state dominated by basis state 0 whose coherences with the others
+    sit in the subnormal range (exp(-720) ~ 1e-313) and whose other
+    populations underflow to zero."""
+    base = ndo.init_params(d, m_h, m_a, scale=0.3, seed=2)
+    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
+    arrays["b_lam"] = np.concatenate([[0.0], -1440.0 - np.arange(d - 1)])
+    return ndo.NdoParams(**arrays)
+
+
+class TestBitIdentity:
+    """The fit's objective returns exactly what the reference path computes:
+    eager logistic caches, the complex Jacobian reduced by `_hermitian_rows`,
+    the gather index and the KL mask formed on every call."""
+
+    STATES = {
+        "mixed start": lambda: ndo.mixed_init_params(12, 15, 15, seed=0),
+        "random": lambda: ndo.init_params(12, 15, 15, scale=1.0, seed=7),
+        "nearly pure, subnormal": lambda: nearly_pure_subnormal(12, 15, 15),
+    }
+
+    @pytest.fixture(scope="class")
+    def objective(self):
+        rho, ds, bases = hadamard_setup(5, noise="dephasing", delta_beta=1.0)
+        return training._NdoObjective(ds, bases, 12, 15, 15)
+
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_cost_grad_metric_equal_reference(self, objective, state):
+        params = self.STATES[state]()
+        x = params.to_vector()
+        rho = ndo.density_matrix(params)
+        sig_lam, sig_mu, s_pair = oracles.eager_caches(params)
+        eager = SimpleNamespace(rho=rho, sig_lam=sig_lam, sig_mu=sig_mu, s_pair=s_pair)
+        bases = oracles.GatherBases(objective.bases)
+        data = objective.data
+        if state == "nearly pure, subnormal":
+            tiny = np.abs(rho[0, 1:])
+            assert np.all((tiny > 0) & (tiny < np.finfo(float).tiny))
+
+        assert objective.cost(x) == oracles.kl_distance(data, bases.probabilities(rho))
+        assert np.array_equal(objective.grad(x), training._grad_from_eval(eager, data, bases))
+        jr, e = objective.metric(x)
+        jac = oracles.complex_jacobian(rho, sig_lam, sig_mu, s_pair)
+        e_ref = training._hermitian_rows(-training._data_adjoint(rho, data, bases).T)
+        e_ref[:12] -= e_ref[:12].mean()
+        assert np.array_equal(jr, training._hermitian_rows(jac.reshape(12, 12, -1)))
+        assert np.array_equal(e, e_ref)
+
+    def test_maxlik_cost_equals_reference(self):
+        rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=0.7)
+        obj = maxlik._MaxlikObjective(ds, bases)
+        x = maxlik.init_t_params(obj.d, seed=3)
+        ref = oracles.kl_distance(ds.probs, oracles.GatherBases(bases).probabilities(maxlik.rho_from_t(x)))
+        assert obj.cost(x) == ref
+
+
 class TestMixedStart:
     def test_purity_close_to_maximally_mixed(self):
         rho = ndo.density_matrix(ndo.mixed_init_params(12, 15, 15, seed=0))
@@ -384,3 +441,16 @@ class TestTrainReport:
         assert doc["termination"] in ("grad_tol", "max_iters", "line-search failure")
         assert len(doc["costs"]) == doc["iterations"] + 1
         assert doc["fidelity"] is not None
+
+    def test_fit_ndo_pairs_each_cost_with_its_gradient_norm(self):
+        rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
+        _, merged = training.fit_ndo(ds, bases, 6, 3, 3, seed=1, warmup_iters=5,
+                                     polish_iters=3, grad_tol=1e-14)
+        init = ndo.mixed_init_params(6, 3, 3, seed=1)
+        mid, warm = training.optimize(TrainConfig("lbfgs", 1e-14, 5), ds, bases, init)
+        _, polish = training.optimize(TrainConfig("gngd", 1e-14, 3), ds, bases, mid)
+        assert warm.grad_norms[-1] == polish.grad_norms[0]  # the seam, evaluated twice
+        assert len(merged.costs) == len(merged.grad_norms) == 9
+        pairs = [*zip(warm.costs, warm.grad_norms), *zip(polish.costs[1:], polish.grad_norms[1:])]
+        assert [(cost, norm) for _, cost, norm, _, _ in merged.rows()] == pairs[:-1]
+        assert (merged.final_cost, merged.final_grad_norm) == pairs[-1]
