@@ -106,11 +106,11 @@ def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
     """Real Jacobian J_r of rho's d^2 Hermitian coordinates, shape (d*d, P).
 
     rho is Hermitian, so its derivative is fixed by the upper entries
-    (alpha <= beta): J_r holds d(rho_aa)/d(theta) for the d diagonal entries,
-    then sqrt(2) Re and sqrt(2) Im of d(rho_ab)/d(theta) for the strict upper
-    triangle, row-major; J_r^T J_r = Re(J^dag J) for the complex Jacobian J
-    of all d^2 entries. Row (alpha, beta) of J is
-    rho[alpha, beta] * (dA[alpha, beta, :] - z), where
+    (alpha <= beta), and J_r is `hermitian_rows` of them: d(rho_aa)/d(theta)
+    for the d diagonal entries, then sqrt(2) Re and sqrt(2) Im of
+    d(rho_ab)/d(theta) for the strict upper triangle, row-major;
+    J_r^T J_r = Re(J^dag J) for the complex Jacobian J of all d^2 entries.
+    Row (alpha, beta) of J is rho[alpha, beta] * (dA[alpha, beta, :] - z), where
     z = sum_v rho[v, v] dA[v, v, :] is the gradient of log Z (zero on mu-group
     entries). The one-hot visible encoding confines weight-block nonzeros to
     the two columns alpha and beta, so each weight block takes two scatters:
@@ -152,13 +152,16 @@ def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
     jac[:, off["c_lam"] : off["c_lam"] + m_h] += half * (sig_lam.T[al] + sig_lam.T[be])
     jac[:, off["c_mu"] : off["c_mu"] + m_h] += half_j * (sig_mu.T[al] - sig_mu.T[be])
     jac[:, off["d_lam"] :] += r[:, None] * s_ab
-    n_up = al.size - d
-    jr = np.empty((d * d, off["total"]))
-    jr[:d] = jac[:d].real
-    jr[d : d + n_up] = jac[d:].real
-    jr[d + n_up :] = jac[d:].imag
-    jr[d:] *= np.sqrt(2.0)
-    return jr
+    return hermitian_rows(jac, d)
+
+
+def hermitian_rows(upper: np.ndarray, d: int) -> np.ndarray:
+    """The d^2 real coordinates, in which Re tr(X^dag Y) is a dot product, of a
+    Hermitian array given by its entries in `_upper_pairs(d)` order (first axis):
+    the real diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle."""
+    rows = np.concatenate([upper[:d].real, upper[d:].real, upper[d:].imag])
+    rows[d:] *= np.sqrt(2.0)
+    return rows
 
 
 def active_backend() -> str:

@@ -3,21 +3,29 @@
 T is lower triangular with a real diagonal, parameterized by d^2 reals packed
 diagonal-first, then strictly-lower entries row-major with real and imaginary
 parts interleaved. The fit minimizes the same total statistical distance as
-the network ansatz, driven by the shared conjugate-gradient machinery.
+the network ansatz through the shared `training.KlObjective`, for which this
+module supplies T -> rho and the pullback of the cost's derivative in rho to
+T, driven by the shared conjugate-gradient machinery.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import training
 from .measurement import BasisTables
-from .training import TrainConfig, TrainReport, _data_probs, _KlDistance, minimize_vector
+from .training import TrainConfig, TrainReport, minimize_vector
 
 
-def n_t_params(d: int) -> int:
-    """Number of real parameters, d^2 = 4(N+1)^2."""
-    return d * d
+@functools.lru_cache(maxsize=64)
+def _lower_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of the strict lower triangle, row-major (read-only, shared)."""
+    pairs = np.tril_indices(d, -1)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
 
 
 def t_matrix(t_params: np.ndarray, d: int) -> np.ndarray:
@@ -27,8 +35,7 @@ def t_matrix(t_params: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"expected {d * d} parameters for d={d}, got {t_params.shape}")
     t = np.zeros((d, d), dtype=np.complex128)
     t[np.diag_indices(d)] = t_params[:d]
-    rows, cols = np.tril_indices(d, -1)
-    t[rows, cols] = t_params[d::2] + 1j * t_params[d + 1 :: 2]
+    t[_lower_pairs(d)] = t_params[d::2] + 1j * t_params[d + 1 :: 2]
     return t
 
 
@@ -37,14 +44,14 @@ def pack_t(t: np.ndarray) -> np.ndarray:
     d = t.shape[0]
     out = np.empty(d * d)
     out[:d] = np.diag(t).real
-    rows, cols = np.tril_indices(d, -1)
-    out[d::2] = t[rows, cols].real
-    out[d + 1 :: 2] = t[rows, cols].imag
+    lower = t[_lower_pairs(d)]
+    out[d::2] = lower.real
+    out[d + 1 :: 2] = lower.imag
     return out
 
 
-def rho_from_t(t_params: np.ndarray) -> np.ndarray:
-    """The PSD unit-trace state T T^dag / tr(T T^dag)."""
+def _t_state(t_params: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(rho, T, tr(T T^dag)) with rho = T T^dag / tr(T T^dag)."""
     t_params = np.asarray(t_params, dtype=float)
     d = int(round(np.sqrt(t_params.size)))
     if d * d != t_params.size:
@@ -54,7 +61,12 @@ def rho_from_t(t_params: np.ndarray) -> np.ndarray:
     tr = np.trace(gram).real
     if tr <= 0.0:
         raise ValueError("all-zero parameter vector has no associated state")
-    return gram / tr
+    return gram / tr, t, tr
+
+
+def rho_from_t(t_params: np.ndarray) -> np.ndarray:
+    """The PSD unit-trace state T T^dag / tr(T T^dag)."""
+    return _t_state(t_params)[0]
 
 
 def init_t_params(d: int, seed: int = 0, scale: float = 0.1) -> np.ndarray:
@@ -65,28 +77,20 @@ def init_t_params(d: int, seed: int = 0, scale: float = 0.1) -> np.ndarray:
     return params
 
 
-class _MaxlikObjective:
-    """Cost and analytic gradient of the KL distance over the T parameters."""
+class _MaxlikObjective(training.KlObjective):
+    """The KL objective over the T parameters."""
 
     def __init__(self, ds, bases: BasisTables):
-        self.bases = bases
-        self.d = bases.dim
-        self.data = _data_probs(ds, bases, self.d)
-        self.kl = _KlDistance(self.data)
+        super().__init__(ds, bases, bases.dim)
 
-    def cost(self, x: np.ndarray) -> float:
-        return self.kl(training.model_distributions(rho_from_t(x), self.bases))
+    def _state(self, x: np.ndarray):
+        rho, t, tau = _t_state(x)
+        return rho, (t, tau)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        d = self.d
-        t = t_matrix(x, d)
-        tau = float(np.sum(np.abs(t) ** 2))
-        if tau <= 0.0:
-            raise ValueError("all-zero parameter vector has no associated state")
-        rho = (t @ t.conj().T) / tau
-        m_mat = training._data_adjoint(rho, self.data, self.bases)
-        swp = float(np.sum(rho * m_mat).real)  # sum_nj w_nj * model_nj
-        return pack_t((2.0 / tau) * (swp * t - m_mat.conj() @ t))
+    def _pullback(self, rho, aux, m):
+        t, tau = aux
+        swp = float(np.sum(rho * m).real)  # sum_nj w_nj * model_nj
+        return pack_t((2.0 / tau) * (swp * t - m.conj() @ t))
 
 
 def maxlik_fit(

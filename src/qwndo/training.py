@@ -1,18 +1,18 @@
-"""KL-divergence fitting of the density-operator ansatz to measurement data.
+"""KL-divergence fitting of a parameterized density operator to measurement data.
 
 The cost is the total statistical distance summed over all measured bases,
 D = sum_n sum_j P_n(j) log[P_n(j) / P_model_n(j)], with the exact analytic
-gradient (no sampling). Model distributions and the gradient's weighted
-sum over basis rows come from the 2-sparse `measurement.BasisTables`, the
+gradient (no sampling). `KlObjective` computes it for the network ansatz and
+the MaxLik baseline alike, forming each point's model distributions and the
+adjoint M = -dD/drho once from the 2-sparse `measurement.BasisTables`, the
 only basis representation. Four optimizers share one Armijo backtracking
 line search and stopping rule: plain gradient descent, Polak-Ribiere-plus
 conjugate gradient, L-BFGS, and natural gradient descent preconditioned by
 the Gram metric G = Re(J^dag J) of the flattened-state Jacobian J, i.e. the
 pullback of a flat metric on density-matrix entries. rho is Hermitian, so J
-has d^2 independent real rows J_r (the diagonal, then sqrt(2) Re and sqrt(2)
-Im of the strict upper triangle), which `kernels.assemble_jacobian` builds;
-G = J_r^T J_r, and the gradient is J_r^T e for the same coordinates e
-(`_hermitian_rows`) of the cost's derivative in rho.
+has d^2 independent real rows J_r (`kernels.hermitian_rows`), which
+`kernels.assemble_jacobian` builds; G = J_r^T J_r, and the gradient is
+J_r^T e for the same coordinates e of -M^T.
 The push-through identity (J_r^T J_r + lam I)^-1 J_r^T = J_r^T (J_r J_r^T +
 lam I)^-1 (Rende et al., Commun. Phys. 2024) makes the metric solve d^2 x d^2.
 """
@@ -138,56 +138,23 @@ def model_distributions(rho: np.ndarray, bases: BasisTables) -> np.ndarray:
     return bases.probabilities(rho)
 
 
-class _KlDistance:
-    """sum data*log(data/model) over one dataset, with zero-data terms dropped
-    and the model floored; the mask, the kept data and their logs are
-    computed once for all the model distributions of a fit."""
-
-    def __init__(self, data: np.ndarray):
-        self.mask = data > 0
-        self.kept = data[self.mask]
-        self.log_kept = np.log(self.kept)
-
-    def __call__(self, model: np.ndarray) -> float:
-        m = np.maximum(model[self.mask], PROB_FLOOR)
-        return float(np.sum(self.kept * (self.log_kept - np.log(m))))
-
-
-def cost(params: ndo.NdoParams, ds, bases: BasisTables) -> float:
-    """Total statistical distance of the model to the dataset over the given bases."""
-    data = _data_probs(ds, bases, params.dim)
-    return _KlDistance(data)(model_distributions(ndo.density_matrix(params), bases))
-
-
-def _data_adjoint(rho: np.ndarray, data: np.ndarray, bases: BasisTables) -> np.ndarray:
-    """M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b)), w = data/model: d cost/d rho(a,b) = -M(a,b)."""
-    pm = bases.probabilities(rho)
-    w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)
-    return bases.adjoint(w)
-
-
 def _hermitian_rows(a: np.ndarray) -> np.ndarray:
-    """The d^2 real coordinates of a Hermitian (d, d, ...) array, in which
-    Re tr(X^dag Y) is a dot product: the diagonal, then sqrt(2) Re and
-    sqrt(2) Im of the strict upper triangle in row-major order."""
+    """`kernels.hermitian_rows` of a Hermitian (d, d, ...) array."""
     d = a.shape[0]
-    upper = a[np.triu_indices(d, 1)]
-    rows = np.concatenate([a[np.arange(d), np.arange(d)].real, upper.real, upper.imag])
-    rows[d:] *= np.sqrt(2.0)
-    return rows
+    return kernels.hermitian_rows(a[kernels._upper_pairs(d)], d)
 
 
-def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, bases: BasisTables) -> np.ndarray:
+def _grad_from_eval(ev: ndo.NdoEval, m: np.ndarray, n_bases: int) -> np.ndarray:
     """Analytic cost gradient: contract the error matrix E with dA's structure.
 
-    E = -rho .* M + N_b diag(rho_vv), with M from `_data_adjoint`. E is
+    E = -rho .* M + N_b diag(rho_vv), with M the adjoint of `KlObjective`. E is
     Hermitian, so the contraction is real up to roundoff; a larger imaginary
     part raises RuntimeError.
     """
     d = ev.rho.shape[0]
-    e_mat = -(ev.rho * _data_adjoint(ev.rho, data, bases))
+    e_mat = -(ev.rho * m)
     idx = np.arange(d)
-    e_mat[idx, idx] += bases.n_bases * ev.rho.diagonal().real
+    e_mat[idx, idx] += n_bases * ev.rho.diagonal().real
     rs = e_mat.sum(axis=1)
     cs = e_mat.sum(axis=0)
     plus, minus = 0.5 * (rs + cs), 0.5j * (rs - cs)
@@ -206,12 +173,6 @@ def _grad_from_eval(ev: ndo.NdoEval, data: np.ndarray, bases: BasisTables) -> np
     if resid > 1e-10 * scale:
         raise RuntimeError(f"gradient imaginary residue {resid:.3e} exceeds roundoff")
     return g.real.copy()
-
-
-def grad_cost(params: ndo.NdoParams, ds, bases: BasisTables) -> np.ndarray:
-    """Exact derivative of `cost` w.r.t. the flattened parameter vector."""
-    data = _data_probs(ds, bases, params.dim)
-    return _grad_from_eval(ndo.evaluate(params), data, bases)
 
 
 def gram(jr: np.ndarray) -> np.ndarray:
@@ -395,41 +356,71 @@ def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
     return x, report
 
 
-class _NdoObjective:
-    """Cost/gradient/metric on the flattened parameter vector, cached per point."""
+class KlObjective:
+    """D(x) = sum data * log(data / model(rho(x))) over the nonzero data, model
+    floored at PROB_FLOOR. Per point, rho and the model are formed on the first
+    call at x, M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b)), w = data / model,
+    on the first call that needs it. Subclasses supply the state map
+    `_state(x) -> (rho, aux)` and its pullback `_pullback(rho, aux, M)` to x."""
 
-    def __init__(self, ds, bases: BasisTables, d: int, m_h: int, m_a: int):
+    def __init__(self, ds, bases: BasisTables, d: int):
         self.data = _data_probs(ds, bases, d)
-        self.kl = _KlDistance(self.data)
-        self.bases = bases
-        self.dims = (d, m_h, m_a)
+        self.bases, self.d = bases, d
+        self.mask = self.data > 0
+        self.kept = self.data[self.mask]
+        self.log_kept = np.log(self.kept)
         self._key = None
-        self._ev = None
 
-    def _eval(self, x: np.ndarray) -> ndo.NdoEval:
+    def _at(self, x: np.ndarray):
+        """The state's aux at x; caches rho, the floored model and the cost."""
         key = x.tobytes()
         if key != self._key:
-            params = ndo.NdoParams.from_vector(*self.dims, x)
-            self._ev = ndo.evaluate(params)
+            self._rho, self._aux = self._state(x)
+            self._model = np.maximum(model_distributions(self._rho, self.bases), PROB_FLOOR)
+            self._cost = float(np.sum(self.kept * (self.log_kept - np.log(self._model[self.mask]))))
+            self._m = None
             self._key = key
-        return self._ev
+        return self._aux
 
     def cost(self, x: np.ndarray) -> float:
-        return self.kl(model_distributions(self._eval(x).rho, self.bases))
+        self._at(x)
+        return self._cost
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """M at x: minus the cost's derivative in rho."""
+        self._at(x)
+        if self._m is None:
+            self._m = self.bases.adjoint(np.where(self.mask, self.data / self._model, 0.0))
+        return self._m
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return _grad_from_eval(self._eval(x), self.data, self.bases)
+        m = self.adjoint(x)  # caches the point first
+        return self._pullback(self._rho, self._aux, m)
+
+
+class _NdoObjective(KlObjective):
+    """The KL objective of the network ansatz, with the GNGD metric."""
+
+    def __init__(self, ds, bases: BasisTables, d: int, m_h: int, m_a: int):
+        super().__init__(ds, bases, d)
+        self.dims = (d, m_h, m_a)
+
+    def _state(self, x: np.ndarray):
+        ev = ndo.evaluate(ndo.NdoParams.from_vector(*self.dims, x))
+        return ev.rho, ev
+
+    def _pullback(self, rho, ev, m):
+        return _grad_from_eval(ev, m, self.bases.n_bases)
 
     def metric(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(J_r, e): the Hermitian rows of the state Jacobian and of -M^T, the
         cost's derivative in rho, so J_r^T e is the gradient. rho keeps unit
         trace, so J_r^T annihilates the identity; e drops its identity part,
         which the solve would scale by 1/lam only for J_r^T y to cancel it."""
-        ev = self._eval(x)
-        d = ev.rho.shape[0]
+        ev = self._at(x)
         jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
-        e = _hermitian_rows(-_data_adjoint(ev.rho, self.data, self.bases).T)
-        e[:d] -= e[:d].mean()
+        e = _hermitian_rows(-self.adjoint(x).T)
+        e[: self.d] -= e[: self.d].mean()
         return jr, e
 
 

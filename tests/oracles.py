@@ -7,7 +7,7 @@ kernels and the closed-form state; the dense basis builder
 metric and its plain solve check the rho-space `training.solve_metric`;
 the complex Jacobian of all d^2 entries, filled one visible index at a
 time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`;
-the per-call gather and KL mask check the fit's precomputed ones;
+the per-call gather, KL mask and data adjoint check the fit's cached ones;
 a Monte-Carlo average over coin phases checks `walk.dephasing_step`.
 """
 
@@ -269,11 +269,19 @@ class GatherBases:
 
 
 def kl_distance(data: np.ndarray, model: np.ndarray) -> float:
-    """`training._KlDistance` with the mask and the data's logs taken on every call."""
+    """`training.KlObjective.cost` with the mask and the data's logs taken on every call."""
     mask = data > 0
     d = data[mask]
     m = np.maximum(model[mask], PROB_FLOOR)
     return float(np.sum(d * (np.log(d) - np.log(m))))
+
+
+def data_adjoint(rho: np.ndarray, data: np.ndarray, bases) -> np.ndarray:
+    """`training.KlObjective.adjoint` with the model probabilities formed on
+    every call: M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b)), w = data/model."""
+    pm = bases.probabilities(rho)
+    w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)
+    return bases.adjoint(w)
 
 
 def maxlik_grad(x: np.ndarray, data: np.ndarray, stack: np.ndarray) -> np.ndarray:

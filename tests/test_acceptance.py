@@ -68,10 +68,9 @@ def test_criterion_2_gradient_correctness():
         params = ndo.init_params(d, m_h, m_a, scale=0.5, seed=int(rng.integers(2**31)))
         x0 = params.to_vector()
 
-        grad = training.grad_cost(params, ds, bases)
-        fd = finite_diff(
-            lambda x: training.cost(ndo.NdoParams.from_vector(d, m_h, m_a, x), ds, bases), x0
-        )[0]
+        objective = training._NdoObjective(ds, bases, d, m_h, m_a)
+        grad = objective.grad(x0)
+        fd = finite_diff(objective.cost, x0)[0]
         worst_grad = max(worst_grad, float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6))))
 
         jac = oracles.rho_jacobian(params)
@@ -226,7 +225,7 @@ def test_criterion_8_classical_limit():
 def test_criterion_9_basis_bookkeeping():
     n_b5 = measurement.n_bases(5)
     n_b30 = measurement.n_bases(30)
-    t_count = maxlik.n_t_params(2 * (5 + 1))
+    t_count = maxlik.init_t_params(2 * (5 + 1)).size
     dim30 = walk.dim(30)
     ok = n_b5 == 13 and n_b30 == 63 and t_count == 144 and dim30 == 62
     report(9, ok, f"N_b(5)={n_b5}, N_b(30)={n_b30}, MaxLik params at N=5: {t_count}, "
@@ -246,8 +245,9 @@ def test_criterion_10_paper_scale_structural(tmp_path):
 
     bases = measurement.all_basis_unitaries(n)
     params = ndo.init_params(62, 2, 2, scale=0.01, seed=0)
-    cost = training.cost(params, loaded, bases)
-    grad = training.grad_cost(params, loaded, bases)
+    objective = training._NdoObjective(loaded, bases, 62, 2, 2)
+    cost = objective.cost(params.to_vector())
+    grad = objective.grad(params.to_vector())
     state = ndo.density_matrix(params)
     ok = (round_trip and loaded.probs.shape == (63, 62) and state.shape == (62, 62)
           and np.isfinite(cost) and bool(np.all(np.isfinite(grad))))

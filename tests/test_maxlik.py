@@ -35,7 +35,7 @@ class TestRhoFromT:
             maxlik.rho_from_t(np.zeros(9))
 
     def test_param_count_at_n5(self):
-        assert maxlik.n_t_params(2 * (5 + 1)) == 144
+        assert maxlik.init_t_params(2 * (5 + 1)).size == 144
 
     def test_pack_round_trip(self):
         rng = np.random.default_rng(3)

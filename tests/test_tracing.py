@@ -1,0 +1,33 @@
+"""The benchmark tracer sees the calls that fits make into each traced layer.
+
+`perfbench/tracing.py` replaces module and class attributes with timing
+wrappers, so a layer that the library reaches through a name bound at import
+or class-definition time would silently report zero calls.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from qwndo import maxlik, measurement, training, walk
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.tracing import Tracer  # noqa: E402
+
+
+def test_fits_reach_every_traced_layer():
+    rho = walk.evolve(walk.WalkConfig(1, (np.pi / 4,), noise="dephasing", delta_beta=1.0))
+    ds = measurement.generate_dataset(rho, 1)
+    bases = measurement.all_basis_unitaries(1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        training.fit_ndo(ds, bases, 4, 2, 2, seed=0, warmup_iters=3, polish_iters=2)
+        maxlik.maxlik_fit(ds, bases, seed=0, max_iters=3)
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    for name in ("training.grad", "training.model_distributions", "maxlik.grad",
+                 "kernels.assemble_jacobian", "training.solve_metric"):
+        assert stats[name + ".calls"] > 0, name

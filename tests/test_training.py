@@ -20,6 +20,19 @@ def hadamard_setup(n_steps, noise="none", **kwargs):
     return rho, ds, bases
 
 
+def ndo_objective(params, ds, bases):
+    """The KL objective the fits use, for the shape of params."""
+    return training._NdoObjective(ds, bases, params.dim, params.m_h, params.m_a)
+
+
+def cost(params, ds, bases):
+    return ndo_objective(params, ds, bases).cost(params.to_vector())
+
+
+def grad(params, ds, bases):
+    return ndo_objective(params, ds, bases).grad(params.to_vector())
+
+
 def reference_basis_only(n_steps):
     """Tables holding only basis 0, the computational basis."""
     bases = measurement.all_basis_unitaries(n_steps)
@@ -31,13 +44,13 @@ class TestCost:
         params = ndo.init_params(4, 3, 3, scale=0.6, seed=1)
         ds = measurement.generate_dataset(ndo.density_matrix(params), 1)
         bases = measurement.all_basis_unitaries(1)
-        assert training.cost(params, ds, bases) <= 1e-12
+        assert cost(params, ds, bases) <= 1e-12
 
     def test_single_binary_basis_log_two(self):
         params = ndo.init_params(2, 2, 2, scale=0.0)  # uniform state: P = (1/2, 1/2)
         data = np.array([[1.0, 0.0]])
         bases = reference_basis_only(0)
-        assert training.cost(params, data, bases) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert cost(params, data, bases) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_nonnegative_for_random_pairs(self):
         rng = np.random.default_rng(2)
@@ -46,15 +59,15 @@ class TestCost:
             params = ndo.init_params(4, 3, 2, scale=1.0, seed=int(rng.integers(2**31)))
             other = ndo.init_params(4, 3, 2, scale=1.0, seed=int(rng.integers(2**31)))
             ds = measurement.generate_dataset(ndo.density_matrix(other), 1)
-            assert training.cost(params, ds, bases) >= 0.0
+            assert cost(params, ds, bases) >= 0.0
 
     def test_dimension_mismatch(self):
         params = ndo.init_params(4, 3, 2)
         ds = measurement.generate_dataset(walk.initial_state(2), 2)
         with pytest.raises(ValueError, match="dim"):
-            training.cost(params, ds, measurement.all_basis_unitaries(2))
+            cost(params, ds, measurement.all_basis_unitaries(2))
         with pytest.raises(ValueError, match="n_bases"):
-            training.cost(ndo.init_params(6, 3, 2), ds.probs[:5], measurement.all_basis_unitaries(2))
+            cost(ndo.init_params(6, 3, 2), ds.probs[:5], measurement.all_basis_unitaries(2))
 
 
 class TestGradCost:
@@ -64,8 +77,9 @@ class TestGradCost:
         rng = np.random.default_rng(4)
         for _ in range(3):
             params = ndo.init_params(d, m_h, m_a, scale=0.6, seed=int(rng.integers(2**31)))
-            g = training.grad_cost(params, ds, bases)
+            obj = ndo_objective(params, ds, bases)
             x0 = params.to_vector()
+            g = obj.grad(x0)
             h = 1e-6
             fd = np.empty_like(x0)
             for j in range(x0.size):
@@ -73,10 +87,7 @@ class TestGradCost:
                 xp[j] += h
                 xm = x0.copy()
                 xm[j] -= h
-                fd[j] = (
-                    training.cost(ndo.NdoParams.from_vector(d, m_h, m_a, xp), ds, bases)
-                    - training.cost(ndo.NdoParams.from_vector(d, m_h, m_a, xm), ds, bases)
-                ) / (2 * h)
+                fd[j] = (obj.cost(xp) - obj.cost(xm)) / (2 * h)
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-6)
             assert rel.max() <= 1e-5
 
@@ -86,8 +97,9 @@ class TestGradCost:
         skew = np.zeros((4, 4), dtype=complex)
         skew[0, 1] = 0.3j
         tampered = dataclasses.replace(ev, rho=ev.rho + skew)
+        m = oracles.data_adjoint(tampered.rho, ds.probs, bases)
         with pytest.raises(RuntimeError, match="imaginary residue"):
-            training._grad_from_eval(tampered, ds.probs, bases)
+            training._grad_from_eval(tampered, m, bases.n_bases)
 
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 5, 30])
     def test_matches_dense_oracle(self, n_steps):
@@ -95,22 +107,24 @@ class TestGradCost:
         rng = np.random.default_rng(n_steps)
         target = ndo.density_matrix(ndo.init_params(d, 3, 2, scale=0.8, seed=int(rng.integers(2**31))))
         data = measurement.generate_dataset(target, n_steps).probs
-        ev = ndo.evaluate(ndo.init_params(d, 3, 2, scale=0.8, seed=int(rng.integers(2**31))))
-        g = training._grad_from_eval(ev, data, measurement.all_basis_unitaries(n_steps))
-        ref = training._grad_from_eval(ev, data, oracles.DenseBases(n_steps))
+        params = ndo.init_params(d, 3, 2, scale=0.8, seed=int(rng.integers(2**31)))
+        g = grad(params, data, measurement.all_basis_unitaries(n_steps))
+        ev = ndo.evaluate(params)
+        dense = oracles.DenseBases(n_steps)
+        ref = training._grad_from_eval(ev, oracles.data_adjoint(ev.rho, data, dense), dense.n_bases)
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_stationary_on_own_dataset(self):
         params = ndo.init_params(6, 4, 3, scale=0.8, seed=9)
         ds = measurement.generate_dataset(ndo.density_matrix(params), 2)
         bases = measurement.all_basis_unitaries(2)
-        assert np.linalg.norm(training.grad_cost(params, ds, bases)) <= 1e-8
+        assert np.linalg.norm(grad(params, ds, bases)) <= 1e-8
 
     def test_mu_bias_gradient_zero_with_reference_basis_only(self):
         params = ndo.init_params(4, 3, 2, scale=0.7, seed=11)
         bases = reference_basis_only(1)
         data = bases.probabilities(walk.evolve(walk.WalkConfig(1, (0.6,))))
-        g = training.grad_cost(params, data, bases)
+        g = grad(params, data, bases)
         off = param_offsets(4, 3, 2)
         np.testing.assert_array_equal(g[off["b_mu"] : off["b_mu"] + 4], 0.0)
 
@@ -166,7 +180,7 @@ class TestMetric:
         obj = training._NdoObjective(ds, bases, 4, 3, 3)
         delta = training.solve_metric(*obj.metric(params.to_vector()), 1e-6)
         g_mat = oracles.dense_metric(oracles.rho_jacobian(params))
-        grad = training.grad_cost(params, ds, bases)
+        grad = obj.grad(params.to_vector())
         t_bar = np.trace(g_mat) / g_mat.shape[0]
         reg = g_mat + 1e-6 * t_bar * np.eye(g_mat.shape[0])
         resid = np.linalg.norm(reg @ delta - grad) / np.linalg.norm(grad)
@@ -208,7 +222,7 @@ class TestRhoSpaceSolve:
     def test_rows_reproduce_cost_gradient(self, n_steps):
         obj, params = self.objective_at(n_steps)
         jr, e = obj.metric(params.to_vector())
-        g = training.grad_cost(params, obj.data, obj.bases)
+        g = obj.grad(params.to_vector())
         assert np.linalg.norm(jr.T @ e - g) <= 1e-12 * np.linalg.norm(g)
 
     def test_gram_shape(self):
@@ -269,10 +283,11 @@ class TestBitIdentity:
             assert np.all((tiny > 0) & (tiny < np.finfo(float).tiny))
 
         assert objective.cost(x) == oracles.kl_distance(data, bases.probabilities(rho))
-        assert np.array_equal(objective.grad(x), training._grad_from_eval(eager, data, bases))
+        m_ref = oracles.data_adjoint(rho, data, bases)
+        assert np.array_equal(objective.grad(x), training._grad_from_eval(eager, m_ref, bases.n_bases))
         jr, e = objective.metric(x)
         jac = oracles.complex_jacobian(rho, sig_lam, sig_mu, s_pair)
-        e_ref = training._hermitian_rows(-training._data_adjoint(rho, data, bases).T)
+        e_ref = training._hermitian_rows(-m_ref.T)
         e_ref[:12] -= e_ref[:12].mean()
         assert np.array_equal(jr, training._hermitian_rows(jac.reshape(12, 12, -1)))
         assert np.array_equal(e, e_ref)
@@ -283,6 +298,45 @@ class TestBitIdentity:
         x = maxlik.init_t_params(obj.d, seed=3)
         ref = oracles.kl_distance(ds.probs, oracles.GatherBases(bases).probabilities(maxlik.rho_from_t(x)))
         assert obj.cost(x) == ref
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name to count its calls; returns the live count list."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOnePassPerPoint:
+    def test_ndo_point_forms_probabilities_and_adjoint_once(self, monkeypatch):
+        rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
+        params = ndo.init_params(6, 3, 3, scale=0.5, seed=4)
+        obj = ndo_objective(params, ds, bases)
+        probs = count_calls(monkeypatch, measurement.BasisTables, "probabilities")
+        adjoints = count_calls(monkeypatch, measurement.BasisTables, "adjoint")
+        x = params.to_vector()
+        obj.cost(x)
+        obj.grad(x)
+        obj.metric(x)
+        assert (len(probs), len(adjoints)) == (1, 1)
+        obj.cost(x + 1e-3)  # a new point forms the probabilities again
+        assert (len(probs), len(adjoints)) == (2, 1)
+
+    def test_maxlik_point_forms_t_and_probabilities_once(self, monkeypatch):
+        rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
+        obj = maxlik._MaxlikObjective(ds, bases)
+        t_calls = count_calls(monkeypatch, maxlik, "t_matrix")
+        probs = count_calls(monkeypatch, measurement.BasisTables, "probabilities")
+        x = maxlik.init_t_params(obj.d, seed=2)
+        obj.cost(x)
+        obj.grad(x)
+        assert (len(t_calls), len(probs)) == (1, 1)
 
 
 class TestMixedStart:
@@ -305,7 +359,7 @@ class TestMixedStart:
         init = ndo.mixed_init_params(12, 15, 15, seed=3)
         _, report = training.fit_ndo(ds, bases, 12, 15, 15, seed=3,
                                      warmup_iters=1, polish_iters=1)
-        assert report.costs[0] == training.cost(init, ds, bases)
+        assert report.costs[0] == cost(init, ds, bases)
 
 
 class TestGngdStep:
