@@ -1,7 +1,11 @@
 """Hot numeric kernels for the density-operator ansatz, vectorized in NumPy.
 
 Parameters flatten block by block in the order of `param_shapes`, each
-matrix row-major.
+matrix row-major. The log density A and every per-pair quantity derived from
+it are Hermitian in the index pair, so the complex ancilla terms are computed
+on the d(d+1)/2 upper pairs (`_upper_pairs`) and `mirror`ed by conjugation.
+Each softplus keeps the exp it evaluates, and the matching logistic reuses it:
+one exp per pre-activation serves the state, the gradient and the Jacobian.
 """
 
 from __future__ import annotations
@@ -36,58 +40,77 @@ def param_offsets(d: int, m_h: int, m_a: int) -> MappingProxyType:
     return MappingProxyType(dict(zip([*shapes, "total"], starts)))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + e^x) and the t = exp(-|x|) it evaluates, which `_logistic` reuses."""
+    t = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(t), t
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _logistic(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) from the t of `_softplus(x)`: 1/w where x >= 0, else t/w, w = 1 + t."""
+    w = 1.0 + t
+    out = t / w
+    np.divide(1.0, w, out=out, where=x >= 0)
     return out
 
 
-def _softplus_c(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _softplus_c(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex log(1 + e^z) and the exp it evaluates, t = exp(-z) where Re z > 0
+    and exp(z) elsewhere: log1p(t), plus z where Re z > 0."""
     pos = z.real > 0
-    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
-    out[~pos] = np.log1p(np.exp(z[~pos]))
-    return out
+    t = np.exp(np.where(pos, -z, z))
+    out = np.log1p(t)
+    np.add(out, z, out=out, where=pos)
+    return out, t
 
 
-def _logistic_c(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z.real >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _logistic_c(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Complex 1 / (1 + e^-z) from the t of `_softplus_c(z)`: 1/w where Re z >= 0,
+    else t/w, w = 1 + t. Where Re z == 0 exactly, t is exp(z), so only there
+    is exp(-z) evaluated again."""
+    w = 1.0 + t
+    out = t / w
+    np.divide(1.0, w, out=out, where=z.real >= 0)
+    zero = z.real == 0
+    if zero.any():
+        out[zero] = 1.0 / (1.0 + np.exp(-z[zero]))
     return out
 
 
 def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
-    """Matrix of log density entries A plus the pre-activations its derivatives need.
+    """Matrix of log density entries A plus what its derivatives reuse.
 
-    Returns (a, x_lam, x_mu, z) with a (d, d) complex, x_* = W + c of shape
-    (m_h, d) and z the complex ancilla pair argument, shape (m_a, d, d). The
-    gradient and the Jacobian read logistic(x_*) and the complex logistic of z
-    (`ndo.NdoEval` computes them on first use).
+    Returns (a, x_lam, t_lam, x_mu, t_mu, z, t_z): a is (d, d) complex; x_* = W + c
+    has shape (m_h, d) and t_* = exp(-|x_*|); z is the complex ancilla argument
+    on the d(d+1)/2 upper index pairs (`_upper_pairs` order), shape
+    (m_a, pairs), and t_z the exp its softplus evaluates. z(b, a) = conj z(a, b),
+    so the softplus and its sum over ancillas run on the upper pairs only, and
+    the sum is `mirror`ed into A. The gradient and the Jacobian read
+    logistic(x_*) and the complex logistic of z, which `ndo.NdoEval` forms from
+    these exps on first use.
     """
+    d = w_lam.shape[1]
     x_lam = w_lam + c_lam[:, None]
     x_mu = w_mu + c_mu[:, None]
-    hs_lam = _softplus(x_lam).sum(axis=0)
-    hs_mu = _softplus(x_mu).sum(axis=0)
+    sp_lam, t_lam = _softplus(x_lam)
+    sp_mu, t_mu = _softplus(x_mu)
+    hs_lam = sp_lam.sum(axis=0)
+    hs_mu = sp_mu.sum(axis=0)
+    al, be = _upper_pairs(d)
+    # np.take keeps z C-ordered (u[:, al] would not), so the sum over ancillas
+    # adds one ancilla after another, as on the full (m_a, d, d) array, and
+    # conjugating the summed upper pairs gives the lower ones exactly.
     z = (
-        0.5 * (u_lam[:, :, None] + u_lam[:, None, :])
-        + 0.5j * (u_mu[:, :, None] - u_mu[:, None, :])
-        + d_lam[:, None, None]
-    ).astype(np.complex128)
-    pi = _softplus_c(z).sum(axis=0)
+        0.5 * (np.take(u_lam, al, axis=1) + np.take(u_lam, be, axis=1))
+        + 0.5j * (np.take(u_mu, al, axis=1) - np.take(u_mu, be, axis=1))
+        + d_lam[:, None]
+    )
+    sp_z, t_z = _softplus_c(z)
+    pi = mirror(sp_z.sum(axis=0), d)
     gamma_plus = 0.5 * (hs_lam[:, None] + hs_lam[None, :] + b_lam[:, None] + b_lam[None, :])
     gamma_minus = 0.5 * (hs_mu[:, None] - hs_mu[None, :] + b_mu[:, None] - b_mu[None, :])
     a = gamma_plus + 1j * gamma_minus + pi
-    return a, x_lam, x_mu, z
+    return a, x_lam, t_lam, x_mu, t_mu, z, t_z
 
 
 @functools.lru_cache(maxsize=64)
@@ -100,6 +123,16 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in pairs:
         arr.setflags(write=False)
     return pairs
+
+
+def mirror(upper: np.ndarray, d: int) -> np.ndarray:
+    """The (..., d, d) array X with X[..., b, a] = conj X[..., a, b], from its
+    entries in `_upper_pairs(d)` order along the last axis."""
+    al, be = _upper_pairs(d)
+    full = np.empty(upper.shape[:-1] + (d, d), dtype=upper.dtype)
+    full[..., al, be] = upper
+    full[..., be[d:], al[d:]] = upper[..., d:].conj()
+    return full
 
 
 def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):

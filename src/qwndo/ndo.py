@@ -182,38 +182,43 @@ def density_matrix(params: NdoParams) -> np.ndarray:
 class NdoEval:
     """One-pass evaluation of everything the cost, gradient and metric reuse.
 
-    The logistic caches are computed from the kernel's pre-activations on
-    first use, so a point that only needs its cost (a rejected line-search
-    trial) never pays for them.
+    The logistic caches are formed on first use from the pre-activations and
+    the exps their softplus already evaluated (`kernels.pair_cache`), so a
+    point that only needs its cost (a rejected line-search trial) never pays
+    for them, and one that does pays no second exp. The ancilla logistic is
+    formed on the upper index pairs and mirrored to the full (m_a, d, d) array.
     """
 
     a: np.ndarray          # (d, d) complex log density entries
     rho: np.ndarray        # (d, d) complex state
     log_z: float
     x_lam: np.ndarray      # (m_h, d) hidden pre-activation W + c, amplitude net
+    t_lam: np.ndarray      # exp(-|x_lam|)
     x_mu: np.ndarray
-    z: np.ndarray          # (m_a, d, d) complex ancilla argument per index pair
+    t_mu: np.ndarray
+    z: np.ndarray          # (m_a, d(d+1)/2) complex ancilla argument per upper pair
+    t_z: np.ndarray        # the exp of z's softplus
 
     @functools.cached_property
     def sig_lam(self) -> np.ndarray:
         """(m_h, d) hidden logistic, amplitude net."""
-        return kernels._logistic(self.x_lam)
+        return kernels._logistic(self.x_lam, self.t_lam)
 
     @functools.cached_property
     def sig_mu(self) -> np.ndarray:
-        return kernels._logistic(self.x_mu)
+        return kernels._logistic(self.x_mu, self.t_mu)
 
     @functools.cached_property
     def s_pair(self) -> np.ndarray:
         """(m_a, d, d) complex ancilla logistic per index pair."""
-        return kernels._logistic_c(self.z)
+        return kernels.mirror(kernels._logistic_c(self.z, self.t_z), self.rho.shape[0])
 
 
 def evaluate(params: NdoParams) -> NdoEval:
     """Compute the state plus the pre-activations of the gradient caches in one pass."""
-    a, x_lam, x_mu, z = kernels.pair_cache(*params.arrays())
+    a, *pre = kernels.pair_cache(*params.arrays())
     rho, lz = _normalize(a)
-    return NdoEval(a, rho, lz, x_lam, x_mu, z)
+    return NdoEval(a, rho, lz, *pre)
 
 
 def save_checkpoint(params: NdoParams, path) -> None:

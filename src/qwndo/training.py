@@ -232,31 +232,33 @@ def _gradient_fallback(fun, x, f0, g):
 
 
 class _Lbfgs:
-    """Two-loop recursion with bounded memory; skips non-curvature updates."""
+    """Two-loop recursion with bounded memory; skips non-curvature updates.
+    Each curvature pair (s, y) is kept with its s.y, which the recursion reads
+    three times per call."""
 
     def __init__(self, memory: int):
         self.memory = memory
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
 
     def update(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            self.pairs.append((s, y))
+            self.pairs.append((s, y, sy))
             if len(self.pairs) > self.memory:
                 self.pairs.pop(0)
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         q = g.copy()
         alphas = []
-        for s, y in reversed(self.pairs):
-            a = float(s @ q) / float(s @ y)
+        for s, y, sy in reversed(self.pairs):
+            a = float(s @ q) / sy
             q -= a * y
             alphas.append(a)
         if self.pairs:
-            s, y = self.pairs[-1]
-            q *= float(s @ y) / float(y @ y)
-        for (s, y), a in zip(self.pairs, reversed(alphas)):
-            b = float(y @ q) / float(s @ y)
+            _, y, sy = self.pairs[-1]
+            q *= sy / float(y @ y)
+        for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
+            b = float(y @ q) / sy
             q += (a - b) * s
         return -q
 

@@ -1,6 +1,9 @@
 """Reference implementations that pin the vectorized kernels and tables in tests.
 
-The per-entry NDO references and the brute-force purification check the
+The masked softplus and logistic functions, each with its own exp, the
+full-triangle (m_a, d, d) `pair_cache` and the eager caches built on them
+check the upper-pair kernel and the lazy caches of `ndo.NdoEval`; the
+per-entry NDO references and the brute-force purification check the
 kernels and the closed-form state; the dense basis builder
 (`basis_unitary` and friends) and the einsum contractions over its
 (n_bases, d, d) stack check `measurement.BasisTables`; the dense P x P
@@ -8,27 +11,88 @@ metric and its plain solve check the rho-space `training.solve_metric`;
 the complex Jacobian of all d^2 entries, filled one visible index at a
 time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`;
 the per-call gather, KL mask and data adjoint check the fit's cached ones;
+the two-loop recursion that forms every s.y on use checks `training._Lbfgs`;
 a Monte-Carlo average over coin phases checks `walk.dephasing_step`.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from qwndo import ndo
-from qwndo.kernels import _logistic, _logistic_c, _softplus, _softplus_c, param_offsets
+from qwndo.kernels import param_offsets
 from qwndo.maxlik import pack_t, t_matrix
 from qwndo.measurement import K_X, K_Y, n_bases
 from qwndo.ndo import NdoParams
 from qwndo.training import PROB_FLOOR
 
 
+def softplus(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def softplus_c(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z.real > 0
+    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
+    out[~pos] = np.log1p(np.exp(z[~pos]))
+    return out
+
+
+def logistic_c(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z.real >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
+    """`kernels.pair_cache` over the full (m_a, d, d) ancilla argument, each
+    softplus with its own exp. Returns (a, x_lam, x_mu, z)."""
+    x_lam = w_lam + c_lam[:, None]
+    x_mu = w_mu + c_mu[:, None]
+    hs_lam = softplus(x_lam).sum(axis=0)
+    hs_mu = softplus(x_mu).sum(axis=0)
+    z = (
+        0.5 * (u_lam[:, :, None] + u_lam[:, None, :])
+        + 0.5j * (u_mu[:, :, None] - u_mu[:, None, :])
+        + d_lam[:, None, None]
+    ).astype(np.complex128)
+    pi = softplus_c(z).sum(axis=0)
+    gamma_plus = 0.5 * (hs_lam[:, None] + hs_lam[None, :] + b_lam[:, None] + b_lam[None, :])
+    gamma_minus = 0.5 * (hs_mu[:, None] - hs_mu[None, :] + b_mu[:, None] - b_mu[None, :])
+    a = gamma_plus + 1j * gamma_minus + pi
+    return a, x_lam, x_mu, z
+
+
+def evaluate(params: NdoParams) -> SimpleNamespace:
+    """`ndo.evaluate` through the full-triangle `pair_cache`, with the logistic
+    caches computed up front."""
+    a, x_lam, x_mu, z = pair_cache(*params.arrays())
+    rho, log_z = ndo._normalize(a)
+    return SimpleNamespace(a=a, rho=rho, log_z=log_z,
+                           sig_lam=logistic(x_lam), sig_mu=logistic(x_mu), s_pair=logistic_c(z))
+
+
 def a_entry(params: NdoParams, v: int, vp: int) -> complex:
     """Log density entry A(v, v') for basis indices v, v'."""
-    hs_l_v = _softplus(params.w_lam[:, v] + params.c_lam).sum()
-    hs_l_vp = _softplus(params.w_lam[:, vp] + params.c_lam).sum()
-    hs_m_v = _softplus(params.w_mu[:, v] + params.c_mu).sum()
-    hs_m_vp = _softplus(params.w_mu[:, vp] + params.c_mu).sum()
+    hs_l_v = softplus(params.w_lam[:, v] + params.c_lam).sum()
+    hs_l_vp = softplus(params.w_lam[:, vp] + params.c_lam).sum()
+    hs_m_v = softplus(params.w_mu[:, v] + params.c_mu).sum()
+    hs_m_vp = softplus(params.w_mu[:, vp] + params.c_mu).sum()
     gamma_plus = 0.5 * (hs_l_v + hs_l_vp + params.b_lam[v] + params.b_lam[vp])
     gamma_minus = 0.5 * (hs_m_v - hs_m_vp + params.b_mu[v] - params.b_mu[vp])
     z = (
@@ -36,7 +100,7 @@ def a_entry(params: NdoParams, v: int, vp: int) -> complex:
         + 0.5j * (params.u_mu[:, v] - params.u_mu[:, vp])
         + params.d_lam
     ).astype(np.complex128)
-    return complex(gamma_plus + 1j * gamma_minus + _softplus_c(z).sum())
+    return complex(gamma_plus + 1j * gamma_minus + softplus_c(z).sum())
 
 
 def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
@@ -49,10 +113,10 @@ def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
     g = np.zeros(off["total"], dtype=np.complex128)
     rows_h = np.arange(m_h) * d
     rows_a = np.arange(m_a) * d
-    sig_l_v = _logistic(params.w_lam[:, v] + params.c_lam)
-    sig_l_vp = _logistic(params.w_lam[:, vp] + params.c_lam)
-    sig_m_v = _logistic(params.w_mu[:, v] + params.c_mu)
-    sig_m_vp = _logistic(params.w_mu[:, vp] + params.c_mu)
+    sig_l_v = logistic(params.w_lam[:, v] + params.c_lam)
+    sig_l_vp = logistic(params.w_lam[:, vp] + params.c_lam)
+    sig_m_v = logistic(params.w_mu[:, v] + params.c_mu)
+    sig_m_vp = logistic(params.w_mu[:, vp] + params.c_mu)
     g[off["w_lam"] + rows_h + v] += 0.5 * sig_l_v
     g[off["w_lam"] + rows_h + vp] += 0.5 * sig_l_vp
     g[off["w_mu"] + rows_h + v] += 0.5j * sig_m_v
@@ -63,7 +127,7 @@ def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
     g[off["b_lam"] + vp] += 0.5
     g[off["b_mu"] + v] += 0.5j
     g[off["b_mu"] + vp] -= 0.5j
-    s = _logistic_c(
+    s = logistic_c(
         (
             0.5 * (params.u_lam[:, v] + params.u_lam[:, vp])
             + 0.5j * (params.u_mu[:, v] - params.u_mu[:, vp])
@@ -76,6 +140,16 @@ def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
     g[off["u_mu"] + rows_a + vp] -= 0.5j * s
     g[off["d_lam"] : off["d_lam"] + m_a] = s
     return g
+
+
+def nearly_pure_subnormal(d: int, m_h: int, m_a: int) -> NdoParams:
+    """A state dominated by basis state 0 whose coherences with the others
+    sit in the subnormal range (exp(-720) ~ 1e-313) and whose other
+    populations underflow to zero."""
+    base = ndo.init_params(d, m_h, m_a, scale=0.3, seed=2)
+    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
+    arrays["b_lam"] = np.concatenate([[0.0], -1440.0 - np.arange(d - 1)])
+    return NdoParams(**arrays)
 
 
 def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
@@ -94,8 +168,8 @@ def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
     confs = (
         (np.arange(2 ** params.m_a)[:, None] >> np.arange(params.m_a)[None, :]) & 1
     ).astype(float)
-    hs_lam = _softplus(params.w_lam + params.c_lam[:, None]).sum(axis=0)
-    hs_mu = _softplus(params.w_mu + params.c_mu[:, None]).sum(axis=0)
+    hs_lam = softplus(params.w_lam + params.c_lam[:, None]).sum(axis=0)
+    hs_mu = softplus(params.w_mu + params.c_mu[:, None]).sum(axis=0)
     log_p_lam = hs_lam[None, :] + confs @ params.u_lam + params.b_lam[None, :] + (confs @ params.d_lam)[:, None]
     log_p_mu = hs_mu[None, :] + confs @ params.u_mu + params.b_mu[None, :]
     shift = log_p_lam.max()  # cancels in the trace normalization
@@ -105,18 +179,10 @@ def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
 
 
 def eager_caches(params: NdoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sig_lam, sig_mu, s_pair) computed up front from the parameters, the
-    values `ndo.NdoEval` computes on first use."""
-    z = (
-        0.5 * (params.u_lam[:, :, None] + params.u_lam[:, None, :])
-        + 0.5j * (params.u_mu[:, :, None] - params.u_mu[:, None, :])
-        + params.d_lam[:, None, None]
-    ).astype(np.complex128)
-    return (
-        _logistic(params.w_lam + params.c_lam[:, None]),
-        _logistic(params.w_mu + params.c_mu[:, None]),
-        _logistic_c(z),
-    )
+    """(sig_lam, sig_mu, s_pair) of `evaluate`, the values `ndo.NdoEval`
+    computes on first use."""
+    ev = evaluate(params)
+    return ev.sig_lam, ev.sig_mu, ev.s_pair
 
 
 def complex_jacobian(rho, sig_lam, sig_mu, s_pair) -> np.ndarray:
@@ -296,6 +362,24 @@ def maxlik_grad(x: np.ndarray, data: np.ndarray, stack: np.ndarray) -> np.ndarra
     k = np.einsum("nja,nj,njc->ac", stack.conj(), w, stack) @ t
     swp = float(np.sum(w * pm))
     return pack_t((2.0 / tau) * (swp * t - k))
+
+
+def lbfgs_direction(pairs, g: np.ndarray) -> np.ndarray:
+    """The L-BFGS two-loop recursion over curvature pairs (s, y), forming s.y
+    on every use."""
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = float(s @ q) / float(s @ y)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        b = float(y @ q) / float(s @ y)
+        q += (a - b) * s
+    return -q
 
 
 def dense_metric(jac: np.ndarray) -> np.ndarray:

@@ -65,25 +65,82 @@ class TestRealJacobian:
         np.testing.assert_array_equal(np.sqrt(2.0) * idx[al, be][5:], rows[5 : 5 + n_up])
 
 
+def wide_ancilla(d, m_h, m_a):
+    """Random weights at scale 1 with ancilla weights and biases near +-800,
+    where every exp of the ancilla terms overflows or underflows unless it is
+    taken of the argument with non-positive real part."""
+    base = ndo.init_params(d, m_h, m_a, scale=1.0, seed=11)
+    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
+    rng = np.random.default_rng(12)
+    for name in ("u_lam", "u_mu", "d_lam"):
+        arrays[name] = 800.0 * rng.choice([-1.0, 1.0], arrays[name].shape) + arrays[name]
+    return ndo.NdoParams(**arrays)
+
+
+def phases_only(d, m_h, m_a):
+    """The mixed start with every array but the phase-network ancilla weights
+    zeroed: Re z == 0 on every ancilla argument, and Im z != 0 off the diagonal."""
+    base = ndo.mixed_init_params(d, m_h, m_a, seed=0)
+    arrays = {name: np.zeros_like(getattr(base, name)) for name in ndo.ARRAY_NAMES}
+    arrays["u_mu"] = base.u_mu
+    return ndo.NdoParams(**arrays)
+
+
+class TestUpperPairKernel:
+    """The upper-pair kernel and lazy caches equal the full-triangle oracle bit for bit."""
+
+    STATES = {
+        "mixed start": lambda d: ndo.mixed_init_params(d, 15, 15, seed=0),
+        "random, scale 1": lambda d: ndo.init_params(d, 15, 15, scale=1.0, seed=7),
+        "nearly pure, subnormal": lambda d: oracles.nearly_pure_subnormal(d, 15, 15),
+        "scale 0": lambda d: ndo.init_params(d, 15, 15, scale=0.0),
+        "scale 0 but the mixing phases": lambda d: phases_only(d, 15, 15),
+        "ancilla near +-800": lambda d: wide_ancilla(d, 15, 15),
+    }
+
+    @pytest.mark.parametrize("d", [4, 12, 22])
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_equals_full_triangle_oracle(self, state, d):
+        params = self.STATES[state](d)
+        ev = ndo.evaluate(params)
+        ref = oracles.evaluate(params)
+        assert ev.z.shape == (15, d * (d + 1) // 2)
+        if state == "scale 0 but the mixing phases":
+            assert np.all(ev.z.real == 0) and np.all(ev.z.imag[:, d:] != 0)
+        for name in ("a", "rho", "s_pair", "sig_lam", "sig_mu"):
+            assert np.array_equal(getattr(ev, name), getattr(ref, name)), name
+        assert ev.log_z == ref.log_z
+        assert np.array_equal(ndo.density_matrix(params), ref.rho)
+
+
 class TestHelpers:
     def test_softplus_stable_at_extremes(self):
         x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
-        out = kernels._softplus(x)
+        out, t = kernels._softplus(x)
         assert out[0] == 0.0
         assert out[-1] == 800.0
         assert np.all(np.isfinite(out))
+        assert np.array_equal(t, np.exp(-np.abs(x)))
+        assert np.array_equal(kernels._logistic(x, t), oracles.logistic(x))
 
     def test_complex_softplus_matches_series(self):
         z = np.array([0.2 + 0.3j, -1.0 - 2.0j, 50.0 + 1.0j])
-        out = kernels._softplus_c(z)
+        out = kernels._softplus_c(z)[0]
         np.testing.assert_allclose(out[:2], np.log(1 + np.exp(z[:2])), atol=1e-14)
         np.testing.assert_allclose(out[2], z[2] + np.exp(-z[2]), atol=1e-14)
 
     def test_complex_logistic_limits(self):
         z = np.array([1000.0 + 0.5j, -1000.0 + 0.5j])
-        out = kernels._logistic_c(z)
+        out = kernels._logistic_c(z, kernels._softplus_c(z)[1])
         np.testing.assert_allclose(out[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(out[1], 0.0, atol=1e-12)
+
+    def test_complex_pair_on_the_imaginary_axis(self):
+        """Where Re z == 0 the softplus takes exp(z) and the logistic exp(-z)."""
+        z = np.array([0.0 + 0.0j, 0.0 + 1.0j, -0.0 - 2.5j, 1e-300 + 1.0j, -1e-300 + 1.0j])
+        sp, t = kernels._softplus_c(z)
+        assert np.array_equal(sp, oracles.softplus_c(z))
+        assert np.array_equal(kernels._logistic_c(z, t), oracles.logistic_c(z))
 
     def test_active_backend_name(self):
         assert kernels.active_backend() == "numpy"

@@ -1,7 +1,6 @@
 """Cost, exact gradient, the pullback metric, and the four optimizers."""
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -243,25 +242,16 @@ class TestRhoSpaceSolve:
         assert np.linalg.norm(direction - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
-def nearly_pure_subnormal(d, m_h, m_a):
-    """A state dominated by basis state 0 whose coherences with the others
-    sit in the subnormal range (exp(-720) ~ 1e-313) and whose other
-    populations underflow to zero."""
-    base = ndo.init_params(d, m_h, m_a, scale=0.3, seed=2)
-    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
-    arrays["b_lam"] = np.concatenate([[0.0], -1440.0 - np.arange(d - 1)])
-    return ndo.NdoParams(**arrays)
-
-
 class TestBitIdentity:
     """The fit's objective returns exactly what the reference path computes:
-    eager logistic caches, the complex Jacobian reduced by `_hermitian_rows`,
-    the gather index and the KL mask formed on every call."""
+    the full-triangle kernel with eager logistic caches, the complex Jacobian
+    reduced by `_hermitian_rows`, the gather index and the KL mask formed on
+    every call."""
 
     STATES = {
         "mixed start": lambda: ndo.mixed_init_params(12, 15, 15, seed=0),
         "random": lambda: ndo.init_params(12, 15, 15, scale=1.0, seed=7),
-        "nearly pure, subnormal": lambda: nearly_pure_subnormal(12, 15, 15),
+        "nearly pure, subnormal": lambda: oracles.nearly_pure_subnormal(12, 15, 15),
     }
 
     @pytest.fixture(scope="class")
@@ -273,9 +263,8 @@ class TestBitIdentity:
     def test_cost_grad_metric_equal_reference(self, objective, state):
         params = self.STATES[state]()
         x = params.to_vector()
-        rho = ndo.density_matrix(params)
-        sig_lam, sig_mu, s_pair = oracles.eager_caches(params)
-        eager = SimpleNamespace(rho=rho, sig_lam=sig_lam, sig_mu=sig_mu, s_pair=s_pair)
+        eager = oracles.evaluate(params)
+        rho = eager.rho
         bases = oracles.GatherBases(objective.bases)
         data = objective.data
         if state == "nearly pure, subnormal":
@@ -286,7 +275,7 @@ class TestBitIdentity:
         m_ref = oracles.data_adjoint(rho, data, bases)
         assert np.array_equal(objective.grad(x), training._grad_from_eval(eager, m_ref, bases.n_bases))
         jr, e = objective.metric(x)
-        jac = oracles.complex_jacobian(rho, sig_lam, sig_mu, s_pair)
+        jac = oracles.complex_jacobian(rho, eager.sig_lam, eager.sig_mu, eager.s_pair)
         e_ref = training._hermitian_rows(-m_ref.T)
         e_ref[:12] -= e_ref[:12].mean()
         assert np.array_equal(jr, training._hermitian_rows(jac.reshape(12, 12, -1)))
@@ -298,6 +287,47 @@ class TestBitIdentity:
         x = maxlik.init_t_params(obj.d, seed=3)
         ref = oracles.kl_distance(ds.probs, oracles.GatherBases(bases).probabilities(maxlik.rho_from_t(x)))
         assert obj.cost(x) == ref
+
+
+class TestLbfgs:
+    def test_direction_equals_two_loop_reference(self):
+        rng = np.random.default_rng(5)
+        lbfgs = training._Lbfgs(4)
+        for _ in range(7):
+            s = rng.standard_normal(40)
+            lbfgs.update(s, s + 0.3 * rng.standard_normal(40))
+        lbfgs.update(np.ones(40), -np.ones(40))  # no curvature: skipped
+        pairs = [(s, y) for s, y, _ in lbfgs.pairs]
+        assert len(pairs) == 4
+        assert all(sy == float(s @ y) for s, y, sy in lbfgs.pairs)
+        for _ in range(20):
+            g = rng.standard_normal(40)
+            assert np.array_equal(lbfgs.direction(g), oracles.lbfgs_direction(pairs, g))
+        assert np.array_equal(training._Lbfgs(4).direction(g), -g)
+
+
+def test_fit_ndo_equals_dense_oracle_path(monkeypatch):
+    """A short L-BFGS + GNGD fit is bit-identical when the upper-pair kernel,
+    the lazy caches and the stored s.y are swapped for their oracles."""
+    rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
+
+    def fit():
+        params, report = training.fit_ndo(ds, bases, 6, 3, 3, warmup_iters=30, polish_iters=10)
+        return params.to_vector(), report
+
+    x_lib, rep_lib = fit()
+    evals = count_calls(monkeypatch, oracles, "evaluate")
+    monkeypatch.setattr(ndo, "evaluate", oracles.evaluate)
+    monkeypatch.setattr(ndo.kernels, "pair_cache", oracles.pair_cache)
+    monkeypatch.setattr(
+        training._Lbfgs, "direction",
+        lambda self, g: oracles.lbfgs_direction([(s, y) for s, y, _ in self.pairs], g),
+    )
+    x_ref, rep_ref = fit()
+    assert len(evals) >= 40 and rep_ref.iterations == 40
+    assert np.array_equal(x_lib, x_ref)
+    assert rep_lib.costs == rep_ref.costs
+    assert rep_lib.grad_norms == rep_ref.grad_norms
 
 
 def count_calls(monkeypatch, owner, name):
