@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
     m_h, m_a = _network_sizes(args)
     config = _train_config(args, optimizer=args.optimizer)
     init = ndo.init_params(2 * (ds.n_steps + 1), m_h, m_a, seed=args.seed)
-    params, report = training.optimize(config, ds, bases, init, target=target)
+    params, report = training.optimize((config,), ds, bases, init, target=target)
     if args.checkpoint:
         ndo.save_checkpoint(params, args.checkpoint)
     summary = {"optimizer": config.optimizer, "hidden": m_h, "ancillary": m_a,
@@ -227,7 +227,7 @@ def _compare_optimizers(args, config: walk.WalkConfig, csv_path) -> dict:
     reports = {}
     for name in training.OPTIMIZERS:
         train_config = _train_config(args, optimizer=name)
-        _, reports[name] = training.optimize(train_config, ds, bases, init, target=rho)
+        _, reports[name] = training.optimize((train_config,), ds, bases, init, target=rho)
     rows = [(i, name, c) for name, report in reports.items() for i, c in enumerate(report.costs)]
     fileio.write_csv(csv_path, ["iter", "optimizer", "cost"], rows)
     return reports

@@ -5,22 +5,23 @@ D = sum_n sum_j P_n(j) log[P_n(j) / P_model_n(j)], with the exact analytic
 gradient (no sampling). `KlObjective` computes it for the network ansatz and
 the MaxLik baseline alike, forming each point's model distributions and the
 adjoint M = -dD/drho once from the 2-sparse `measurement.BasisTables`, the
-only basis representation. Four optimizers share one Armijo backtracking
-line search and stopping rule: plain gradient descent, Polak-Ribiere-plus
-conjugate gradient, L-BFGS, and natural gradient descent preconditioned by
-the Gram metric G = Re(J^dag J) of the flattened-state Jacobian J, i.e. the
-pullback of a flat metric on density-matrix entries. rho is Hermitian, so J
-has d^2 independent real rows J_r (`kernels.hermitian_rows`), which
-`kernels.assemble_jacobian` builds; G = J_r^T J_r, and the gradient is
-J_r^T e for the same coordinates e of -M^T.
+only basis representation. One loop runs a sequence of optimizer phases,
+each from where the last stopped, and four optimizers share its Armijo
+backtracking line search and stopping rule: plain gradient descent,
+Polak-Ribiere-plus conjugate gradient, L-BFGS, and natural gradient descent
+preconditioned by the Gram metric G = Re(J^dag J) of the flattened-state
+Jacobian J, i.e. the pullback of a flat metric on density-matrix entries.
+rho is Hermitian, so J has d^2 independent real rows J_r
+(`kernels.hermitian_rows`), which `kernels.assemble_jacobian` builds;
+G = J_r^T J_r, and the gradient is J_r^T e for the same coordinates e of -M^T.
 The push-through identity (J_r^T J_r + lam I)^-1 J_r^T = J_r^T (J_r J_r^T +
 lam I)^-1 (Rende et al., Commun. Phys. 2024) makes the metric solve d^2 x d^2.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,8 @@ class TrainConfig:
 class TrainReport:
     """Optimizer trace: costs[i] is the cost before step i, plus the final cost.
 
-    grad_norms[i] is the gradient norm before step i, plus the final one on
-    every exit, so the last entries of costs and grad_norms are final.
+    grad_norms holds one entry per point as well, the start and each accepted
+    step, so the last entries of costs and grad_norms are final.
     """
 
     optimizer: str
@@ -263,92 +264,93 @@ class _Lbfgs:
         return -q
 
 
-def minimize_vector(fun, grad_fun, x0, config: TrainConfig, metric_fun=None):
+def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
     """Shared optimizer loop. Returns (x, TrainReport without final metrics).
 
-    `metric_fun(x)` supplies the pair (J_r, e) of `solve_metric` for the gngd
-    optimizer, with J_r^T e the gradient at x, and is ignored otherwise.
-    Line-search failures first retry a plain gradient step at the last
-    backtracked step size, then terminate.
+    Each config is a phase that starts where the previous one stopped, with
+    fresh optimizer state; the report's optimizer names the phases joined by
+    "+" and its termination is the last phase's. `metric_fun(x)` supplies the
+    pair (J_r, e) of `solve_metric` for the gngd optimizer, with J_r^T e the
+    gradient at x, and is ignored otherwise. Line-search failures first retry
+    a plain gradient step at the last backtracked step size, then end the
+    phase; the next phase starts from the same point.
     """
-    opt = config.optimizer
-    if opt == "gngd" and metric_fun is None:
+    if metric_fun is None and any(c.optimizer == "gngd" for c in configs):
         raise ValueError("gngd requires a metric_fun")
     x = np.array(x0, dtype=float)
     n = x.size
     f = fun(x)
     g = grad_fun(x)
     costs = [f]
-    grad_norms: list[float] = []
+    grad_norms = [float(np.linalg.norm(g))]
     step_sizes: list[float] = []
     millis: list[float] = []
-    termination = "max_iters"
-    lbfgs = _Lbfgs(LBFGS_MEMORY)
-    prev_g = None
-    prev_p = None
-    since_restart = 0
-    # Levenberg-Marquardt schedule for the metric jitter: the pure
-    # Gauss-Newton direction can overshoot badly far from the optimum
-    # (accepted steps collapse to ~1e-5 and progress stalls), so the
-    # jitter grows tenfold on collapsed steps and decays back to the
-    # METRIC_EPS floor on full ones.
-    eps = METRIC_EPS
-    for _ in range(config.max_iters):
-        t0 = time.perf_counter()
-        gnorm = float(np.linalg.norm(g))
-        grad_norms.append(gnorm)
-        if gnorm <= config.grad_tol:
-            termination = "grad_tol"
-            break
-        if opt == "gd":
-            p = -g
-        elif opt == "cg":
-            if prev_g is None or since_restart >= n:
+    for config in configs:
+        opt = config.optimizer
+        termination = "max_iters"
+        lbfgs = _Lbfgs(LBFGS_MEMORY)
+        prev_g = prev_p = None
+        since_restart = 0
+        # Levenberg-Marquardt schedule for the metric jitter: the pure
+        # Gauss-Newton direction can overshoot badly far from the optimum
+        # (accepted steps collapse to ~1e-5 and progress stalls), so the
+        # jitter grows tenfold on collapsed steps and decays back to the
+        # METRIC_EPS floor on full ones.
+        eps = METRIC_EPS
+        for _ in range(config.max_iters):
+            t0 = time.perf_counter()
+            if grad_norms[-1] <= config.grad_tol:
+                termination = "grad_tol"
+                break
+            if opt == "gd":
                 p = -g
-                since_restart = 0
-            else:
-                beta = max(0.0, float(g @ (g - prev_g)) / float(prev_g @ prev_g))
-                p = -g + beta * prev_p
-                if float(g @ p) >= 0.0:
+            elif opt == "cg":
+                if prev_g is None or since_restart >= n:
                     p = -g
                     since_restart = 0
-        elif opt == "lbfgs":
-            p = lbfgs.direction(g)
-            if float(g @ p) >= 0.0:
-                lbfgs.pairs.clear()
-                p = -g
-        else:  # gngd
-            p = -solve_metric(*metric_fun(x), eps)
-        res = _armijo(fun, x, f, g, p)
-        if res is None and opt != "gd":
-            res = _gradient_fallback(fun, x, f, g)
-            if res is not None:
-                lbfgs.pairs.clear()
-                prev_g = None
-                eps = min(eps * 10.0, 1e3)
-        if res is None:
-            termination = "line-search failure"
-            break
-        xn, fn, eta = res
-        if opt == "gngd":
-            if eta >= 0.5:
-                eps = max(eps / 10.0, METRIC_EPS)
-            elif eta < 1e-3:
-                eps = min(eps * 10.0, 1e3)
-        gn = grad_fun(xn)
-        if opt == "cg":
-            prev_g, prev_p = g, p
-            since_restart += 1
-        elif opt == "lbfgs":
-            lbfgs.update(xn - x, gn - g)
-        x, f, g = xn, fn, gn
-        costs.append(f)
-        step_sizes.append(eta)
-        millis.append(1e3 * (time.perf_counter() - t0))
-    if termination == "max_iters":
-        grad_norms.append(float(np.linalg.norm(g)))
+                else:
+                    beta = max(0.0, float(g @ (g - prev_g)) / float(prev_g @ prev_g))
+                    p = -g + beta * prev_p
+                    if float(g @ p) >= 0.0:
+                        p = -g
+                        since_restart = 0
+            elif opt == "lbfgs":
+                p = lbfgs.direction(g)
+                if float(g @ p) >= 0.0:
+                    lbfgs.pairs.clear()
+                    p = -g
+            else:  # gngd
+                p = -solve_metric(*metric_fun(x), eps)
+            res = _armijo(fun, x, f, g, p)
+            if res is None:
+                res = _gradient_fallback(fun, x, f, g)
+                if res is not None:
+                    lbfgs.pairs.clear()
+                    # a second tenfold rise follows below, as the fallback's
+                    # step is under 1e-3: eps grows 100x per accepted fallback
+                    eps = min(eps * 10.0, 1e3)
+            if res is None:
+                termination = "line-search failure"
+                break
+            xn, fn, eta = res
+            if opt == "gngd":
+                if eta >= 0.5:
+                    eps = max(eps / 10.0, METRIC_EPS)
+                elif eta < 1e-3:
+                    eps = min(eps * 10.0, 1e3)
+            gn = grad_fun(xn)
+            if opt == "cg":
+                prev_g, prev_p = g, p
+                since_restart += 1
+            elif opt == "lbfgs":
+                lbfgs.update(xn - x, gn - g)
+            x, f, g = xn, fn, gn
+            costs.append(f)
+            grad_norms.append(float(np.linalg.norm(g)))
+            step_sizes.append(eta)
+            millis.append(1e3 * (time.perf_counter() - t0))
     report = TrainReport(
-        optimizer=opt,
+        optimizer="+".join(c.optimizer for c in configs),
         costs=costs,
         grad_norms=grad_norms,
         step_sizes=step_sizes,
@@ -453,36 +455,24 @@ def fit_ndo(
     `ndo.init_params` (the uniform superposition J/d) passes its own
     coherence on to the result, and beat MaxLik on only 7 of those 20
     targets. The natural-gradient polish converges far faster than L-BFGS
-    near the optimum. Returns (params, merged TrainReport).
+    near the optimum. Returns (params, TrainReport) of the one two-phase fit.
     """
-    init = ndo.mixed_init_params(d, m_h, m_a, seed=seed)
-    warm_config = TrainConfig(optimizer="lbfgs", grad_tol=grad_tol, max_iters=warmup_iters)
-    mid, warm = optimize(warm_config, ds, bases, init)
-    polish_config = TrainConfig(optimizer="gngd", grad_tol=grad_tol, max_iters=polish_iters)
-    params, polish = optimize(polish_config, ds, bases, mid, target=target)
-    return params, dataclasses.replace(
-        polish,
-        optimizer="lbfgs+gngd",
-        costs=warm.costs + polish.costs[1:],
-        grad_norms=warm.grad_norms + polish.grad_norms[1:],
-        step_sizes=warm.step_sizes + polish.step_sizes,
-        millis=warm.millis + polish.millis,
+    return optimize(
+        (TrainConfig("lbfgs", grad_tol, warmup_iters), TrainConfig("gngd", grad_tol, polish_iters)),
+        ds, bases, ndo.mixed_init_params(d, m_h, m_a, seed=seed), target=target,
     )
 
 
 def optimize(
-    config: TrainConfig,
+    configs: Sequence[TrainConfig],
     ds,
     bases,
     init: ndo.NdoParams,
     target: np.ndarray | None = None,
 ):
-    """Run the configured optimizer from `init`; returns (params, TrainReport)."""
+    """Run the configured optimizer phases from `init`; returns (params, TrainReport)."""
     obj = _NdoObjective(ds, bases, init.dim, init.m_h, init.m_a)
-    x, report = minimize_vector(
-        obj.cost, obj.grad, init.to_vector(), config,
-        metric_fun=obj.metric if config.optimizer == "gngd" else None,
-    )
+    x, report = minimize_vector(obj.cost, obj.grad, init.to_vector(), *configs, metric_fun=obj.metric)
     params = ndo.NdoParams.from_vector(init.dim, init.m_h, init.m_a, x)
     if target is not None:
         report.score(ndo.density_matrix(params), target)

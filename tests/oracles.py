@@ -12,21 +12,23 @@ the complex Jacobian of all d^2 entries, filled one visible index at a
 time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`;
 the per-call gather, KL mask and data adjoint check the fit's cached ones;
 the two-loop recursion that forms every s.y on use checks `training._Lbfgs`;
+two separate fits joined by a report merge check `training.fit_ndo`'s phases;
 a Monte-Carlo average over coin phases checks `walk.dephasing_step`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 
-from qwndo import ndo
+from qwndo import ndo, training
 from qwndo.kernels import param_offsets
 from qwndo.maxlik import pack_t, t_matrix
 from qwndo.measurement import K_X, K_Y, n_bases
 from qwndo.ndo import NdoParams
-from qwndo.training import PROB_FLOOR
+from qwndo.training import PROB_FLOOR, TrainConfig
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -391,3 +393,21 @@ def dense_metric_direction(metric: np.ndarray, grad: np.ndarray, eps: float) -> 
     """(G + eps * (tr G / P) I)^-1 grad by a plain dense solve."""
     p = metric.shape[0]
     return np.linalg.solve(metric + eps * np.trace(metric) / p * np.eye(p), grad)
+
+
+def two_phase_fit_ndo(ds, bases, d, m_h, m_a, seed=0, warmup_iters=500, polish_iters=300,
+                      grad_tol=1e-8):
+    """`training.fit_ndo` as two fits: an L-BFGS warm-up, then a GNGD polish on
+    a fresh objective from the warm-up's end point, their reports merged at
+    the seam, which both fits evaluate."""
+    init = ndo.mixed_init_params(d, m_h, m_a, seed=seed)
+    mid, warm = training.optimize((TrainConfig("lbfgs", grad_tol, warmup_iters),), ds, bases, init)
+    params, polish = training.optimize((TrainConfig("gngd", grad_tol, polish_iters),), ds, bases, mid)
+    return params, dataclasses.replace(
+        polish,
+        optimizer="lbfgs+gngd",
+        costs=warm.costs + polish.costs[1:],
+        grad_norms=warm.grad_norms + polish.grad_norms[1:],
+        step_sizes=warm.step_sizes + polish.step_sizes,
+        millis=warm.millis + polish.millis,
+    )

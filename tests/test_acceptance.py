@@ -180,7 +180,7 @@ def test_criterion_7_gngd_speedup():
 
     def run(optimizer, max_iters):
         config = TrainConfig(optimizer=optimizer, grad_tol=1e-14, max_iters=max_iters)
-        _, rep = training.optimize(config, ds, bases, init)
+        _, rep = training.optimize((config,), ds, bases, init)
         return rep
 
     d_star = run("gd", 1000).final_cost

@@ -31,3 +31,18 @@ def test_fits_reach_every_traced_layer():
     for name in ("training.grad", "training.model_distributions", "maxlik.grad",
                  "kernels.assemble_jacobian", "training.solve_metric"):
         assert stats[name + ".calls"] > 0, name
+
+
+def test_fit_ndo_runs_one_traced_optimizer_loop():
+    rho = walk.evolve(walk.WalkConfig(1, (np.pi / 4,), noise="dephasing", delta_beta=1.0))
+    ds = measurement.generate_dataset(rho, 1)
+    bases = measurement.all_basis_unitaries(1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        _, report = training.fit_ndo(ds, bases, 4, 2, 2, seed=0, warmup_iters=3, polish_iters=2)
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    assert stats["training.minimize_vector.calls"] == 1
+    assert stats["training.iterations"] == report.iterations

@@ -412,7 +412,7 @@ class TestGngdStep:
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
         config = TrainConfig(optimizer="gngd", max_iters=200)
         init = ndo.init_params(6, 4, 4, scale=0.01, seed=1)
-        _, report = training.optimize(config, ds, bases, init)
+        _, report = training.optimize((config,), ds, bases, init)
         costs = np.array(report.costs)
         assert np.all(np.diff(costs) <= 0.0)
 
@@ -453,7 +453,7 @@ class TestOptimize:
         rho, ds, bases = hadamard_setup(1)
         config = TrainConfig(optimizer="gngd", max_iters=500)
         init = ndo.init_params(4, 4, 4, scale=0.01, seed=0)
-        _, report = training.optimize(config, ds, bases, init, target=rho)
+        _, report = training.optimize((config,), ds, bases, init, target=rho)
         assert report.iterations <= 500
         assert report.fidelity >= 0.999
 
@@ -461,8 +461,8 @@ class TestOptimize:
         rho, ds, bases = hadamard_setup(2)
         config = TrainConfig(optimizer="gngd", max_iters=40)
         init = ndo.init_params(6, 3, 3, scale=0.01, seed=7)
-        _, rep_a = training.optimize(config, ds, bases, init)
-        _, rep_b = training.optimize(config, ds, bases, init)
+        _, rep_a = training.optimize((config,), ds, bases, init)
+        _, rep_b = training.optimize((config,), ds, bases, init)
         assert rep_a.costs == rep_b.costs
         assert rep_a.step_sizes == rep_b.step_sizes
 
@@ -471,7 +471,7 @@ class TestOptimize:
         rho, ds, bases = hadamard_setup(1, noise="depolarizing", p=0.3)
         config = TrainConfig(optimizer=optimizer, max_iters=120)
         init = ndo.init_params(4, 3, 3, scale=0.01, seed=2)
-        _, report = training.optimize(config, ds, bases, init)
+        _, report = training.optimize((config,), ds, bases, init)
         assert np.all(np.diff(report.costs) <= 0.0)
 
     @pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
@@ -484,7 +484,7 @@ class TestOptimize:
             max_iters=20000 if optimizer in ("gd", "cg") else 5000,
         )
         init = ndo.init_params(4, 2, 2, scale=0.01, seed=3)
-        _, report = training.optimize(config, ds, bases, init)
+        _, report = training.optimize((config,), ds, bases, init)
         assert report.termination == "grad_tol"
         assert report.final_grad_norm <= 1e-6
 
@@ -502,7 +502,7 @@ class TestTrainReport:
         rho, ds, bases = hadamard_setup(1)
         config = TrainConfig(optimizer="gd", max_iters=20)
         init = ndo.init_params(4, 2, 2, scale=0.01, seed=1)
-        _, report = training.optimize(config, ds, bases, init)
+        _, report = training.optimize((config,), ds, bases, init)
         path = tmp_path / "trace.csv"
         report.save_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -517,7 +517,7 @@ class TestTrainReport:
         rho, ds, bases = hadamard_setup(1)
         config = TrainConfig(optimizer="lbfgs", max_iters=15)
         init = ndo.init_params(4, 2, 2, scale=0.01, seed=4)
-        _, report = training.optimize(config, ds, bases, init, target=rho)
+        _, report = training.optimize((config,), ds, bases, init, target=rho)
         path = tmp_path / "report.json"
         report.save_json(path)
         doc = json.loads(path.read_text())
@@ -526,15 +526,45 @@ class TestTrainReport:
         assert len(doc["costs"]) == doc["iterations"] + 1
         assert doc["fidelity"] is not None
 
-    def test_fit_ndo_pairs_each_cost_with_its_gradient_norm(self):
+    def test_fit_ndo_pairs_each_cost_with_its_gradient_norm(self, monkeypatch):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
-        _, merged = training.fit_ndo(ds, bases, 6, 3, 3, seed=1, warmup_iters=5,
-                                     polish_iters=3, grad_tol=1e-14)
-        init = ndo.mixed_init_params(6, 3, 3, seed=1)
-        mid, warm = training.optimize(TrainConfig("lbfgs", 1e-14, 5), ds, bases, init)
-        _, polish = training.optimize(TrainConfig("gngd", 1e-14, 3), ds, bases, mid)
-        assert warm.grad_norms[-1] == polish.grad_norms[0]  # the seam, evaluated twice
-        assert len(merged.costs) == len(merged.grad_norms) == 9
-        pairs = [*zip(warm.costs, warm.grad_norms), *zip(polish.costs[1:], polish.grad_norms[1:])]
-        assert [(cost, norm) for _, cost, norm, _, _ in merged.rows()] == pairs[:-1]
-        assert (merged.final_cost, merged.final_grad_norm) == pairs[-1]
+        fit = (ds, bases, 6, 3, 3)
+        options = dict(seed=1, warmup_iters=5, polish_iters=3, grad_tol=1e-14)
+        evals = count_calls(monkeypatch, ndo, "evaluate")
+        _, report = training.fit_ndo(*fit, **options)
+        one_loop = len(evals)
+        oracles.two_phase_fit_ndo(*fit, **options)
+        assert len(evals) - one_loop == one_loop + 1  # the oracle evaluates the seam twice
+        assert len(report.costs) == len(report.grad_norms) == 9
+
+
+# (walk, network dims, fit options, the two-fit oracle's termination and iterations)
+PHASE_SEAMS = {
+    "warmup-max-iters": (
+        (2, "dephasing", 1.0), (6, 3, 3),
+        dict(seed=1, warmup_iters=5, polish_iters=3, grad_tol=1e-14), ("max_iters", 8),
+    ),
+    "warmup-grad-tol": (  # L-BFGS converges in 50 steps; the polish takes none
+        (1, "none", 0.0), (4, 3, 3),
+        dict(seed=1, warmup_iters=300, polish_iters=30, grad_tol=1e-5), ("grad_tol", 50),
+    ),
+    "warmup-line-search-failure": (  # L-BFGS fails at step 370; GNGD takes 7 more
+        (1, "none", 0.0), (4, 3, 3),
+        dict(seed=0, warmup_iters=2000, polish_iters=30), ("line-search failure", 377),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PHASE_SEAMS)
+def test_fit_ndo_one_loop_equals_two_fit_oracle(case):
+    (n_steps, noise, delta_beta), dims, options, (termination, iterations) = PHASE_SEAMS[case]
+    rho, ds, bases = hadamard_setup(n_steps, noise=noise, delta_beta=delta_beta)
+    params, report = training.fit_ndo(ds, bases, *dims, **options)
+    ref_params, ref = oracles.two_phase_fit_ndo(ds, bases, *dims, **options)
+    assert (ref.termination, ref.iterations) == (termination, iterations)
+    assert np.array_equal(params.to_vector(), ref_params.to_vector())
+    assert report.costs == ref.costs
+    assert report.grad_norms == ref.grad_norms
+    assert report.step_sizes == ref.step_sizes
+    assert report.termination == ref.termination
+    assert report.optimizer == ref.optimizer == "lbfgs+gngd"
