@@ -60,6 +60,11 @@ def _walk_config(args) -> walk.WalkConfig:
     else:
         alpha = args.alpha if args.alpha is not None else np.pi / 4
         angles = (alpha,) * args.steps
+    channel_flags = (("--w-s", args.w_s, "mixing"), ("--w-l", args.w_l, "mixing"),
+                     ("--delta-beta", args.delta_beta, "dephasing"), ("--p", args.p, "depolarizing"))
+    for flag, value, kind in channel_flags:  # each applies to one noise kind only
+        if value != 0.0 and args.noise != kind:
+            raise ValueError(f"{flag} applies only to --noise {kind}, got --noise {args.noise}")
     return walk.WalkConfig(
         n_steps=args.steps,
         coin_angles=angles,
@@ -81,6 +86,9 @@ def _network_sizes(args) -> tuple[int, int]:
     default = _network_size(getattr(args, "noise", "none"))
     hidden = args.hidden if args.hidden is not None else default
     ancillary = args.ancillary if args.ancillary is not None else default
+    for flag, value in (("--hidden", hidden), ("--ancillary", ancillary)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     return hidden, ancillary
 
 

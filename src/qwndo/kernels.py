@@ -169,7 +169,7 @@ def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
     s_ab = s_pair[:, al, be].T  # (pairs, m_a)
 
     def block(name, width):
-        return jac[:, off[name] : off[name] + width * d].reshape(-1, width, d)
+        return jac[:, off[name] : off[name] + width * d].reshape(jac.shape[0], width, d)
 
     units_h, units_a = np.arange(m_h)[None, :], np.arange(m_a)[None, :]
     ul_term, um_term = half * s_ab, half_j * s_ab

@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
-NOISE_KINDS = ("none", "mixing", "dephasing", "depolarizing")
+# the channel that follows each step's unitary, by WalkConfig.noise
+CHANNELS = {
+    "none": lambda rho, config: rho,
+    "mixing": lambda rho, config: mixing_step(rho, config.w_s, config.w_l),
+    "dephasing": lambda rho, config: dephasing_step(rho, config.delta_beta),
+    "depolarizing": lambda rho, config: depolarizing_step(rho, config.p),
+}
+NOISE_KINDS = tuple(CHANNELS)
 
 
 def dim(n_steps: int) -> int:
@@ -102,65 +105,51 @@ def step_unitary(alpha: float, n_steps: int) -> np.ndarray:
     return shift_operator(n_steps) @ np.kron(np.eye(n_steps + 1), coin_operator(alpha))
 
 
-def kraus_operators(alpha: float, n_steps: int, w_s: float, w_l: float) -> list[np.ndarray]:
-    """Kraus set for one mixing step: coherent part plus coin and site projections.
+def mixing_step(rho: np.ndarray, w_s: float, w_l: float) -> np.ndarray:
+    """Projective mixing (1 - w_s - w_l) rho + w_s sum_c P_c rho P_c + w_l sum_l P_l rho P_l.
 
-    E_0 = sqrt(1 - w_s - w_l) U, one sqrt(w_s) P_coin U per coin value and
-    one sqrt(w_l) P_site U per lattice site; sums to identity by construction.
+    A projector sum over the coin values (lattice sites) keeps the entries
+    whose coins (sites) agree and zeroes the rest, so entry (i, j) is scaled
+    by (1 - w_s - w_l) + w_s [c_i = c_j] + w_l [l_i = l_j].
     """
     if w_s < 0 or w_l < 0 or w_s + w_l > 1.0:
         raise ValueError(f"need w_s, w_l >= 0 and w_s + w_l <= 1, got ({w_s}, {w_l})")
-    n_sites = n_steps + 1
-    d = 2 * n_sites
-    u = step_unitary(alpha, n_steps)
-    ops = [np.sqrt(1.0 - w_s - w_l) * u]
-    if w_s > 0:
-        for c in (0, 1):
-            proj = np.zeros(d)
-            proj[c::2] = 1.0
-            ops.append(np.sqrt(w_s) * (proj[:, None] * u))
-    if w_l > 0:
-        for l in range(n_sites):
-            proj = np.zeros(d)
-            proj[2 * l : 2 * l + 2] = 1.0
-            ops.append(np.sqrt(w_l) * (proj[:, None] * u))
-    return ops
-
-
-def apply_kraus_step(rho: np.ndarray, alpha: float, w_s: float, w_l: float) -> np.ndarray:
-    """One open-walk step rho -> sum_k E_k rho E_k^dag with the mixing Kraus set."""
-    out = np.zeros_like(rho, dtype=np.complex128)
-    for e in kraus_operators(alpha, rho.shape[0] // 2 - 1, w_s, w_l):
-        out += e @ rho @ e.conj().T
-    return out
+    idx = np.arange(rho.shape[0])
+    same_coin = idx[:, None] % 2 == idx[None, :] % 2
+    same_site = idx[:, None] // 2 == idx[None, :] // 2
+    return rho * ((1.0 - w_s - w_l) + w_s * same_coin + w_l * same_site)
 
 
 def dephasing_step(rho: np.ndarray, delta_beta: float) -> np.ndarray:
     """Coin dephasing: average over conjugations by the phase gate exp(i*beta*sigma_z/2).
 
-    Conjugation multiplies the up-down coin blocks elementwise by exp(i*beta),
-    so averaging beta ~ U[-delta_beta, delta_beta] attenuates them by
+    Conjugation multiplies the up-down coin blocks elementwise by exp(+-i*beta),
+    so averaging beta ~ U[-delta_beta, delta_beta] attenuates them by the real
     sinc(delta_beta) = sin(delta_beta)/delta_beta.
     """
     if not 0.0 <= delta_beta <= np.pi:
         raise ValueError(f"delta_beta must lie in [0, pi], got {delta_beta}")
-    factor = complex(np.sinc(delta_beta / np.pi))
-    out = np.array(rho, dtype=np.complex128, copy=True)
+    factor = np.sinc(delta_beta / np.pi)
+    out = np.array(rho, dtype=np.complex128)
     out[0::2, 1::2] *= factor
-    out[1::2, 0::2] *= np.conj(factor)
+    out[1::2, 0::2] *= factor
     return out
 
 
 def depolarizing_step(rho: np.ndarray, p: float) -> np.ndarray:
-    """Coin depolarizing channel (1-p) rho + p/3 sum_xyz (sigma x I) rho (sigma x I)."""
+    """Coin depolarizing channel (1-p) rho + p/3 sum_xyz sigma rho sigma, each Pauli on the coin.
+
+    On a 2x2 coin block B the Pauli sum is 2 tr(B) I - B (Nielsen & Chuang,
+    section 8.3.4), so the channel is (1 - 4p/3) rho plus 2p/3 times the block
+    traces rho_00 + rho_11 on both coin diagonals.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing p must lie in [0, 1], got {p}")
-    n_sites = rho.shape[0] // 2
-    eye = np.eye(n_sites)
-    out = (1.0 - p) * np.asarray(rho, dtype=np.complex128)
-    for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-        k = np.kron(eye, sigma)
-        out += (p / 3.0) * (k @ rho @ k.conj().T)
+    rho = np.asarray(rho, dtype=np.complex128)
+    out = (1.0 - 4.0 * p / 3.0) * rho
+    traces = (2.0 * p / 3.0) * (rho[0::2, 0::2] + rho[1::2, 1::2])
+    out[0::2, 0::2] += traces
+    out[1::2, 1::2] += traces
     return out
 
 
@@ -191,19 +180,13 @@ def evolve(config: WalkConfig) -> np.ndarray:
     n = config.n_steps
     rho = initial_state(n)
     wrap_source = 2 * n  # (up, N): feeding the cyclic wrap would be unphysical
+    channel = CHANNELS[config.noise]
     for t, alpha in enumerate(config.coin_angles):
         if rho[wrap_source, wrap_source].real > 1e-12:
             raise RuntimeError(
                 f"wrap source (up, {n}) populated before step {t}: "
                 f"{rho[wrap_source, wrap_source].real:.3e}"
             )
-        if config.noise == "mixing":
-            rho = apply_kraus_step(rho, alpha, config.w_s, config.w_l)
-            continue
         u = step_unitary(alpha, n)
-        rho = u @ rho @ u.conj().T
-        if config.noise == "dephasing":
-            rho = dephasing_step(rho, config.delta_beta)
-        elif config.noise == "depolarizing":
-            rho = depolarizing_step(rho, config.p)
+        rho = channel(u @ rho @ u.conj().T, config)
     return rho

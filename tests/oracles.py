@@ -13,7 +13,10 @@ time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`;
 the per-call gather, KL mask and data adjoint check the fit's cached ones;
 the two-loop recursion that forms every s.y on use checks `training._Lbfgs`;
 two separate fits joined by a report merge check `training.fit_ndo`'s phases;
-a Monte-Carlo average over coin phases checks `walk.dephasing_step`.
+a Monte-Carlo average over coin phases checks `walk.dephasing_step`; the
+walk with a dense Kraus list for mixing, the complex phase pair for
+dephasing and the kron(I, sigma) Pauli sum for depolarizing checks the
+entrywise channels of `walk.evolve`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qwndo import ndo, training
+from qwndo import ndo, training, walk
 from qwndo.kernels import param_offsets
 from qwndo.maxlik import pack_t, t_matrix
 from qwndo.measurement import K_X, K_Y, n_bases
@@ -255,6 +258,65 @@ def monte_carlo_dephasing(rho: np.ndarray, delta_beta: float, n_samples: int, se
     out[0::2, 1::2] *= factor
     out[1::2, 0::2] *= np.conj(factor)
     return out
+
+
+PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+)
+
+
+def kraus_operators(alpha: float, n_steps: int, w_s: float, w_l: float) -> list[np.ndarray]:
+    """Kraus set for one mixing step: coherent part plus coin and site projections.
+
+    E_0 = sqrt(1 - w_s - w_l) U, one sqrt(w_s) P_coin U per coin value and
+    one sqrt(w_l) P_site U per lattice site; sums to identity by construction.
+    """
+    n_sites = n_steps + 1
+    d = 2 * n_sites
+    u = walk.step_unitary(alpha, n_steps)
+    ops = [np.sqrt(1.0 - w_s - w_l) * u]
+    if w_s > 0:
+        for c in (0, 1):
+            proj = np.zeros(d)
+            proj[c::2] = 1.0
+            ops.append(np.sqrt(w_s) * (proj[:, None] * u))
+    if w_l > 0:
+        for l in range(n_sites):
+            proj = np.zeros(d)
+            proj[2 * l : 2 * l + 2] = 1.0
+            ops.append(np.sqrt(w_l) * (proj[:, None] * u))
+    return ops
+
+
+def dense_evolve(config: walk.WalkConfig) -> np.ndarray:
+    """The walk with every channel in its operator form: a mixing step is
+    sum_k E_k rho E_k^dag over `kraus_operators`, dephasing multiplies the
+    up-down blocks by complex sinc(delta_beta) and its conjugate, and
+    depolarizing adds p/3 of each kron(I, sigma) conjugation to (1-p) rho."""
+    n = config.n_steps
+    rho = walk.initial_state(n)
+    for alpha in config.coin_angles:
+        if config.noise == "mixing":
+            out = np.zeros_like(rho)
+            for e in kraus_operators(alpha, n, config.w_s, config.w_l):
+                out += e @ rho @ e.conj().T
+            rho = out
+            continue
+        u = walk.step_unitary(alpha, n)
+        rho = u @ rho @ u.conj().T
+        if config.noise == "dephasing":
+            factor = complex(np.sinc(config.delta_beta / np.pi))
+            rho[0::2, 1::2] *= factor
+            rho[1::2, 0::2] *= np.conj(factor)
+        elif config.noise == "depolarizing":
+            out = (1.0 - config.p) * rho
+            for sigma in PAULIS:
+                k = np.kron(np.eye(n + 1), sigma)
+                out += (config.p / 3.0) * (k @ rho @ k.conj().T)
+            rho = out
+    return rho
 
 
 def cyclic_shift(n_steps: int) -> np.ndarray:

@@ -341,6 +341,44 @@ class TestReproduce:
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["simulate", "--noise", "none", "--p", "0.5"], "--p"),
+        (["simulate", "--noise", "dephasing", "--w-s", "0.5"], "--w-s"),
+        (["simulate", "--noise", "depolarizing", "--w-l", "0.2"], "--w-l"),
+        (["simulate", "--noise", "mixing", "--w-s", "0.3", "--delta-beta", "1.0"], "--delta-beta"),
+        (["bench-opt", "--noise", "none", "--p", "0.3", "--hidden", "2", "--ancillary", "2"], "--p"),
+    ],
+)
+def test_channel_flag_of_another_noise_exit_one(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run([*argv, "--steps", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} applies only to --noise ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["train", "--hidden", "-1"], "--hidden", -1),
+        (["bench-opt", "--steps", "1", "--ancillary", "-2"], "--ancillary", -2),
+        (["reproduce", "fig5", "--steps", "1", "--hidden", "-1"], "--hidden", -1),
+    ],
+)
+def test_negative_unit_count_exit_one(tmp_path, capsys, small_dataset, argv, flag, value):
+    out = tmp_path / "out"
+    extra = {
+        "train": ["--dataset", str(small_dataset), "--checkpoint", str(out)],
+        "bench-opt": ["--out", str(out)],
+        "reproduce": ["--out-dir", str(out)],
+    }[argv[0]]
+    assert run([*argv, *extra]) == 1
+    assert f"error: {flag} must be >= 0, got {value}" in capsys.readouterr().err
+    assert not out.is_file() and not (out / "summary.txt").exists()
+
+
 def readme_commands():
     """Every `qwndo ...` command in the README's bash blocks, as argument lists."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

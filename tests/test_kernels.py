@@ -46,7 +46,8 @@ class TestRealJacobian:
 
     @pytest.mark.parametrize(
         "d,m_h,m_a,scale,seed",
-        [(4, 3, 2, 0.9, 3), (6, 4, 3, 2.0, 5), (12, 15, 15, 1.0, 1), (22, 15, 15, 0.5, 2)],
+        [(4, 3, 2, 0.9, 3), (6, 4, 3, 2.0, 5), (12, 15, 15, 1.0, 1), (22, 15, 15, 0.5, 2),
+         (6, 0, 3, 1.0, 6), (6, 3, 0, 1.0, 7), (6, 0, 0, 1.0, 8)],
     )
     def test_equals_hermitian_rows_of_oracle(self, d, m_h, m_a, scale, seed):
         params = ndo.init_params(d, m_h, m_a, scale=scale, seed=seed)

@@ -102,16 +102,18 @@ class TestStepUnitary:
 
 
 class TestKrausStep:
+    """`mixing_step` against the projector form and the oracle's Kraus set."""
+
     def test_no_mixing_is_unitary_step(self):
-        rho = walk.initial_state(2)
-        out = walk.apply_kraus_step(rho, np.pi / 4, 0.0, 0.0)
         u = walk.step_unitary(np.pi / 4, 2)
-        np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-12)
+        sigma = u @ walk.initial_state(2) @ u.conj().T
+        out = walk.mixing_step(sigma, 0.0, 0.0)
+        np.testing.assert_allclose(out, sigma, atol=1e-12)
         assert np.trace(out @ out).real == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("ws,wl", [(0.3, 0.2), (1.0, 0.0), (0.0, 1.0)])
     def test_completeness(self, ws, wl):
-        ops = walk.kraus_operators(0.9, 2, ws, wl)
+        ops = oracles.kraus_operators(0.9, 2, ws, wl)
         total = sum(e.conj().T @ e for e in ops)
         np.testing.assert_allclose(total, np.eye(6), atol=1e-12)
 
@@ -120,13 +122,14 @@ class TestKrausStep:
             for wl in np.linspace(0, 1, 5):
                 if ws + wl > 1:
                     continue
-                ops = walk.kraus_operators(0.3, 1, ws, wl)
+                ops = oracles.kraus_operators(0.3, 1, ws, wl)
                 total = sum(e.conj().T @ e for e in ops)
                 np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
     def test_full_coin_projection_from_initial(self):
-        # explicit Kraus-sum oracle: w_s=1 projects onto the coin branches
-        out = walk.apply_kraus_step(walk.initial_state(1), np.pi / 4, 1.0, 0.0)
+        # explicit projector oracle: w_s=1 projects onto the coin branches
+        u = walk.step_unitary(np.pi / 4, 1)
+        out = walk.mixing_step(u @ walk.initial_state(1) @ u.conj().T, 1.0, 0.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[2, 2] = 0.5  # |up,1>
         expected[1, 1] = 0.5  # |down,0>
@@ -134,7 +137,7 @@ class TestKrausStep:
 
     def test_rejects_excess_weight(self):
         with pytest.raises(ValueError):
-            walk.apply_kraus_step(walk.initial_state(1), 0.1, 0.7, 0.5)
+            walk.mixing_step(walk.initial_state(1), 0.7, 0.5)
 
 
 class TestDephasingStep:
@@ -270,6 +273,32 @@ class TestEvolve:
             rng.integers(2**31)  # unused draw: keeps the instances the recorded results used
             config = walk.WalkConfig(n, angles, noise=noise, **kwargs)
             walk.validate_density_matrix(walk.evolve(config), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 30])
+    @pytest.mark.parametrize(
+        "noise,kwargs",
+        [
+            ("none", {}),
+            ("mixing", {"w_s": 0.3, "w_l": 0.2}),
+            ("mixing", {"w_s": 1.0}),
+            ("mixing", {"w_l": 1.0}),
+            ("dephasing", {"delta_beta": 1.2}),
+            ("dephasing", {"delta_beta": np.pi}),
+            ("depolarizing", {"p": 0.0}),
+            ("depolarizing", {"p": 0.4}),
+            ("depolarizing", {"p": 0.75}),
+            ("depolarizing", {"p": 1.0}),
+        ],
+    )
+    def test_matches_dense_oracle(self, n, noise, kwargs):
+        # the entrywise channels equal the operator forms: bit for bit where
+        # the step is the same product, at roundoff where sums are regrouped
+        config = walk.WalkConfig(n, tuple(walk.disordered_angles(n, n)), noise=noise, **kwargs)
+        rho, ref = walk.evolve(config), oracles.dense_evolve(config)
+        if noise in ("none", "dephasing"):
+            assert np.array_equal(rho, ref)
+        else:
+            np.testing.assert_allclose(rho, ref, rtol=0, atol=1e-15)
 
     def test_wrap_source_never_populated_before_final_step(self):
         # observable consequence: evolve never raises across the suite
