@@ -342,10 +342,15 @@ def _reproduce_fig4(args, out_dir: Path) -> dict:
     }
 
 
+def _fig5_walk(args) -> walk.WalkConfig:
+    """fig5's Hadamard walk of --steps steps, with its --hidden/--ancillary checked."""
+    _network_sizes(args)
+    return walk.WalkConfig(args.steps, (np.pi / 4,) * max(args.steps, 0))
+
+
 def _reproduce_fig5(args, out_dir: Path) -> dict:
-    n = args.steps
     csv_path = out_dir / "fig5_cost.csv"
-    reports = _compare_optimizers(args, walk.WalkConfig(n, (np.pi / 4,) * n), csv_path)
+    reports = _compare_optimizers(args, _fig5_walk(args), csv_path)
     gd_level = reports["gd"].final_cost
     summary = {"gd_final_cost": gd_level, "csv": str(csv_path)}
     for name, report in reports.items():
@@ -362,6 +367,10 @@ def cmd_reproduce(args) -> int:
     for flag, value in (("--samples", args.samples), ("--max-steps", args.max_steps)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    # every input is checked before the report directory is created
+    _train_config(args)
+    if args.preset == "fig5":
+        _fig5_walk(args)
     out_dir = Path(args.out_dir or f"reproduce_{args.preset}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = REPRODUCE_PRESETS[args.preset](args, out_dir)

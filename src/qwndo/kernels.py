@@ -5,7 +5,10 @@ matrix row-major. The log density A and every per-pair quantity derived from
 it are Hermitian in the index pair, so the complex ancilla terms are computed
 on the d(d+1)/2 upper pairs (`_upper_pairs`) and `mirror`ed by conjugation.
 Each softplus keeps the exp it evaluates, and the matching logistic reuses it:
-one exp per pre-activation serves the state, the gradient and the Jacobian.
+one exp per pre-activation serves the state, the gradient and the metric.
+`assemble_jacobian` builds the real state Jacobian, which no fit forms: it
+is the reference that `training.gram` and the metric's pullback are tested
+against.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
     on the d(d+1)/2 upper index pairs (`_upper_pairs` order), shape
     (m_a, pairs), and t_z the exp its softplus evaluates. z(b, a) = conj z(a, b),
     so the softplus and its sum over ancillas run on the upper pairs only, and
-    the sum is `mirror`ed into A. The gradient and the Jacobian read
+    the sum is `mirror`ed into A. The gradient and the metric read
     logistic(x_*) and the complex logistic of z, which `ndo.NdoEval` forms from
     these exps on first use.
     """
@@ -136,7 +139,8 @@ def mirror(upper: np.ndarray, d: int) -> np.ndarray:
 
 
 def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
-    """Real Jacobian J_r of rho's d^2 Hermitian coordinates, shape (d*d, P).
+    """Real Jacobian J_r of rho's d^2 Hermitian coordinates, shape (d*d, P);
+    the test reference of `training.gram` (J_r J_r^T) and its pullback J_r^T y.
 
     rho is Hermitian, so its derivative is fixed by the upper entries
     (alpha <= beta), and J_r is `hermitian_rows` of them: d(rho_aa)/d(theta)

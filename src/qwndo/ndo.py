@@ -186,7 +186,8 @@ class NdoEval:
     the exps their softplus already evaluated (`kernels.pair_cache`), so a
     point that only needs its cost (a rejected line-search trial) never pays
     for them, and one that does pays no second exp. The ancilla logistic is
-    formed on the upper index pairs and mirrored to the full (m_a, d, d) array.
+    formed on the upper index pairs, which the metric reads, and mirrored to
+    the full (m_a, d, d) array, which the gradient reads.
     """
 
     a: np.ndarray          # (d, d) complex log density entries
@@ -209,9 +210,14 @@ class NdoEval:
         return kernels._logistic(self.x_mu, self.t_mu)
 
     @functools.cached_property
+    def s_upper(self) -> np.ndarray:
+        """(m_a, d(d+1)/2) complex ancilla logistic on the upper index pairs."""
+        return kernels._logistic_c(self.z, self.t_z)
+
+    @functools.cached_property
     def s_pair(self) -> np.ndarray:
-        """(m_a, d, d) complex ancilla logistic per index pair."""
-        return kernels.mirror(kernels._logistic_c(self.z, self.t_z), self.rho.shape[0])
+        """(m_a, d, d) complex ancilla logistic per index pair, `s_upper` mirrored."""
+        return kernels.mirror(self.s_upper, self.rho.shape[0])
 
 
 def evaluate(params: NdoParams) -> NdoEval:

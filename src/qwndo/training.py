@@ -12,21 +12,25 @@ Polak-Ribiere-plus conjugate gradient, L-BFGS, and natural gradient descent
 preconditioned by the Gram metric G = Re(J^dag J) of the flattened-state
 Jacobian J, i.e. the pullback of a flat metric on density-matrix entries.
 rho is Hermitian, so J has d^2 independent real rows J_r
-(`kernels.hermitian_rows`), which `kernels.assemble_jacobian` builds;
-G = J_r^T J_r, and the gradient is J_r^T e for the same coordinates e of -M^T.
-The push-through identity (J_r^T J_r + lam I)^-1 J_r^T = J_r^T (J_r J_r^T +
-lam I)^-1 (Rende et al., Commun. Phys. 2024) makes the metric solve d^2 x d^2.
+(`kernels.hermitian_rows`); G = J_r^T J_r, and the gradient is J_r^T e for
+the same coordinates e of -M^T. The push-through identity
+(J_r^T J_r + lam I)^-1 J_r^T = J_r^T (J_r J_r^T + lam I)^-1 (Rende et al.,
+Commun. Phys. 2024) makes the metric solve d^2 x d^2. Neither product needs
+J_r (Schraudolph, Neural Comput. 14, 2002): `gram` forms K = J_r J_r^T from
+the one-hot structure of the network in O(d^4 (m_h + m_a)), and
+`_pullback_rows` forms J_r^T y by the gradient's own contraction.
+`kernels.assemble_jacobian` builds J_r only for the tests that check both.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
 
 from . import fileio, kernels, metrics, ndo
 from .measurement import BasisTables
@@ -146,16 +150,26 @@ def _hermitian_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _grad_from_eval(ev: ndo.NdoEval, m: np.ndarray, n_bases: int) -> np.ndarray:
-    """Analytic cost gradient: contract the error matrix E with dA's structure.
-
-    E = -rho .* M + N_b diag(rho_vv), with M the adjoint of `KlObjective`. E is
-    Hermitian, so the contraction is real up to roundoff; a larger imaginary
-    part raises RuntimeError.
+    """Analytic cost gradient: `_contract` the error matrix
+    E = -rho .* M + N_b diag(rho_vv), with M the adjoint of `KlObjective`.
+    E is Hermitian, so the contraction is real up to roundoff; a larger
+    imaginary part raises RuntimeError.
     """
     d = ev.rho.shape[0]
     e_mat = -(ev.rho * m)
     idx = np.arange(d)
     e_mat[idx, idx] += n_bases * ev.rho.diagonal().real
+    g = _contract(ev, e_mat)
+    resid = np.max(np.abs(g.imag))
+    scale = max(1.0, float(np.max(np.abs(g.real))))
+    if resid > 1e-10 * scale:
+        raise RuntimeError(f"gradient imaginary residue {resid:.3e} exceeds roundoff")
+    return g.real.copy()
+
+
+def _contract(ev: ndo.NdoEval, e_mat: np.ndarray) -> np.ndarray:
+    """sum_ab E_ab dA_ab / d theta by dA's one-hot structure, as a complex vector
+    whose real part is the contraction with a Hermitian (d, d) E."""
     rs = e_mat.sum(axis=1)
     cs = e_mat.sum(axis=0)
     plus, minus = 0.5 * (rs + cs), 0.5j * (rs - cs)
@@ -168,32 +182,152 @@ def _grad_from_eval(ev: ndo.NdoEval, m: np.ndarray, n_bases: int) -> np.ndarray:
         "c_lam": ev.sig_lam @ plus, "c_mu": ev.sig_mu @ minus,
         "d_lam": np.einsum("iab,ab->i", ev.s_pair, e_mat),
     }
-    g = np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
-    resid = np.max(np.abs(g.imag))
-    scale = max(1.0, float(np.max(np.abs(g.real))))
-    if resid > 1e-10 * scale:
-        raise RuntimeError(f"gradient imaginary residue {resid:.3e} exceeds roundoff")
-    return g.real.copy()
+    return np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
 
 
-def gram(jr: np.ndarray) -> np.ndarray:
-    """K = J_r J_r^T, the (d^2, d^2) metric in rho-space, as one real rank-P update."""
-    upper = dsyrk(1.0, jr.T, trans=1, lower=0)
-    return upper + np.triu(upper, 1).T
+def _pullback_rows(ev: ndo.NdoEval, y: np.ndarray) -> np.ndarray:
+    """J_r^T y for Hermitian-row coordinates y: the contraction of
+    E = rho .* Y - (sum rho .* Y) diag(rho_vv), where Y is the Hermitian
+    matrix with Y_aa = y_a and Y_ab = (y_re - i y_im) / sqrt 2 above the
+    diagonal, so that sum_ab Y_ab drho_ab = J_r^T y.
+
+    sum E = (sum rho .* Y)(1 - tr rho), and E_ss of the largest population is
+    set from it: near a basis state E_ss is small, and rho_ss (y_s - sum rho .* Y)
+    would leave it the roundoff of O(y) terms."""
+    d = ev.rho.shape[0]
+    n = d * (d + 1) // 2
+    upper = np.empty(n, dtype=complex)
+    upper[:d] = y[:d]
+    upper[d:] = (y[d:n] - 1j * y[n:]) / np.sqrt(2.0)
+    e_mat = ev.rho * kernels.mirror(upper, d)
+    total = e_mat.sum().real
+    pd = ev.rho.diagonal().real
+    idx = np.arange(d)
+    e_mat[idx, idx] -= total * pd
+    top, off_trace = _largest_population(pd)
+    e_mat[top, top] = 0.0
+    e_mat[top, top] = total * off_trace - e_mat.sum().real
+    return _contract(ev, e_mat).real.copy()
 
 
-def solve_metric(jr: np.ndarray, e: np.ndarray, eps: float) -> np.ndarray:
-    """The natural-gradient direction x = (G + lam I)^-1 J_r^T e, G = J_r^T J_r.
+def _largest_population(pd: np.ndarray) -> tuple[int, float]:
+    """The index s of the largest population and 1 - tr rho, which is roundoff;
+    1 - rho_ss is exact when rho_ss >= 1/2, so the defect is formed from it."""
+    top = int(np.argmax(pd))
+    return top, (1.0 - pd[top]) - np.delete(pd, top).sum()
 
-    By the push-through identity x = J_r^T y with (K + lam I) y = e, K = `gram`(J_r),
-    and lam = eps * tr(G) / P, where tr G = tr K. The jittered system can be
-    conditioned like 1/eps, so iterative refinement keeps the residual at roundoff.
+
+@functools.lru_cache(maxsize=16)
+def _pair_matches(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a stacked (2, pairs, pairs) array where the upper pairs
+    p = (a, b) and q = (c, e) share a one-hot visible index: (a == c in the
+    first slice, a == e in the second) and (b == e, b == c), the few entries
+    where the ancilla Grams gain a term (read-only, shared by all calls)."""
+    al, be = kernels._upper_pairs(d)
+    size = al.size * al.size
+    out = tuple(
+        np.concatenate([np.flatnonzero(x[:, None] == y[None, :]),
+                        size + np.flatnonzero(u[:, None] == w[None, :])])
+        for x, y, u, w in ((al, al, al, be), (be, be, be, al))
+    )
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _network_cols(sig: np.ndarray, combine) -> np.ndarray:
+    """Phi (delta_c +- delta_e) / 4 for every upper pair q = (c, e), shape
+    (d, pairs), where Phi = sig^T sig + diag(sum_h sig^2 + 1) is one network's
+    Gram over its hidden weights, hidden biases and visible biases. Rows a + b
+    (lam, combine = np.add) or a - b (mu, np.subtract) of it give
+    sum_theta dA_p dA_q for p = (a, b), without the mu network's factor i^2."""
+    d = sig.shape[1]
+    al, be = kernels._upper_pairs(d)
+    phi = sig.T @ sig
+    phi[np.diag_indices(d)] += (sig * sig).sum(axis=0) + 1.0
+    phi *= 0.25
+    return combine(phi[:, al], phi[:, be])
+
+
+def gram(rho: np.ndarray, sig_lam: np.ndarray, sig_mu: np.ndarray,
+         s_upper: np.ndarray) -> np.ndarray:
+    """K = J_r J_r^T, the (d^2, d^2) metric in rho-space, from the evaluation's
+    caches; J_r itself is never formed.
+
+    Row p = (a, b), a <= b, of the complex Jacobian is J_p = rho_p (dA_p - z),
+    with z = sum_v rho_vv dA_vv the gradient of log Z. The one-hot visible
+    encoding gives D = sum_theta conj(dA_p) dA_q and E = sum_theta dA_p dA_q,
+    q = (c, e), in closed form:
+    - the networks add their lam part + mu part to D and lam - mu to E
+      (`_network_cols`);
+    - the ancillas add G (1 + [a=c]/2 + [b=e]/2) to D and
+      H (1 + [a=e]/2 + [b=c]/2) to E, with G = s^H s and H = s^T s over the
+      upper-pair logistic s (`_pair_matches`).
+    log Z enters through v_q = sum_v rho_vv D_(vv)q and w = sum_v rho_vv v_(vv):
+    C = conj(rho_p) rho_q (D - conj v_p - v_q + w) is sum_theta conj(J_p) J_q
+    and T = rho_p rho_q (E - v_p - v_q + w) is sum_theta J_p J_q, where every
+    dA is first shifted by dA_ss of the largest population, which z - dA_ss
+    absorbs (the comment below says why). In
+    `kernels.hermitian_rows` order K holds Re and Im of (C +- T) / 2, with
+    sqrt 2 on the off-diagonal coordinates. The work is O(d^4 (m_h + m_a)),
+    against O(d^4 P) for the Gram of J_r.
     """
-    k = gram(jr)
-    t_bar = float(np.trace(k)) / jr.shape[1]
+    d = rho.shape[0]
+    al, be = kernels._upper_pairs(d)
+    n = al.size
+    lam, mu = _network_cols(sig_lam, np.add), _network_cols(sig_mu, np.subtract)
+    plus, minus = lam + mu, lam - mu
+    # ct[0] is D, then C; ct[1] is E, then T
+    ct = np.matmul(np.stack([s_upper.conj(), s_upper]).transpose(0, 2, 1), s_upper)
+    flat = ct.reshape(-1)
+    first, second = _pair_matches(d)
+    half_first, half_second = 0.5 * flat[first], 0.5 * flat[second]
+    flat[first] += half_first
+    flat[second] += half_second
+    ct[0] += plus[al] + minus[be]  # the networks' lam + mu
+    ct[1] += minus[al] + plus[be]  # lam - mu
+    # Shift every dA_p by dA_ss of the largest population rho_ss, which leaves
+    # D and E exact zeros in row and column s: near a basis state dA_ss - z is
+    # small, and the log Z terms would otherwise subtract O(D) from O(D). Then
+    # z - dA_ss = sum_v rho_vv (dA_vv - dA_ss) - (1 - tr rho) dA_ss.
+    pd = rho.diagonal().real
+    top, off_trace = _largest_population(pd)
+    ct -= ct[:, :, top, None].copy()
+    row = ct[0, top].copy()  # sum_theta dA_ss (dA_q - dA_ss)
+    ct -= ct[:, top, None, :].copy()
+    v = pd @ ct[0, :d] - off_trace * row
+    w = float(v[:d].real @ pd - off_trace * (row[:d].real @ pd))
+    r = rho[al, be]
+    r[:d] *= np.sqrt(0.5)  # the (C + T) / 2 of the diagonal coordinates
+    ct -= np.stack([v.conj(), v])[:, :, None] - 0.5 * w
+    ct -= v - 0.5 * w
+    ct *= np.stack([r.conj(), r])[:, :, None]
+    ct *= r
+    c, t = ct
+    k = np.empty((d * d, d * d))
+    np.add(c.real, t.real, out=k[:n, :n])
+    np.add(c.imag[:, d:], t.imag[:, d:], out=k[:n, n:])
+    k[n:, :n] = k[:n, n:].T
+    np.subtract(c.real[d:, d:], t.real[d:, d:], out=k[n:, n:])
+    return k
+
+
+def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
+    """The natural-gradient direction x = (G + lam I)^-1 J_r^T e, G = J_r^T J_r,
+    at the evaluation ev.
+
+    By the push-through identity x = J_r^T y with (K + lam I) y = e, K = `gram`,
+    and lam = eps * tr(G) / P, where tr G = tr K; J_r^T y is `_pullback_rows`, so
+    J_r itself is never formed. The jittered system can be conditioned like
+    1/eps, so iterative refinement keeps the residual at roundoff.
+    """
+    k = gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+    d, m_h, m_a = ev.rho.shape[0], ev.sig_lam.shape[0], ev.s_upper.shape[0]
+    t_bar = float(np.trace(k)) / ndo.n_params(d, m_h, m_a)
     if not np.isfinite(t_bar) or t_bar <= 0.0:
-        return jr.T @ e  # degenerate metric: fall back to the identity
-    reg = k + (eps * t_bar) * np.eye(k.shape[0])
+        return _pullback_rows(ev, e)  # degenerate metric: fall back to the identity
+    reg = k  # K + lam I in place: K is not read again
+    reg.flat[:: k.shape[0] + 1] += eps * t_bar
     factor = cho_factor(reg, lower=True, check_finite=False)
     y = cho_solve(factor, e)
     scale = np.linalg.norm(e)
@@ -202,7 +336,7 @@ def solve_metric(jr: np.ndarray, e: np.ndarray, eps: float) -> np.ndarray:
         if np.linalg.norm(residual) <= 1e-12 * scale:
             break
         y = y + cho_solve(factor, residual)
-    return jr.T @ y
+    return _pullback_rows(ev, y)
 
 
 def _armijo(fun, x, f0, g, p):
@@ -270,7 +404,7 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
     Each config is a phase that starts where the previous one stopped, with
     fresh optimizer state; the report's optimizer names the phases joined by
     "+" and its termination is the last phase's. `metric_fun(x)` supplies the
-    pair (J_r, e) of `solve_metric` for the gngd optimizer, with J_r^T e the
+    pair (ev, e) of `solve_metric` for the gngd optimizer, with J_r^T e the
     gradient at x, and is ignored otherwise. Line-search failures first retry
     a plain gradient step at the last backtracked step size, then end the
     phase; the next phase starts from the same point.
@@ -416,16 +550,16 @@ class _NdoObjective(KlObjective):
     def _pullback(self, rho, ev, m):
         return _grad_from_eval(ev, m, self.bases.n_bases)
 
-    def metric(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(J_r, e): the Hermitian rows of the state Jacobian and of -M^T, the
-        cost's derivative in rho, so J_r^T e is the gradient. rho keeps unit
-        trace, so J_r^T annihilates the identity; e drops its identity part,
-        which the solve would scale by 1/lam only for J_r^T y to cancel it."""
+    def metric(self, x: np.ndarray) -> tuple[ndo.NdoEval, np.ndarray]:
+        """(ev, e): the evaluation at x, whose caches give `gram` and
+        `_pullback_rows`, and the Hermitian rows e of -M^T, the cost's
+        derivative in rho, so J_r^T e is the gradient. rho keeps unit trace, so
+        J_r^T annihilates the identity; e drops its identity part, which the
+        solve would scale by 1/lam only for J_r^T y to cancel it."""
         ev = self._at(x)
-        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
         e = _hermitian_rows(-self.adjoint(x).T)
         e[: self.d] -= e[: self.d].mean()
-        return jr, e
+        return ev, e
 
 
 def fit_ndo(

@@ -9,7 +9,10 @@ kernels and the closed-form state; the dense basis builder
 (n_bases, d, d) stack check `measurement.BasisTables`; the dense P x P
 metric and its plain solve check the rho-space `training.solve_metric`;
 the complex Jacobian of all d^2 entries, filled one visible index at a
-time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`;
+time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`,
+whose dsyrk Gram, transpose product and Cholesky solve check the metric
+that `training.gram`, `training._pullback_rows` and `training.solve_metric` form
+without it;
 the per-call gather, KL mask and data adjoint check the fit's cached ones;
 the two-loop recursion that forms every s.y on use checks `training._Lbfgs`;
 two separate fits joined by a report merge check `training.fit_ndo`'s phases;
@@ -25,8 +28,10 @@ import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
-from qwndo import ndo, training, walk
+from qwndo import kernels, ndo, training, walk
 from qwndo.kernels import param_offsets
 from qwndo.maxlik import pack_t, t_matrix
 from qwndo.measurement import K_X, K_Y, n_bases
@@ -85,11 +90,13 @@ def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
 
 def evaluate(params: NdoParams) -> SimpleNamespace:
     """`ndo.evaluate` through the full-triangle `pair_cache`, with the logistic
-    caches computed up front."""
+    caches computed up front; s_upper is read from the full s_pair."""
     a, x_lam, x_mu, z = pair_cache(*params.arrays())
     rho, log_z = ndo._normalize(a)
-    return SimpleNamespace(a=a, rho=rho, log_z=log_z,
-                           sig_lam=logistic(x_lam), sig_mu=logistic(x_mu), s_pair=logistic_c(z))
+    s_pair = logistic_c(z)
+    al, be = kernels._upper_pairs(params.dim)
+    return SimpleNamespace(a=a, rho=rho, log_z=log_z, sig_lam=logistic(x_lam),
+                           sig_mu=logistic(x_mu), s_pair=s_pair, s_upper=s_pair[:, al, be])
 
 
 def a_entry(params: NdoParams, v: int, vp: int) -> complex:
@@ -455,6 +462,38 @@ def dense_metric_direction(metric: np.ndarray, grad: np.ndarray, eps: float) -> 
     """(G + eps * (tr G / P) I)^-1 grad by a plain dense solve."""
     p = metric.shape[0]
     return np.linalg.solve(metric + eps * np.trace(metric) / p * np.eye(p), grad)
+
+
+def jacobian_rows(ev) -> np.ndarray:
+    """The real Hermitian-row Jacobian J_r at an evaluation, which no fit forms."""
+    return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+
+
+def jacobian_gram(jr: np.ndarray) -> np.ndarray:
+    """K = J_r J_r^T as one real rank-P update."""
+    upper = dsyrk(1.0, jr.T, trans=1, lower=0)
+    return upper + np.triu(upper, 1).T
+
+
+def jacobian_solve_metric(jr: np.ndarray, e: np.ndarray, eps: float) -> np.ndarray:
+    """The natural-gradient direction through the formed Jacobian: J_r^T y with
+    (K + lam I) y = e, K = `jacobian_gram`(J_r) and lam = eps tr K / P, solved
+    by Cholesky with iterative refinement, as `training.solve_metric` does
+    without J_r."""
+    k = jacobian_gram(jr)
+    t_bar = float(np.trace(k)) / jr.shape[1]
+    if not np.isfinite(t_bar) or t_bar <= 0.0:
+        return jr.T @ e
+    reg = k + (eps * t_bar) * np.eye(k.shape[0])
+    factor = cho_factor(reg, lower=True, check_finite=False)
+    y = cho_solve(factor, e)
+    scale = np.linalg.norm(e)
+    for _ in range(3):
+        residual = e - reg @ y
+        if np.linalg.norm(residual) <= 1e-12 * scale:
+            break
+        y = y + cho_solve(factor, residual)
+    return jr.T @ y
 
 
 def two_phase_fit_ndo(ds, bases, d, m_h, m_a, seed=0, warmup_iters=500, polish_iters=300,

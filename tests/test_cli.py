@@ -321,6 +321,18 @@ class TestReproduce:
         assert lines[0].startswith("scenario,n_steps,sample,fidelity_ndo")
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("preset,flag,value", [
+        ("fig5", "--hidden", "-1"), ("fig5", "--ancillary", "-2"), ("fig5", "--steps", "-1"),
+        ("fig4", "--max-iters", "0"), ("fig3", "--grad-tol", "0"),
+    ])
+    def test_bad_input_exit_one_before_out_dir(self, tmp_path, capsys, preset, flag, value):
+        out_dir = tmp_path / "r5"
+        code = run(["reproduce", preset, "--steps", "1", "--max-steps", "1", "--samples", "1",
+                    flag, value, "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
     def test_fig5_structure_and_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "fig5"
         code = run([

@@ -29,7 +29,7 @@ def test_fits_reach_every_traced_layer():
         tracer.uninstall()
     stats = tracer.layer_stats()
     for name in ("training.grad", "training.model_distributions", "maxlik.grad",
-                 "kernels.assemble_jacobian", "training.solve_metric"):
+                 "training.gram", "training.solve_metric"):
         assert stats[name + ".calls"] > 0, name
 
 

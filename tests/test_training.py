@@ -1,6 +1,7 @@
 """Cost, exact gradient, the pullback metric, and the four optimizers."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -30,6 +31,21 @@ def cost(params, ds, bases):
 
 def grad(params, ds, bases):
     return ndo_objective(params, ds, bases).grad(params.to_vector())
+
+
+def metric_gram(ev):
+    """`training.gram` at an evaluation."""
+    return training.gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+
+
+def wide_range(d, m_h, m_a, seed):
+    """Random weights at scale 0.8 with the last two visible biases at -920 and
+    -1340: those two populations underflow to zero, and their coherences with
+    the other basis states sit near 1e-200 and 1e-291."""
+    base = ndo.init_params(d, m_h, m_a, scale=0.8, seed=seed)
+    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
+    arrays["b_lam"] = np.concatenate([arrays["b_lam"][:-2], [-920.0, -1340.0]])
+    return ndo.NdoParams(**arrays)
 
 
 def reference_basis_only(n_steps):
@@ -133,7 +149,7 @@ class TestMetric:
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = ndo.init_params(4, 3, 3, scale=0.9, seed=int(rng.integers(2**31)))
-            g = training.gram(training._hermitian_rows(oracles.rho_jacobian(params).reshape(4, 4, -1)))
+            g = metric_gram(ndo.evaluate(params))
             assert np.max(np.abs(g - g.T)) <= 1e-12
             w = np.linalg.eigvalsh(g)
             assert w.min() >= -1e-8 * np.linalg.norm(g)
@@ -157,19 +173,18 @@ class TestMetric:
             assert np.max(np.abs(jac[:, j] - col) / denom) <= 1e-5
 
     def test_gram_of_orthonormal_columns(self):
+        # the Jacobian-path oracle that the metric is checked against
         rng = np.random.default_rng(7)
         q, _ = np.linalg.qr(rng.normal(size=(30, 8)))
-        np.testing.assert_allclose(training.gram(q.T), np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(oracles.jacobian_gram(q.T), np.eye(8), atol=1e-12)
 
     def test_gram_with_subnormal_range_rows(self):
-        # rows near 1e-200 (density entries of states driven to zero) add
-        # products near 1e-200 and in the subnormal range to K
-        rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.normal(size=(30, 8)))
-        tiny = 1e-200 * rng.normal(size=(10, 30))
-        expected = np.zeros((18, 18))
-        expected[:8, :8] = np.eye(8)
-        np.testing.assert_allclose(training.gram(np.vstack([q.T, tiny])), expected, atol=1e-12)
+        # coherences near 1e-200 and 1e-291 leave rows of that size in J_r,
+        # whose products put entries near 1e-200 and in the subnormal range in K
+        ev = ndo.evaluate(wide_range(12, 15, 15, seed=8))
+        k, ref = metric_gram(ev), oracles.jacobian_gram(oracles.jacobian_rows(ev))
+        assert np.any((np.abs(ref) > 0) & (np.abs(ref) < 1e-280))
+        assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_solve_metric_residual(self):
         # the solved right-hand side is the cost gradient, which the chain
@@ -186,22 +201,21 @@ class TestMetric:
         assert resid <= 1e-10
 
     def test_solve_metric_unchanged_by_subnormal_range_entries(self):
-        # weights driven far out leave Jacobian rows near 1e-290 and 1e-200,
-        # whose products in K reach and pass the subnormal range
-        rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
-        params = ndo.init_params(4, 3, 3, scale=0.8, seed=8)
-        obj = training._NdoObjective(ds, bases, 4, 3, 3)
-        jr, e = obj.metric(params.to_vector())
-        jr[0] *= 1e-290
-        jr[1] *= 1e-200
-        assert np.min(np.abs(training.gram(jr)[0, 2:])) < 1e-280
-        delta = training.solve_metric(jr, e, 1e-6)
-        g_mat = jr.T @ jr
-        grad = jr.T @ e
-        t_bar = np.trace(g_mat) / g_mat.shape[0]
-        reg = g_mat + 1e-6 * t_bar * np.eye(g_mat.shape[0])
-        resid = np.linalg.norm(reg @ delta - grad) / np.linalg.norm(grad)
-        assert resid <= 1e-10
+        # coherences driven to 1e-200 and 1e-291 put entries near 1e-200 and in
+        # the subnormal range in K; the data are another such state's, so no
+        # model probability meets the floor and J_r^T e is the gradient
+        bases = measurement.all_basis_unitaries(1)
+        data = bases.probabilities(ndo.density_matrix(wide_range(4, 3, 3, seed=9)))
+        obj = training._NdoObjective(data, bases, 4, 3, 3)
+        ev, e = obj.metric(wide_range(4, 3, 3, seed=8).to_vector())
+        k = np.abs(metric_gram(ev))
+        assert np.any((k > 0) & (k < 1e-280))
+        jr = oracles.jacobian_rows(ev)
+        # relative differences measured: 1.4e-9 at eps 1e-6, 1.3e-12 at 1e-3
+        for eps, tol in ((1e-6, 1e-7), (1e-3, 1e-10)):
+            ref = oracles.jacobian_solve_metric(jr, e, eps)
+            delta = training.solve_metric(ev, e, eps)
+            assert np.linalg.norm(delta - ref) <= tol * np.linalg.norm(ref)
 
 
 class TestRhoSpaceSolve:
@@ -220,16 +234,17 @@ class TestRhoSpaceSolve:
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 5])
     def test_rows_reproduce_cost_gradient(self, n_steps):
         obj, params = self.objective_at(n_steps)
-        jr, e = obj.metric(params.to_vector())
+        ev, e = obj.metric(params.to_vector())
         g = obj.grad(params.to_vector())
-        assert np.linalg.norm(jr.T @ e - g) <= 1e-12 * np.linalg.norm(g)
+        assert np.linalg.norm(training._pullback_rows(ev, e) - g) <= 1e-12 * np.linalg.norm(g)
+        assert np.linalg.norm(oracles.jacobian_rows(ev).T @ e - g) <= 1e-12 * np.linalg.norm(g)
 
     def test_gram_shape(self):
         obj, params = self.objective_at(2)
-        jr, e = obj.metric(params.to_vector())
-        assert jr.shape == (36, params.n_params)
+        ev, e = obj.metric(params.to_vector())
         assert e.shape == (36,)
-        assert training.gram(jr).shape == (36, 36)
+        assert metric_gram(ev).shape == (36, 36)
+        assert oracles.jacobian_rows(ev).shape == (36, params.n_params)
 
     # relative differences measured: 3.5e-9, 4.2e-9, 1.2e-9, 1.4e-9 at N = 1, 2, 5, 10
     @pytest.mark.parametrize("n_steps", [1, 2, 5, 10])
@@ -240,6 +255,85 @@ class TestRhoSpaceSolve:
         metric = oracles.dense_metric(oracles.rho_jacobian(params))
         ref = oracles.dense_metric_direction(metric, obj.grad(x), 1e-6)
         assert np.linalg.norm(direction - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+class TestMetricWithoutJacobian:
+    """`training.gram` and `training._pullback_rows` against the formed Jacobian J_r:
+    K = J_r J_r^T by dsyrk and J_r^T y by the plain product."""
+
+    STATES = {
+        **{f"N={n}, scale {scale}": functools.partial(
+            ndo.init_params, 2 * (n + 1), *((15, 15) if n == 5 else (4, 3)), scale=scale, seed=n)
+           for n in (1, 2, 5) for scale in (0.01, 0.5, 3.0)},
+        "no hidden units": functools.partial(ndo.init_params, 6, 0, 3, scale=1.0, seed=6),
+        "no ancilla units": functools.partial(ndo.init_params, 6, 3, 0, scale=1.0, seed=7),
+        "no hidden or ancilla units": functools.partial(ndo.init_params, 6, 0, 0, scale=1.0, seed=8),
+        "nearly pure, subnormal": functools.partial(oracles.nearly_pure_subnormal, 12, 15, 15),
+        "coherences near 1e-200 and 1e-291": functools.partial(wide_range, 12, 15, 15, seed=8),
+        # rho_11 = 1 - 1.8e-4, so dA_11 - z is small
+        "near a basis state": functools.partial(ndo.init_params, 12, 15, 15, scale=3.0, seed=17),
+    }
+
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_gram_equals_jacobian_gram(self, state):
+        ev = ndo.evaluate(self.STATES[state]())
+        k = metric_gram(ev)
+        ref = oracles.jacobian_gram(oracles.jacobian_rows(ev))
+        assert k.shape == ref.shape
+        # relative differences measured: at most 1.4e-15 (1.3e-14 near a
+        # basis state, where J_r's own roundoff sets it), and 0 on the nearly
+        # pure state, whose K underflows to zero on both paths
+        assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_pullback_equals_jacobian_transpose(self, state):
+        ev = ndo.evaluate(self.STATES[state]())
+        jr = oracles.jacobian_rows(ev)
+        y = np.random.default_rng(3).normal(size=jr.shape[0])
+        ref = jr.T @ y
+        # relative differences measured: at most 4.5e-15, but 1.6e-12 near a
+        # basis state, where J_r's own roundoff is 1.5e-12 against extended
+        # precision (the contraction's is 1.9e-15); the nearly pure state's
+        # products are subnormal, where doubles keep fewer digits
+        tol = 1e-11 * np.linalg.norm(ref) + 1e3 * np.finfo(float).smallest_subnormal
+        assert np.linalg.norm(training._pullback_rows(ev, y) - ref) <= tol
+
+    @pytest.fixture(scope="class")
+    def fit_points(self):
+        """Two `recon-n5`-like warm-up end points: after 100 L-BFGS steps on a
+        nearly pure and on a strongly mixed dephasing walk."""
+        points = []
+        for delta_beta, seed in ((0.3, 0), (2.5, 4)):
+            rho, ds, bases = hadamard_setup(5, noise="dephasing", delta_beta=delta_beta)
+            init = ndo.mixed_init_params(12, 15, 15, seed=seed)
+            params, _ = training.optimize((TrainConfig("lbfgs", 1e-8, 100),), ds, bases, init)
+            points.append((training._NdoObjective(ds, bases, 12, 15, 15), params.to_vector()))
+        return points
+
+    # relative differences measured: 1.8e-8 and 2.1e-9 at eps 1e-6, set by its
+    # 1/eps conditioning; 8.1e-11 and 2.6e-11 at eps 1e-3
+    @pytest.mark.parametrize("eps,tol", [(1e-6, 1e-6), (1e-3, 1e-9)])
+    def test_direction_equals_jacobian_path(self, fit_points, eps, tol):
+        for obj, x in fit_points:
+            ev, e = obj.metric(x)
+            ref = oracles.jacobian_solve_metric(oracles.jacobian_rows(ev), e, eps)
+            direction = training.solve_metric(ev, e, eps)
+            assert np.linalg.norm(direction - ref) <= tol * np.linalg.norm(ref)
+
+
+    def test_direction_near_a_basis_state(self):
+        # rho_11 = 1 - 4.9e-7: forming K by subtracting the log Z terms from
+        # D without the shift to dA_11 left K + lam I indefinite here
+        rho, ds, bases = hadamard_setup(5, noise="dephasing", delta_beta=1.0)
+        obj = training._NdoObjective(ds, bases, 12, 15, 15)
+        ev, e = obj.metric(ndo.init_params(12, 15, 15, scale=5.0, seed=17).to_vector())
+        assert 1.0 - ev.rho.diagonal().real.max() < 1e-6
+        ref = oracles.jacobian_solve_metric(oracles.jacobian_rows(ev), e, 1e-6)
+        direction = training.solve_metric(ev, e, 1e-6)
+        # relative difference measured: 3.0e-5, where J_r's Gram is the less
+        # accurate of the two (7.7e-12 against 1.0e-14 relative to K in
+        # extended precision)
+        assert np.linalg.norm(direction - ref) <= 1e-3 * np.linalg.norm(ref)
 
 
 class TestBitIdentity:
@@ -274,12 +368,16 @@ class TestBitIdentity:
         assert objective.cost(x) == oracles.kl_distance(data, bases.probabilities(rho))
         m_ref = oracles.data_adjoint(rho, data, bases)
         assert np.array_equal(objective.grad(x), training._grad_from_eval(eager, m_ref, bases.n_bases))
-        jr, e = objective.metric(x)
-        jac = oracles.complex_jacobian(rho, eager.sig_lam, eager.sig_mu, eager.s_pair)
+        ev, e = objective.metric(x)
         e_ref = training._hermitian_rows(-m_ref.T)
         e_ref[:12] -= e_ref[:12].mean()
-        assert np.array_equal(jr, training._hermitian_rows(jac.reshape(12, 12, -1)))
         assert np.array_equal(e, e_ref)
+        for name in ("rho", "sig_lam", "sig_mu", "s_pair"):
+            assert np.array_equal(getattr(ev, name), getattr(eager, name)), name
+        # the metric's Gram against the complex oracle's Hermitian rows
+        jac = oracles.complex_jacobian(rho, eager.sig_lam, eager.sig_mu, eager.s_pair)
+        ref = oracles.jacobian_gram(training._hermitian_rows(jac.reshape(12, 12, -1)))
+        assert np.max(np.abs(metric_gram(ev) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_maxlik_cost_equals_reference(self):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=0.7)
@@ -393,18 +491,17 @@ class TestMixedStart:
 
 
 class TestGngdStep:
-    def test_identity_metric_matches_gd_step(self):
+    def test_identity_metric_matches_gd_step(self, monkeypatch):
         rho, ds, bases = hadamard_setup(1)
         params = ndo.init_params(4, 3, 2, scale=0.3, seed=3)
         obj = training._NdoObjective(ds, bases, 4, 3, 2)
         x0 = params.to_vector()
-        eye = np.eye(params.n_params)
+        monkeypatch.setattr(training, "gram", lambda rho, *caches: np.eye(rho.size))
         config = TrainConfig(optimizer="gngd", max_iters=1)
-        x, report = training.minimize_vector(
-            obj.cost, obj.grad, x0, config, metric_fun=lambda x: (eye, obj.grad(x))
-        )
-        # identity metric with relative jitter solves (1 + eps)x = grad
-        expected_dir = -obj.grad(x0) / (1.0 + 1e-6)
+        x, report = training.minimize_vector(obj.cost, obj.grad, x0, config, metric_fun=obj.metric)
+        # K = I with relative jitter lam = eps d^2 / P solves (1 + lam) y = e,
+        # and the direction J_r^T y is the gradient over 1 + lam
+        expected_dir = -obj.grad(x0) / (1.0 + 1e-6 * 16 / params.n_params)
         assert report.iterations == 1
         np.testing.assert_allclose(x, x0 + report.step_sizes[0] * expected_dir, atol=1e-12)
 
@@ -548,9 +645,9 @@ PHASE_SEAMS = {
         (1, "none", 0.0), (4, 3, 3),
         dict(seed=1, warmup_iters=300, polish_iters=30, grad_tol=1e-5), ("grad_tol", 50),
     ),
-    "warmup-line-search-failure": (  # L-BFGS fails at step 370; GNGD takes 7 more
+    "warmup-line-search-failure": (  # L-BFGS fails at step 370; GNGD takes 8 more
         (1, "none", 0.0), (4, 3, 3),
-        dict(seed=0, warmup_iters=2000, polish_iters=30), ("line-search failure", 377),
+        dict(seed=0, warmup_iters=2000, polish_iters=30), ("line-search failure", 378),
     ),
 }
 
