@@ -18,7 +18,7 @@ the same coordinates e of -M^T. The push-through identity
 Commun. Phys. 2024) makes the metric solve d^2 x d^2. Neither product needs
 J_r (Schraudolph, Neural Comput. 14, 2002): `gram` forms K = J_r J_r^T from
 the one-hot structure of the network in O(d^4 (m_h + m_a)), and
-`_pullback_rows` forms J_r^T y by the gradient's own contraction.
+`_rho_pullback` forms J_r^T y, the gradient at y = e, by one contraction.
 `kernels.assemble_jacobian` builds J_r only for the tests that check both.
 """
 
@@ -56,8 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -149,22 +149,43 @@ def _hermitian_rows(a: np.ndarray) -> np.ndarray:
     return kernels.hermitian_rows(a[kernels._upper_pairs(d)], d)
 
 
-def _grad_from_eval(ev: ndo.NdoEval, m: np.ndarray, n_bases: int) -> np.ndarray:
-    """Analytic cost gradient: `_contract` the error matrix
-    E = -rho .* M + N_b diag(rho_vv), with M the adjoint of `KlObjective`.
-    E is Hermitian, so the contraction is real up to roundoff; a larger
-    imaginary part raises RuntimeError.
-    """
-    d = ev.rho.shape[0]
-    e_mat = -(ev.rho * m)
-    idx = np.arange(d)
-    e_mat[idx, idx] += n_bases * ev.rho.diagonal().real
-    g = _contract(ev, e_mat)
+def _covector(m: np.ndarray) -> np.ndarray:
+    """Y = -M, the cost's derivative in rho, without its identity part, which
+    J_r^T annihilates (rho keeps unit trace) only in exact arithmetic."""
+    y = -m
+    y.reshape(-1)[:: y.shape[0] + 1] -= y.diagonal().real.mean()
+    return y
+
+
+def _grad_from_eval(ev: ndo.NdoEval, y_mat: np.ndarray) -> np.ndarray:
+    """Analytic cost gradient, the `_rho_pullback` of Y = `_covector`(M) for the
+    adjoint M of `KlObjective`. Its E is Hermitian, so the contraction is real
+    up to roundoff; a larger imaginary part raises RuntimeError."""
+    g = _rho_pullback(ev, y_mat)
     resid = np.max(np.abs(g.imag))
     scale = max(1.0, float(np.max(np.abs(g.real))))
     if resid > 1e-10 * scale:
         raise RuntimeError(f"gradient imaginary residue {resid:.3e} exceeds roundoff")
     return g.real.copy()
+
+
+def _rho_pullback(ev: ndo.NdoEval, y_mat: np.ndarray) -> np.ndarray:
+    """sum_ab Y_ab drho_ab / d theta for a Hermitian (d, d) Y, a complex vector
+    whose real part is J_r^T y for Y's Hermitian-row coordinates y: the
+    `_contract` of E = rho .* Y - (sum rho .* Y) diag(rho_vv), as
+    drho_ab = rho_ab (dA_ab - z) with z = sum_v rho_vv dA_vv.
+
+    sum E = (sum rho .* Y)(1 - tr rho), and E_ss of the largest population is
+    set from it: near a basis state E_ss is small, and rho_ss (Y_ss - sum rho .* Y)
+    would leave it the roundoff of O(Y) terms."""
+    e_mat = ev.rho * y_mat
+    total = e_mat.sum().real
+    pd = ev.rho.diagonal().real
+    e_mat.reshape(-1)[:: pd.size + 1] -= total * pd
+    top, off_trace = _largest_population(pd)
+    e_mat[top, top] = 0.0
+    e_mat[top, top] = total * off_trace - e_mat.sum().real
+    return _contract(ev, e_mat)
 
 
 def _contract(ev: ndo.NdoEval, e_mat: np.ndarray) -> np.ndarray:
@@ -185,36 +206,18 @@ def _contract(ev: ndo.NdoEval, e_mat: np.ndarray) -> np.ndarray:
     return np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
 
 
-def _pullback_rows(ev: ndo.NdoEval, y: np.ndarray) -> np.ndarray:
-    """J_r^T y for Hermitian-row coordinates y: the contraction of
-    E = rho .* Y - (sum rho .* Y) diag(rho_vv), where Y is the Hermitian
-    matrix with Y_aa = y_a and Y_ab = (y_re - i y_im) / sqrt 2 above the
-    diagonal, so that sum_ab Y_ab drho_ab = J_r^T y.
-
-    sum E = (sum rho .* Y)(1 - tr rho), and E_ss of the largest population is
-    set from it: near a basis state E_ss is small, and rho_ss (y_s - sum rho .* Y)
-    would leave it the roundoff of O(y) terms."""
-    d = ev.rho.shape[0]
-    n = d * (d + 1) // 2
-    upper = np.empty(n, dtype=complex)
-    upper[:d] = y[:d]
-    upper[d:] = (y[d:n] - 1j * y[n:]) / np.sqrt(2.0)
-    e_mat = ev.rho * kernels.mirror(upper, d)
-    total = e_mat.sum().real
-    pd = ev.rho.diagonal().real
-    idx = np.arange(d)
-    e_mat[idx, idx] -= total * pd
-    top, off_trace = _largest_population(pd)
-    e_mat[top, top] = 0.0
-    e_mat[top, top] = total * off_trace - e_mat.sum().real
-    return _contract(ev, e_mat).real.copy()
+def _row_matrix(y: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian (d, d) Y with Hermitian-row coordinates y: Y_aa = y_a and
+    Y_ab = (y_re - i y_im) / sqrt 2 above the diagonal, so sum Y .* drho = J_r^T y."""
+    n = (y.size + d) // 2
+    return kernels.mirror(np.concatenate([y[:d], (y[d:n] - 1j * y[n:]) / np.sqrt(2.0)]), d)
 
 
 def _largest_population(pd: np.ndarray) -> tuple[int, float]:
     """The index s of the largest population and 1 - tr rho, which is roundoff;
     1 - rho_ss is exact when rho_ss >= 1/2, so the defect is formed from it."""
     top = int(np.argmax(pd))
-    return top, (1.0 - pd[top]) - np.delete(pd, top).sum()
+    return top, (1.0 - pd[top]) - np.concatenate([pd[:top], pd[top + 1:]]).sum()
 
 
 @functools.lru_cache(maxsize=16)
@@ -317,26 +320,28 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     at the evaluation ev.
 
     By the push-through identity x = J_r^T y with (K + lam I) y = e, K = `gram`,
-    and lam = eps * tr(G) / P, where tr G = tr K; J_r^T y is `_pullback_rows`, so
-    J_r itself is never formed. The jittered system can be conditioned like
-    1/eps, so iterative refinement keeps the residual at roundoff.
+    and lam = eps * tr(G) / P, where tr G = tr K; J_r^T y is the gradient's
+    `_rho_pullback` of `_row_matrix`(y), so J_r itself is never formed. The
+    jittered system can be conditioned like 1/eps, so iterative refinement
+    keeps the residual at roundoff.
     """
     k = gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
     d, m_h, m_a = ev.rho.shape[0], ev.sig_lam.shape[0], ev.s_upper.shape[0]
     t_bar = float(np.trace(k)) / ndo.n_params(d, m_h, m_a)
     if not np.isfinite(t_bar) or t_bar <= 0.0:
-        return _pullback_rows(ev, e)  # degenerate metric: fall back to the identity
-    reg = k  # K + lam I in place: K is not read again
-    reg.flat[:: k.shape[0] + 1] += eps * t_bar
-    factor = cho_factor(reg, lower=True, check_finite=False)
-    y = cho_solve(factor, e)
-    scale = np.linalg.norm(e)
-    for _ in range(3):
-        residual = e - reg @ y
-        if np.linalg.norm(residual) <= 1e-12 * scale:
-            break
-        y = y + cho_solve(factor, residual)
-    return _pullback_rows(ev, y)
+        y = e  # degenerate metric: fall back to the identity
+    else:
+        reg = k  # K + lam I in place: K is not read again
+        reg.flat[:: k.shape[0] + 1] += eps * t_bar
+        factor = cho_factor(reg, lower=True, check_finite=False)
+        y = cho_solve(factor, e)
+        scale = np.linalg.norm(e)
+        for _ in range(3):
+            residual = e - reg @ y
+            if np.linalg.norm(residual) <= 1e-12 * scale:
+                break
+            y = y + cho_solve(factor, residual)
+    return _rho_pullback(ev, _row_matrix(y, d)).real.copy()
 
 
 def _armijo(fun, x, f0, g, p):
@@ -460,9 +465,6 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
                 res = _gradient_fallback(fun, x, f, g)
                 if res is not None:
                     lbfgs.pairs.clear()
-                    # a second tenfold rise follows below, as the fallback's
-                    # step is under 1e-3: eps grows 100x per accepted fallback
-                    eps = min(eps * 10.0, 1e3)
             if res is None:
                 termination = "line-search failure"
                 break
@@ -548,18 +550,15 @@ class _NdoObjective(KlObjective):
         return ev.rho, ev
 
     def _pullback(self, rho, ev, m):
-        return _grad_from_eval(ev, m, self.bases.n_bases)
+        return _grad_from_eval(ev, _covector(m))
 
     def metric(self, x: np.ndarray) -> tuple[ndo.NdoEval, np.ndarray]:
         """(ev, e): the evaluation at x, whose caches give `gram` and
-        `_pullback_rows`, and the Hermitian rows e of -M^T, the cost's
-        derivative in rho, so J_r^T e is the gradient. rho keeps unit trace, so
-        J_r^T annihilates the identity; e drops its identity part, which the
-        solve would scale by 1/lam only for J_r^T y to cancel it."""
-        ev = self._at(x)
-        e = _hermitian_rows(-self.adjoint(x).T)
-        e[: self.d] -= e[: self.d].mean()
-        return ev, e
+        `_rho_pullback`, and the Hermitian rows e of Y^T for the gradient's
+        covector Y = `_covector`(M), so J_r^T e is the gradient. Y has no
+        identity part, which the solve would scale by 1/lam only for
+        J_r^T y to cancel it."""
+        return self._at(x), _hermitian_rows(_covector(self.adjoint(x)).T)
 
 
 def fit_ndo(

@@ -70,7 +70,7 @@ class WalkConfig:
             )
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise!r}")
-        if self.w_s < 0 or self.w_l < 0 or self.w_s + self.w_l > 1.0:
+        if not (self.w_s >= 0 and self.w_l >= 0 and self.w_s + self.w_l <= 1.0):
             raise ValueError(f"need w_s, w_l >= 0 and w_s + w_l <= 1, got ({self.w_s}, {self.w_l})")
         if not 0.0 <= self.delta_beta <= np.pi:
             raise ValueError(f"delta_beta must lie in [0, pi], got {self.delta_beta}")
@@ -112,7 +112,7 @@ def mixing_step(rho: np.ndarray, w_s: float, w_l: float) -> np.ndarray:
     whose coins (sites) agree and zeroes the rest, so entry (i, j) is scaled
     by (1 - w_s - w_l) + w_s [c_i = c_j] + w_l [l_i = l_j].
     """
-    if w_s < 0 or w_l < 0 or w_s + w_l > 1.0:
+    if not (w_s >= 0 and w_l >= 0 and w_s + w_l <= 1.0):
         raise ValueError(f"need w_s, w_l >= 0 and w_s + w_l <= 1, got ({w_s}, {w_l})")
     idx = np.arange(rho.shape[0])
     same_coin = idx[:, None] % 2 == idx[None, :] % 2

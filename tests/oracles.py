@@ -11,8 +11,9 @@ metric and its plain solve check the rho-space `training.solve_metric`;
 the complex Jacobian of all d^2 entries, filled one visible index at a
 time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`,
 whose dsyrk Gram, transpose product and Cholesky solve check the metric
-that `training.gram`, `training._pullback_rows` and `training.solve_metric` form
-without it;
+that `training.gram`, `training._rho_pullback` and `training.solve_metric` form
+without it, and whose extended-precision copy checks the gradient near a
+basis state;
 the per-call gather, KL mask and data adjoint check the fit's cached ones;
 the two-loop recursion that forms every s.y on use checks `training._Lbfgs`;
 two separate fits joined by a report merge check `training.fit_ndo`'s phases;
@@ -202,8 +203,8 @@ def complex_jacobian(rho, sig_lam, sig_mu, s_pair) -> np.ndarray:
 
     Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z), where
     z = sum_v rho[v, v] dA[v, v, :] is the gradient of log Z (zero on mu-group
-    entries), filled one visible index v at a time. `training._hermitian_rows`
-    of it is `kernels.assemble_jacobian`.
+    entries), filled one visible index v at a time in the precision of the
+    inputs. `training._hermitian_rows` of it is `kernels.assemble_jacobian`.
     """
     d = rho.shape[0]
     m_h = sig_lam.shape[0]
@@ -211,13 +212,13 @@ def complex_jacobian(rho, sig_lam, sig_mu, s_pair) -> np.ndarray:
     off = param_offsets(d, m_h, m_a)
     pd = rho.diagonal().real
     s_diag = s_pair[:, np.arange(d), np.arange(d)].real
-    z = np.zeros(off["total"])
+    z = np.zeros(off["total"], dtype=pd.dtype)
     z[off["w_lam"] : off["w_lam"] + m_h * d] = (sig_lam * pd[None, :]).ravel()
     z[off["u_lam"] : off["u_lam"] + m_a * d] = (s_diag * pd[None, :]).ravel()
     z[off["b_lam"] : off["b_lam"] + d] = pd
     z[off["c_lam"] : off["c_lam"] + m_h] = sig_lam @ pd
     z[off["d_lam"] : off["d_lam"] + m_a] = s_diag @ pd
-    jac = rho.reshape(-1)[:, None] * (-z)[None, :].astype(np.complex128)
+    jac = rho.reshape(-1)[:, None] * (-z)[None, :].astype(rho.dtype)
     j3 = jac.reshape(d, d, off["total"])
     wl = j3[:, :, off["w_lam"] : off["w_lam"] + m_h * d].reshape(d, d, m_h, d)
     wm = j3[:, :, off["w_mu"] : off["w_mu"] + m_h * d].reshape(d, d, m_h, d)
@@ -467,6 +468,18 @@ def dense_metric_direction(metric: np.ndarray, grad: np.ndarray, eps: float) -> 
 def jacobian_rows(ev) -> np.ndarray:
     """The real Hermitian-row Jacobian J_r at an evaluation, which no fit forms."""
     return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+
+
+def extended_jacobian_rows(ev) -> np.ndarray:
+    """J_r at an evaluation in 80-bit extended precision (np.longdouble): the
+    `complex_jacobian` of its double caches, reduced to Hermitian rows, so
+    that its products keep about three more digits than the library's."""
+    def widen(a):
+        return a.astype(np.clongdouble if np.iscomplexobj(a) else np.longdouble)
+
+    d = ev.rho.shape[0]
+    jac = complex_jacobian(widen(ev.rho), widen(ev.sig_lam), widen(ev.sig_mu), widen(ev.s_pair))
+    return training._hermitian_rows(jac.reshape(d, d, -1))
 
 
 def jacobian_gram(jr: np.ndarray) -> np.ndarray:

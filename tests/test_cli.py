@@ -84,6 +84,14 @@ class TestSimulate:
         assert run(["simulate", "--steps", "2", "--noise", "dephasing", "--delta-beta", "9.0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--w-s", "--w-l"])
+    def test_nan_mixing_weight_exit_one(self, tmp_path, capsys, flag):
+        out = tmp_path / "m.state"
+        assert run(["simulate", "--steps", "2", "--noise", "mixing", flag, "nan",
+                    "--out", str(out)]) == 1
+        assert "w_s, w_l" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--steps", "2", "--alpha", "0.1", "--disordered-seed", "3"])
@@ -144,6 +152,14 @@ class TestTrainAndEvaluate:
         doc = json.loads(report.read_text())
         assert doc["iterations"] <= 150
         assert read_csv_header(trace) == "iter,cost,grad_norm,step,millis"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_train_grad_tol_not_finite_positive_exit_one(self, tmp_path, small_dataset, capsys, value):
+        ckpt = tmp_path / "fit.ckpt"
+        assert run(["train", "--dataset", str(small_dataset), "--grad-tol", value,
+                    "--max-iters", "2", "--checkpoint", str(ckpt)]) == 1
+        assert "grad_tol must be finite and > 0" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_train_steps_mismatch(self, small_dataset, capsys):
         assert run(["train", "--dataset", str(small_dataset), "--steps", "3",

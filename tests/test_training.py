@@ -38,6 +38,11 @@ def metric_gram(ev):
     return training.gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
 
 
+def pullback_rows(ev, y):
+    """J_r^T y for Hermitian-row coordinates y, the way `training.solve_metric` forms it."""
+    return training._rho_pullback(ev, training._row_matrix(y, ev.rho.shape[0])).real
+
+
 def wide_range(d, m_h, m_a, seed):
     """Random weights at scale 0.8 with the last two visible biases at -920 and
     -1340: those two populations underflow to zero, and their coherences with
@@ -114,7 +119,24 @@ class TestGradCost:
         tampered = dataclasses.replace(ev, rho=ev.rho + skew)
         m = oracles.data_adjoint(tampered.rho, ds.probs, bases)
         with pytest.raises(RuntimeError, match="imaginary residue"):
-            training._grad_from_eval(tampered, m, bases.n_bases)
+            training._grad_from_eval(tampered, training._covector(m))
+
+    # relative differences measured: 3.3e-16 and 5.2e-13
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than double here")
+    @pytest.mark.parametrize("scale,tol", [(3.0, 1e-12), (5.0, 1e-10)])
+    def test_near_a_basis_state_matches_extended_precision(self, scale, tol):
+        # rho_11 = 1 - 1.8e-4 at scale 3 and 1 - 4.9e-7 at scale 5, where 16
+        # model probabilities meet the floor; the data are a nearby state's
+        x = ndo.init_params(12, 15, 15, scale=scale, seed=17).to_vector()
+        near = x + 0.01 * np.random.default_rng(1).standard_normal(x.size)
+        bases = measurement.all_basis_unitaries(5)
+        data = bases.probabilities(ndo.density_matrix(ndo.NdoParams.from_vector(12, 15, 15, near)))
+        obj = training._NdoObjective(data, bases, 12, 15, 15)
+        ev, e = obj.metric(x)
+        ref = oracles.extended_jacobian_rows(ev).T @ e.astype(np.longdouble)
+        err = np.linalg.norm((obj.grad(x) - ref).astype(float))
+        assert err <= tol * np.linalg.norm(ref.astype(float))
 
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 5, 30])
     def test_matches_dense_oracle(self, n_steps):
@@ -126,7 +148,7 @@ class TestGradCost:
         g = grad(params, data, measurement.all_basis_unitaries(n_steps))
         ev = ndo.evaluate(params)
         dense = oracles.DenseBases(n_steps)
-        ref = training._grad_from_eval(ev, oracles.data_adjoint(ev.rho, data, dense), dense.n_bases)
+        ref = training._grad_from_eval(ev, training._covector(oracles.data_adjoint(ev.rho, data, dense)))
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_stationary_on_own_dataset(self):
@@ -236,7 +258,7 @@ class TestRhoSpaceSolve:
         obj, params = self.objective_at(n_steps)
         ev, e = obj.metric(params.to_vector())
         g = obj.grad(params.to_vector())
-        assert np.linalg.norm(training._pullback_rows(ev, e) - g) <= 1e-12 * np.linalg.norm(g)
+        assert np.linalg.norm(pullback_rows(ev, e) - g) <= 1e-12 * np.linalg.norm(g)
         assert np.linalg.norm(oracles.jacobian_rows(ev).T @ e - g) <= 1e-12 * np.linalg.norm(g)
 
     def test_gram_shape(self):
@@ -258,8 +280,8 @@ class TestRhoSpaceSolve:
 
 
 class TestMetricWithoutJacobian:
-    """`training.gram` and `training._pullback_rows` against the formed Jacobian J_r:
-    K = J_r J_r^T by dsyrk and J_r^T y by the plain product."""
+    """`training.gram` and the pullback of `training.solve_metric` against the
+    formed Jacobian J_r: K = J_r J_r^T by dsyrk and J_r^T y by the plain product."""
 
     STATES = {
         **{f"N={n}, scale {scale}": functools.partial(
@@ -296,7 +318,7 @@ class TestMetricWithoutJacobian:
         # precision (the contraction's is 1.9e-15); the nearly pure state's
         # products are subnormal, where doubles keep fewer digits
         tol = 1e-11 * np.linalg.norm(ref) + 1e3 * np.finfo(float).smallest_subnormal
-        assert np.linalg.norm(training._pullback_rows(ev, y) - ref) <= tol
+        assert np.linalg.norm(pullback_rows(ev, y) - ref) <= tol
 
     @pytest.fixture(scope="class")
     def fit_points(self):
@@ -367,7 +389,7 @@ class TestBitIdentity:
 
         assert objective.cost(x) == oracles.kl_distance(data, bases.probabilities(rho))
         m_ref = oracles.data_adjoint(rho, data, bases)
-        assert np.array_equal(objective.grad(x), training._grad_from_eval(eager, m_ref, bases.n_bases))
+        assert np.array_equal(objective.grad(x), training._grad_from_eval(eager, training._covector(m_ref)))
         ev, e = objective.metric(x)
         e_ref = training._hermitian_rows(-m_ref.T)
         e_ref[:12] -= e_ref[:12].mean()
@@ -505,6 +527,24 @@ class TestGngdStep:
         assert report.iterations == 1
         np.testing.assert_allclose(x, x0 + report.step_sizes[0] * expected_dir, atol=1e-12)
 
+    def test_accepted_fallback_raises_eps_tenfold(self, monkeypatch):
+        # the first metric direction points uphill, so the line search fails
+        # and the gradient fallback's step 2^-30 is accepted; that step is
+        # below 1e-3, so the schedule raises eps tenfold, once
+        seen = []
+
+        def solve_metric(ev, e, eps):
+            seen.append(eps)
+            return -e if len(seen) == 1 else e
+
+        monkeypatch.setattr(training, "solve_metric", solve_metric)
+        _, report = training.minimize_vector(
+            lambda x: 0.5 * float(x @ x), lambda x: x.copy(), np.ones(3),
+            TrainConfig(optimizer="gngd", max_iters=2), metric_fun=lambda x: (None, x),
+        )
+        assert report.step_sizes[0] == 2.0**-30
+        assert seen == [training.METRIC_EPS, 10.0 * training.METRIC_EPS]
+
     def test_accepted_steps_decrease_cost(self):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
         config = TrainConfig(optimizer="gngd", max_iters=200)
@@ -590,6 +630,9 @@ class TestOptimize:
             TrainConfig(optimizer="adam")
         with pytest.raises(ValueError):
             TrainConfig(grad_tol=0.0)
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="grad_tol"):
+                TrainConfig(grad_tol=value)
         with pytest.raises(ValueError):
             TrainConfig(max_iters=0)
 
@@ -645,9 +688,9 @@ PHASE_SEAMS = {
         (1, "none", 0.0), (4, 3, 3),
         dict(seed=1, warmup_iters=300, polish_iters=30, grad_tol=1e-5), ("grad_tol", 50),
     ),
-    "warmup-line-search-failure": (  # L-BFGS fails at step 370; GNGD takes 8 more
+    "warmup-line-search-failure": (  # L-BFGS fails at step 407; GNGD takes 1 more
         (1, "none", 0.0), (4, 3, 3),
-        dict(seed=0, warmup_iters=2000, polish_iters=30), ("line-search failure", 378),
+        dict(seed=0, warmup_iters=2000, polish_iters=30), ("line-search failure", 408),
     ),
 }
 

@@ -139,6 +139,11 @@ class TestKrausStep:
         with pytest.raises(ValueError):
             walk.mixing_step(walk.initial_state(1), 0.7, 0.5)
 
+    @pytest.mark.parametrize("w_s,w_l", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_rejects_nan_weight(self, w_s, w_l):
+        with pytest.raises(ValueError, match="w_s, w_l"):
+            walk.mixing_step(walk.initial_state(1), w_s, w_l)
+
 
 class TestDephasingStep:
     def test_zero_is_identity(self):
@@ -315,6 +320,11 @@ class TestWalkConfigValidation:
     def test_mixing_weights(self):
         with pytest.raises(ValueError):
             walk.WalkConfig(1, (0.1,), noise="mixing", w_s=0.8, w_l=0.4)
+
+    @pytest.mark.parametrize("weights", [dict(w_s=np.nan), dict(w_l=np.nan)])
+    def test_nan_mixing_weight(self, weights):
+        with pytest.raises(ValueError, match="w_s, w_l"):
+            walk.WalkConfig(1, (0.1,), noise="mixing", **weights)
 
     def test_delta_beta_range(self):
         with pytest.raises(ValueError):
