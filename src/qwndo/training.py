@@ -6,11 +6,14 @@ gradient (no sampling). `KlObjective` computes it for the network ansatz and
 the MaxLik baseline alike, forming each point's model distributions and the
 adjoint M = -dD/drho once from the 2-sparse `measurement.BasisTables`, the
 only basis representation. One loop runs a sequence of optimizer phases,
-each from where the last stopped, and four optimizers share its Armijo
-backtracking line search and stopping rule: plain gradient descent,
-Polak-Ribiere-plus conjugate gradient, L-BFGS, and natural gradient descent
-preconditioned by the Gram metric G = Re(J^dag J) of the flattened-state
-Jacobian J, i.e. the pullback of a flat metric on density-matrix entries.
+each from where the last stopped, and four optimizers share its Armijo line
+search and stopping rule: plain gradient descent, Polak-Ribiere-plus
+conjugate gradient, L-BFGS, and natural gradient descent preconditioned by
+the Gram metric G = Re(J^dag J) of the flattened-state Jacobian J, i.e. the
+pullback of a flat metric on density-matrix entries. The search halves a
+failing first trial and doubles a passing one up to the unit step; gradient
+and natural-gradient descent take their first trial from the last accepted
+step, the others from the unit step.
 rho is Hermitian, so J has d^2 independent real rows J_r
 (`kernels.hermitian_rows`); G = J_r^T J_r, and the gradient is J_r^T e for
 the same coordinates e of -M^T. The push-through identity
@@ -39,10 +42,17 @@ PROB_FLOOR = 1e-12  # inside logs and the matching gradient weights
 
 OPTIMIZERS = ("gd", "cg", "lbfgs", "gngd")
 
-LS_INIT_STEP = 1.0  # first Armijo trial step
-LS_SHRINK = 0.5  # backtracking factor
+LS_INIT_STEP = 1.0  # largest Armijo trial step, and the first one unless warm-started
+LS_SHRINK = 0.5  # halving factor of a failed trial; a passing warm start grows by its inverse
 LS_ARMIJO = 1e-4  # sufficient-decrease constant
 LS_MAX_HALVINGS = 30
+LS_MIN_STEP = LS_INIT_STEP * LS_SHRINK**LS_MAX_HALVINGS  # smallest trial step
+# Optimizers whose direction has no natural unit length start each search at
+# the phase's last accepted step (Nocedal & Wright, Numerical Optimization,
+# sec. 3.5). L-BFGS scales its direction so that the unit step is the natural
+# trial, and warm-started it took more evaluations; MaxLik's CG steps accept
+# the unit step, so CG keeps it too.
+WARM_START = ("gd", "gngd")
 LBFGS_MEMORY = 10  # curvature pairs kept by L-BFGS
 METRIC_EPS = 1e-6  # relative jitter on the metric solve, the floor of the damping schedule
 
@@ -344,26 +354,49 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     return _rho_pullback(ev, _row_matrix(y, d)).real.copy()
 
 
-def _armijo(fun, x, f0, g, p):
-    """Backtrack from the initial step; None when all halvings fail.
+def _armijo(fun, x, f0, g, p, eta=LS_INIT_STEP):
+    """Armijo search along p from the first trial step eta, a power of two
+    times LS_INIT_STEP; returns (x + eta p, cost, eta), or None when every
+    such step from LS_INIT_STEP down to LS_MIN_STEP fails.
 
-    fn - f0 is tested, since f0 + a decrease below f0's resolution is f0."""
+    A passing first trial doubles while the doubled step still passes, up to
+    LS_INIT_STEP. A failing one halves until a trial passes, and if none
+    down to LS_MIN_STEP does, the steps above it are tried from LS_INIT_STEP
+    down, so the search fails exactly where backtracking from LS_INIT_STEP
+    does. Where the passing steps form an interval, it accepts the largest
+    passing power of two, the step that backtracking accepts, in fewer
+    trials when eta is near it. fn - f0 is tested, since f0 + a decrease
+    below f0's resolution is f0."""
     slope = float(g @ p)
     if slope >= 0.0:
         return None
-    eta = LS_INIT_STEP
-    for _ in range(LS_MAX_HALVINGS + 1):
+
+    def trial(eta):
         xn = x + eta * p
         fn = fun(xn)
-        if fn - f0 <= LS_ARMIJO * eta * slope:
-            return xn, fn, eta
+        return (xn, fn, eta) if fn - f0 <= LS_ARMIJO * eta * slope else None
+
+    res = trial(eta)
+    if res is not None:
+        while eta < LS_INIT_STEP and (wider := trial(eta / LS_SHRINK)) is not None:
+            res, eta = wider, eta / LS_SHRINK
+        return res
+    first = eta
+    while eta > LS_MIN_STEP:
+        eta *= LS_SHRINK
+        if (res := trial(eta)) is not None:
+            return res
+    eta = LS_INIT_STEP
+    while eta > first:
+        if (res := trial(eta)) is not None:
+            return res
         eta *= LS_SHRINK
     return None
 
 
 def _gradient_fallback(fun, x, f0, g):
-    """Plain gradient step at the last backtracked step size."""
-    eta = LS_INIT_STEP * LS_SHRINK**LS_MAX_HALVINGS
+    """Plain gradient step at the smallest line-search step."""
+    eta = LS_MIN_STEP
     xn = x - eta * g
     fn = fun(xn)
     if fn - f0 <= -LS_ARMIJO * eta * float(g @ g):
@@ -410,9 +443,11 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
     fresh optimizer state; the report's optimizer names the phases joined by
     "+" and its termination is the last phase's. `metric_fun(x)` supplies the
     pair (ev, e) of `solve_metric` for the gngd optimizer, with J_r^T e the
-    gradient at x, and is ignored otherwise. Line-search failures first retry
-    a plain gradient step at the last backtracked step size, then end the
-    phase; the next phase starts from the same point.
+    gradient at x, and is ignored otherwise. Each step runs the `_armijo`
+    search, from LS_INIT_STEP for lbfgs and cg, and for gd and gngd from the
+    step the phase's last search accepted (LS_INIT_STEP on its first step).
+    Line-search failures first retry a plain gradient step at LS_MIN_STEP,
+    then end the phase; the next phase starts from the same point.
     """
     if metric_fun is None and any(c.optimizer == "gngd" for c in configs):
         raise ValueError("gngd requires a metric_fun")
@@ -436,6 +471,7 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
         # jitter grows tenfold on collapsed steps and decays back to the
         # METRIC_EPS floor on full ones.
         eps = METRIC_EPS
+        first_step = LS_INIT_STEP
         for _ in range(config.max_iters):
             t0 = time.perf_counter()
             if grad_norms[-1] <= config.grad_tol:
@@ -460,11 +496,13 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
                     p = -g
             else:  # gngd
                 p = -solve_metric(*metric_fun(x), eps)
-            res = _armijo(fun, x, f, g, p)
+            res = _armijo(fun, x, f, g, p, first_step)
             if res is None:
                 res = _gradient_fallback(fun, x, f, g)
                 if res is not None:
                     lbfgs.pairs.clear()
+            elif opt in WARM_START:
+                first_step = res[2]
             if res is None:
                 termination = "line-search failure"
                 break

@@ -16,6 +16,8 @@ without it, and whose extended-precision copy checks the gradient near a
 basis state;
 the per-call gather, KL mask and data adjoint check the fit's cached ones;
 the two-loop recursion that forms every s.y on use checks `training._Lbfgs`;
+backtracking from the unit step on every search checks the warm-started
+`training._armijo`;
 two separate fits joined by a report merge check `training.fit_ndo`'s phases;
 a Monte-Carlo average over coin phases checks `walk.dephasing_step`; the
 walk with a dense Kraus list for mixing, the complex phase pair for
@@ -452,6 +454,22 @@ def lbfgs_direction(pairs, g: np.ndarray) -> np.ndarray:
         b = float(y @ q) / float(s @ y)
         q += (a - b) * s
     return -q
+
+
+def backtracking_armijo(fun, x, f0, g, p):
+    """Armijo backtracking from LS_INIT_STEP: the first of LS_INIT_STEP,
+    LS_INIT_STEP/2, ... down to LS_MIN_STEP that passes, or None."""
+    slope = float(g @ p)
+    if slope >= 0.0:
+        return None
+    eta = training.LS_INIT_STEP
+    for _ in range(training.LS_MAX_HALVINGS + 1):
+        xn = x + eta * p
+        fn = fun(xn)
+        if fn - f0 <= training.LS_ARMIJO * eta * slope:
+            return xn, fn, eta
+        eta *= training.LS_SHRINK
+    return None
 
 
 def dense_metric(jac: np.ndarray) -> np.ndarray:

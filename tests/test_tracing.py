@@ -46,3 +46,28 @@ def test_fit_ndo_runs_one_traced_optimizer_loop():
     stats = tracer.layer_stats()
     assert stats["training.minimize_vector.calls"] == 1
     assert stats["training.iterations"] == report.iterations
+
+
+def test_line_search_trials_count_every_search_evaluation(monkeypatch):
+    # every cost call is a line-search trial, except the start's and one per
+    # gradient fallback
+    rho = walk.evolve(walk.WalkConfig(2, (np.pi / 4,) * 2, noise="dephasing", delta_beta=1.0))
+    ds = measurement.generate_dataset(rho, 2)
+    bases = measurement.all_basis_unitaries(2)
+    calls = []
+    cost = training._NdoObjective.cost
+
+    def counted(self, x):
+        calls.append(1)
+        return cost(self, x)
+
+    monkeypatch.setattr(training._NdoObjective, "cost", counted)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        _, report = training.fit_ndo(ds, bases, 6, 3, 3, seed=0, warmup_iters=10, polish_iters=10)
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    searched = len(calls) - 1 - stats["training.gradient_fallback.calls"]
+    assert stats["training.linesearch.trials"] == searched > report.iterations

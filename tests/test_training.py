@@ -426,6 +426,133 @@ class TestLbfgs:
         assert np.array_equal(training._Lbfgs(4).direction(g), -g)
 
 
+def quadratic_line(scale):
+    """f(x) = x.A.x / 2 at x0 = (1, 1) along p = -scale g, g = A x0. Its
+    passing Armijo steps are the interval (0, eta_max] with eta_max about
+    0.067 / scale, so scale sets where a search along p must stop."""
+    a = np.diag([1.0, 30.0])
+    x0 = np.ones(2)
+
+    def fun(x):
+        return 0.5 * float(x @ a @ x)
+
+    g = a @ x0
+    return fun, x0, fun(x0), g, -scale * g
+
+
+def backtracking_search(monkeypatch):
+    """Swap the warm-started line search for the oracle that backtracks from 1."""
+    monkeypatch.setattr(
+        training, "_armijo",
+        lambda fun, x, f0, g, p, eta: oracles.backtracking_armijo(fun, x, f0, g, p),
+    )
+
+
+class TestWarmStartedArmijo:
+    # the largest passing step: 1, 2^-4, 2^-8, 2^-14, 2^-28, and none
+    SCALES = (1e-3, 1.0, 16.0, 1e3, 1e7, 1e9)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_equals_backtracking_from_every_first_step(self, scale):
+        fun, x0, f0, g, p = quadratic_line(scale)
+        ref = oracles.backtracking_armijo(fun, x0, f0, g, p)
+        for k in range(training.LS_MAX_HALVINGS + 1):
+            res = training._armijo(fun, x0, f0, g, p, 2.0**-k)
+            if ref is None:
+                assert res is None, k
+            else:
+                assert np.array_equal(res[0], ref[0]) and res[1:] == ref[1:], k
+
+    def test_fewer_trials_from_the_accepted_step(self):
+        fun, x0, f0, g, p = quadratic_line(16.0)
+        trials = []
+
+        def counted(x):
+            trials.append(x)
+            return fun(x)
+
+        _, _, eta = oracles.backtracking_armijo(counted, x0, f0, g, p)
+        assert eta == 2.0**-8 and len(trials) == 9
+        trials.clear()
+        assert training._armijo(counted, x0, f0, g, p, eta)[2] == eta
+        assert len(trials) == 2  # eta passes, 2 eta fails
+
+    def test_expansion_stops_at_the_unit_step(self):
+        # a falling linear cost passes the Armijo test at every step
+        steps = []
+
+        def fun(x):
+            steps.append(float(x[0]))
+            return -float(x[0])
+
+        g = np.array([-1.0])
+        for k in range(training.LS_MAX_HALVINGS + 1):
+            steps.clear()
+            res = training._armijo(fun, np.zeros(1), 0.0, g, -g, 2.0**-k)
+            assert res[2] == training.LS_INIT_STEP
+            assert steps == [2.0**-j for j in range(k, -1, -1)]
+
+    @pytest.mark.parametrize("case", ["ascent", "unchanged cost", "over-curved", "passing",
+                                      "long steps only"])
+    def test_none_exactly_where_backtracking_fails(self, case):
+        if case == "ascent":
+            fun, x0, f0, g, p = quadratic_line(1.0)
+            p = -p
+        elif case == "unchanged cost":
+            fun, x0, f0, g = (lambda x: 1.0), np.zeros(1), 1.0, np.array([1e-20])
+            p = -g
+        elif case == "long steps only":
+            # a step to 0.3 or beyond drops the cost; a shorter one leaves it
+            # unchanged, so only 1/2 and 1 pass
+            fun, x0, f0, g = (lambda x: float(x[0] < 0.3)), np.zeros(1), 1.0, np.array([-1.0])
+            p = -g
+        else:
+            fun, x0, f0, g, p = quadratic_line(1e9 if case == "over-curved" else 1e3)
+        ref = oracles.backtracking_armijo(fun, x0, f0, g, p)
+        assert (ref is None) == (case in ("ascent", "unchanged cost", "over-curved"))
+        for k in range(training.LS_MAX_HALVINGS + 1):
+            res = training._armijo(fun, x0, f0, g, p, 2.0**-k)
+            assert (res is None) == (ref is None), k
+            if case == "long steps only":
+                assert res[2] == ref[2] == 1.0, k
+
+
+def fits_equal_backtracking(monkeypatch, fit):
+    """Run fit() with the warm-started search, then with the backtracking
+    oracle; both give the same parameters and reports, the oracle with more
+    NDO evaluations. Returns the two evaluation counts."""
+    evals = count_calls(monkeypatch, ndo, "evaluate")
+    x_lib, rep_lib = fit()
+    n_lib = len(evals)
+    backtracking_search(monkeypatch)
+    x_ref, rep_ref = fit()
+    n_ref = len(evals) - n_lib
+    assert np.array_equal(x_lib.to_vector(), x_ref.to_vector())
+    assert rep_lib.costs == rep_ref.costs
+    assert rep_lib.grad_norms == rep_ref.grad_norms
+    assert rep_lib.step_sizes == rep_ref.step_sizes
+    assert rep_lib.termination == rep_ref.termination
+    assert n_lib < n_ref
+    return n_lib, n_ref
+
+
+def test_fit_ndo_equals_backtracking_search(monkeypatch):
+    """The benchmark's N=5 recipe (15+15 units, 100 L-BFGS + 20 GNGD)."""
+    rho, ds, bases = hadamard_setup(5, noise="dephasing", delta_beta=1.0)
+    fits_equal_backtracking(monkeypatch, lambda: training.fit_ndo(
+        ds, bases, 12, 15, 15, seed=0, warmup_iters=100, polish_iters=20))
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "gngd"])
+def test_pure_start_equals_backtracking_search(monkeypatch, optimizer):
+    """150 steps from criterion 7's pure start, where GD accepts steps from
+    2^-5 to 1 and GNGD from 2^-24 to 2^-6."""
+    rho, ds, bases = hadamard_setup(5, noise="dephasing", delta_beta=np.pi / 2)
+    init = ndo.init_params(12, 15, 15, scale=0.01, seed=0)
+    config = TrainConfig(optimizer=optimizer, grad_tol=1e-14, max_iters=150)
+    fits_equal_backtracking(monkeypatch, lambda: training.optimize((config,), ds, bases, init))
+
+
 def test_fit_ndo_equals_dense_oracle_path(monkeypatch):
     """A short L-BFGS + GNGD fit is bit-identical when the upper-pair kernel,
     the lazy caches and the stored s.y are swapped for their oracles."""
