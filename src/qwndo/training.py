@@ -331,9 +331,13 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
 
     By the push-through identity x = J_r^T y with (K + lam I) y = e, K = `gram`,
     and lam = eps * tr(G) / P, where tr G = tr K; J_r^T y is the gradient's
-    `_rho_pullback` of `_row_matrix`(y), so J_r itself is never formed. The
-    jittered system can be conditioned like 1/eps, so iterative refinement
-    keeps the residual at roundoff.
+    `_rho_pullback` of `_row_matrix`(y), so J_r itself is never formed. K is
+    symmetric and not read again, so K + lam I is factored in place through
+    the Fortran-ordered view K^T. One solve is enough: Cholesky is backward
+    stable, and refinement in the same precision stays near the residual the
+    1/eps conditioning sets (at eps = 1e-6 after 100 L-BFGS steps, 8.1e-9,
+    1.7e-8 and 3.6e-8 at N = 5, 10 and 30, against 5.2e-9, 9.2e-9 and 2.7e-8
+    after three refinement steps), far above roundoff.
     """
     k = gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
     d, m_h, m_a = ev.rho.shape[0], ev.sig_lam.shape[0], ev.s_upper.shape[0]
@@ -341,16 +345,9 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     if not np.isfinite(t_bar) or t_bar <= 0.0:
         y = e  # degenerate metric: fall back to the identity
     else:
-        reg = k  # K + lam I in place: K is not read again
-        reg.flat[:: k.shape[0] + 1] += eps * t_bar
-        factor = cho_factor(reg, lower=True, check_finite=False)
+        k.flat[:: k.shape[0] + 1] += eps * t_bar
+        factor = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
         y = cho_solve(factor, e)
-        scale = np.linalg.norm(e)
-        for _ in range(3):
-            residual = e - reg @ y
-            if np.linalg.norm(residual) <= 1e-12 * scale:
-                break
-            y = y + cho_solve(factor, residual)
     return _rho_pullback(ev, _row_matrix(y, d)).real.copy()
 
 
@@ -449,6 +446,8 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
     Line-search failures first retry a plain gradient step at LS_MIN_STEP,
     then end the phase; the next phase starts from the same point.
     """
+    if not configs:
+        raise ValueError("configs is empty: at least one phase is required")
     if metric_fun is None and any(c.optimizer == "gngd" for c in configs):
         raise ValueError("gngd requires a metric_fun")
     x = np.array(x0, dtype=float)

@@ -509,8 +509,9 @@ def jacobian_gram(jr: np.ndarray) -> np.ndarray:
 def jacobian_solve_metric(jr: np.ndarray, e: np.ndarray, eps: float) -> np.ndarray:
     """The natural-gradient direction through the formed Jacobian: J_r^T y with
     (K + lam I) y = e, K = `jacobian_gram`(J_r) and lam = eps tr K / P, solved
-    by Cholesky with iterative refinement, as `training.solve_metric` does
-    without J_r."""
+    by Cholesky of a copy of K + lam I with three steps of iterative
+    refinement, the reference for `training.solve_metric`'s single in-place
+    solve without J_r."""
     k = jacobian_gram(jr)
     t_bar = float(np.trace(k)) / jr.shape[1]
     if not np.isfinite(t_bar) or t_bar <= 0.0:
