@@ -92,10 +92,6 @@ def _network_sizes(args) -> tuple[int, int]:
     return hidden, ancillary
 
 
-def _train_config(args, **fields) -> training.TrainConfig:
-    return training.TrainConfig(grad_tol=args.grad_tol, max_iters=args.max_iters, **fields)
-
-
 def _check_steps(flag_steps, file_steps: int, what: str) -> None:
     if flag_steps is not None and flag_steps != file_steps:
         raise ValueError(f"--steps says N={flag_steps} but {what} has N={file_steps}")
@@ -165,15 +161,20 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _fit_ndo(args, ds, bases, m_h: int, m_a: int, seed: int, target):
+    """`training.fit_ndo` with --max-iters capping each phase; returns (params, report)."""
+    return training.fit_ndo(ds, bases, 2 * (ds.n_steps + 1), m_h, m_a, seed=seed, target=target,
+                            warmup_iters=args.max_iters, polish_iters=args.max_iters,
+                            grad_tol=args.grad_tol)
+
+
 def cmd_train(args) -> int:
     ds, bases, target = _load_fit_inputs(args)
     m_h, m_a = _network_sizes(args)
-    config = _train_config(args, optimizer=args.optimizer)
-    init = ndo.init_params(2 * (ds.n_steps + 1), m_h, m_a, seed=args.seed)
-    params, report = training.optimize((config,), ds, bases, init, target=target)
+    params, report = _fit_ndo(args, ds, bases, m_h, m_a, args.seed, target)
     if args.checkpoint:
         ndo.save_checkpoint(params, args.checkpoint)
-    summary = {"optimizer": config.optimizer, "hidden": m_h, "ancillary": m_a,
+    summary = {"optimizer": report.optimizer, "hidden": m_h, "ancillary": m_a,
                **_report_fit(args, report)}
     if target is not None:
         summary.update(fidelity=report.fidelity, purity=report.purity,
@@ -234,8 +235,8 @@ def _compare_optimizers(args, config: walk.WalkConfig, csv_path) -> dict:
     init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a, seed=args.seed)
     reports = {}
     for name in training.OPTIMIZERS:
-        train_config = _train_config(args, optimizer=name)
-        _, reports[name] = training.optimize((train_config,), ds, bases, init, target=rho)
+        config = training.TrainConfig(name, args.grad_tol, args.max_iters)
+        _, reports[name] = training.optimize((config,), ds, bases, init, target=rho)
     rows = [(i, name, c) for name, report in reports.items() for i, c in enumerate(report.costs)]
     fileio.write_csv(csv_path, ["iter", "optimizer", "cost"], rows)
     return reports
@@ -256,16 +257,9 @@ def _fit_instance(rho, n_steps, m, args, run_maxlik=True, seed=0):
     """Exact dataset from rho, NDO fit with m + m units, optional MaxLik fit; returns metrics."""
     ds = measurement.generate_dataset(rho, n_steps)
     bases = measurement.all_basis_unitaries(n_steps)
-    params, report = training.fit_ndo(
-        ds, bases, 2 * (n_steps + 1), m, m, seed=seed,
-        warmup_iters=args.max_iters, polish_iters=args.max_iters,
-        grad_tol=args.grad_tol, target=rho,
-    )
-    out = {
-        "fidelity_ndo": report.fidelity,
-        "purity_error_ndo": report.purity_error,
-        "purity_ndo": report.purity,
-    }
+    _, report = _fit_ndo(args, ds, bases, m, m, seed, rho)
+    out = {"fidelity_ndo": report.fidelity, "purity_error_ndo": report.purity_error,
+           "purity_ndo": report.purity}
     if run_maxlik:
         _, ml_report = maxlik.maxlik_fit(
             ds, bases, seed=seed, grad_tol=args.grad_tol,
@@ -368,7 +362,7 @@ def cmd_reproduce(args) -> int:
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     # every input is checked before the report directory is created
-    _train_config(args)
+    training.TrainConfig(grad_tol=args.grad_tol, max_iters=args.max_iters)
     if args.preset == "fig5":
         _fig5_walk(args)
     out_dir = Path(args.out_dir or f"reproduce_{args.preset}")
@@ -434,12 +428,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="dataset file to write")
 
-    sp = add("train", cmd_train, "fit the network ansatz to a dataset")
+    sp = add("train", cmd_train, "fit the network ansatz: L-BFGS from a mixed start, then GNGD")
     _add_dataset_flags(sp, steps_help="expected N (checked against the dataset)",
                        csv_help="per-iteration trace CSV to write")
     _add_fit_flags(sp, max_iters=2000)
     _add_size_flags(sp, "{} units (default 10; 15 for open noise)")
-    sp.add_argument("--optimizer", choices=training.OPTIMIZERS, default="gngd")
     sp.add_argument("--noise", choices=walk.NOISE_KINDS, default="none",
                     help="walk noise the dataset came from; sets size defaults only")
     sp.add_argument("--checkpoint", help="parameter checkpoint file to write")
@@ -477,25 +470,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def _apply_config(parser, registry, argv, args):
     """Re-parse with config-file values injected ahead of the explicit flags.
 
-    Inserting the file values as tokens right after the subcommand lets
-    argparse's last-occurrence rule give explicit flags precedence.
+    A value must be a JSON boolean for an on/off flag, else a string or number
+    that passes the flag's type and choices. Inserting the values right after
+    the subcommand lets argparse's last-occurrence rule give explicit flags precedence.
     """
     values = fileio.read_json(args.config, "config file")
-    by_dest = {
-        action.dest: action
-        for action in registry[args.command]._actions
-        if action.option_strings
-    }
+    sub = registry[args.command]
+    by_dest = {action.dest: action for action in sub._actions if action.option_strings}
+    where = f"config file {args.config} sets"
     tokens = []
     for key, value in values.items():
         action = by_dest.get(key.replace("-", "_"))
-        if action is None or key.replace("-", "_") == "config":
-            raise ValueError(f"config file sets unknown flag {key!r} for {args.command!r}")
-        if isinstance(action, argparse._StoreTrueAction):
-            if value:
-                tokens.append(action.option_strings[0])
-        else:
-            tokens.extend([action.option_strings[0], str(value)])
+        if action is None or action.dest == "config":
+            raise ValueError(f"{where} unknown flag {key!r} for {args.command!r}")
+        on_off = isinstance(action, argparse._StoreTrueAction)
+        if on_off != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            kind = "a JSON boolean" if on_off else "a JSON string or number"
+            raise ValueError(f"{where} {key!r} to {json.dumps(value)}, not {kind}")
+        if not on_off:
+            try:
+                sub._get_values(action, [str(value)])  # argparse's own type and choices checks
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{where} {key!r}: {exc.message}") from None
+            tokens.append(f"{action.option_strings[0]}={value}")
+        elif value:
+            tokens.append(action.option_strings[0])
     at = argv.index(args.command) + 1
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 

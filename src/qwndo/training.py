@@ -533,12 +533,29 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
     return x, report
 
 
+@dataclass
+class _Point:
+    """One point of a `KlObjective`: its state, floored model and cost, and
+    the adjoint M once a call needs it."""
+
+    key: bytes
+    rho: np.ndarray
+    aux: object
+    model: np.ndarray
+    cost: float
+    m: np.ndarray | None = None
+
+
 class KlObjective:
     """D(x) = sum data * log(data / model(rho(x))) over the nonzero data, model
     floored at PROB_FLOOR. Per point, rho and the model are formed on the first
     call at x, M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b)), w = data / model,
-    on the first call that needs it. Subclasses supply the state map
+    on the first call that needs it. The last CACHED_POINTS points are kept:
+    a search that accepts a step and then fails the doubled trial asks for
+    the gradient at the point before last. Subclasses supply the state map
     `_state(x) -> (rho, aux)` and its pullback `_pullback(rho, aux, M)` to x."""
+
+    CACHED_POINTS = 2
 
     def __init__(self, ds, bases: BasisTables, d: int):
         self.data = _data_probs(ds, bases, d)
@@ -546,33 +563,34 @@ class KlObjective:
         self.mask = self.data > 0
         self.kept = self.data[self.mask]
         self.log_kept = np.log(self.kept)
-        self._key = None
+        self._points: list[_Point] = []  # most recently used first
 
-    def _at(self, x: np.ndarray):
-        """The state's aux at x; caches rho, the floored model and the cost."""
+    def _at(self, x: np.ndarray) -> _Point:
+        """The cached point x, formed on a miss."""
         key = x.tobytes()
-        if key != self._key:
-            self._rho, self._aux = self._state(x)
-            self._model = np.maximum(model_distributions(self._rho, self.bases), PROB_FLOOR)
-            self._cost = float(np.sum(self.kept * (self.log_kept - np.log(self._model[self.mask]))))
-            self._m = None
-            self._key = key
-        return self._aux
+        point = next((p for p in self._points if p.key == key), None)
+        if point is None:
+            rho, aux = self._state(x)
+            model = np.maximum(model_distributions(rho, self.bases), PROB_FLOOR)
+            cost = float(np.sum(self.kept * (self.log_kept - np.log(model[self.mask]))))
+            point = _Point(key, rho, aux, model, cost)
+        else:
+            self._points.remove(point)
+        self._points = [point, *self._points[: self.CACHED_POINTS - 1]]
+        return point
 
     def cost(self, x: np.ndarray) -> float:
-        self._at(x)
-        return self._cost
+        return self._at(x).cost
 
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """M at x: minus the cost's derivative in rho."""
-        self._at(x)
-        if self._m is None:
-            self._m = self.bases.adjoint(np.where(self.mask, self.data / self._model, 0.0))
-        return self._m
+    def _adjoint(self, point: _Point) -> np.ndarray:
+        """M at the point: minus the cost's derivative in rho."""
+        if point.m is None:
+            point.m = self.bases.adjoint(np.where(self.mask, self.data / point.model, 0.0))
+        return point.m
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        m = self.adjoint(x)  # caches the point first
-        return self._pullback(self._rho, self._aux, m)
+        point = self._at(x)
+        return self._pullback(point.rho, point.aux, self._adjoint(point))
 
 
 class _NdoObjective(KlObjective):
@@ -595,7 +613,8 @@ class _NdoObjective(KlObjective):
         covector Y = `_covector`(M), so J_r^T e is the gradient. Y has no
         identity part, which the solve would scale by 1/lam only for
         J_r^T y to cancel it."""
-        return self._at(x), _hermitian_rows(_covector(self.adjoint(x)).T)
+        point = self._at(x)
+        return point.aux, _hermitian_rows(_covector(self._adjoint(point)).T)
 
 
 def fit_ndo(

@@ -417,7 +417,7 @@ def kl_distance(data: np.ndarray, model: np.ndarray) -> float:
 
 
 def data_adjoint(rho: np.ndarray, data: np.ndarray, bases) -> np.ndarray:
-    """`training.KlObjective.adjoint` with the model probabilities formed on
+    """`training.KlObjective._adjoint` with the model probabilities formed on
     every call: M(a,b) = sum_nj w_nj U^n(j,a) conj(U^n(j,b)), w = data/model."""
     pm = bases.probabilities(rho)
     w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)

@@ -138,7 +138,7 @@ class TestTrainAndEvaluate:
         report = tmp_path / "report.json"
         trace = tmp_path / "trace.csv"
         code = run([
-            "train", "--dataset", str(small_dataset), "--optimizer", "gngd",
+            "train", "--dataset", str(small_dataset),
             "--hidden", "4", "--ancillary", "4", "--max-iters", "150",
             "--checkpoint", str(ckpt), "--report", str(report),
             "--report-csv", str(trace), "--target", str(hadamard_state), "--json",
@@ -150,7 +150,8 @@ class TestTrainAndEvaluate:
         params = ndo.load_checkpoint(ckpt)
         assert params.dim == 6 and params.m_h == 4
         doc = json.loads(report.read_text())
-        assert doc["iterations"] <= 150
+        assert doc["optimizer"] == summary["optimizer"] == "lbfgs+gngd"
+        assert doc["iterations"] <= 2 * 150  # --max-iters caps each phase
         assert read_csv_header(trace) == "iter,cost,grad_norm,step,millis"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
@@ -227,19 +228,49 @@ class TestTrainAndEvaluate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["hidden"] == 6  # flag wins
         assert doc["ancillary"] == 5  # config fills the gap
-        assert doc["iterations"] <= 2
+        assert doc["iterations"] <= 4  # 2 per phase
 
-    @pytest.mark.parametrize("key", ["no-such-flag", "metric-eps", "init-scale", "mc-samples"])
+    @pytest.mark.parametrize(
+        "key", ["no-such-flag", "metric-eps", "init-scale", "mc-samples", "optimizer"])
     def test_config_file_unknown_key(self, tmp_path, small_dataset, capsys, key):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({key: 1}))
         assert run(["train", "--dataset", str(small_dataset), "--config", str(config)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values,key,message", [
+        ({"steps": "abc"}, "steps", "invalid int value: 'abc'"),
+        ({"max-iters": 2.5}, "max-iters", "invalid int value: '2.5'"),
+        ({"grad-tol": True}, "grad-tol", "to true, not a JSON string or number"),
+        ({"hidden": None}, "hidden", "to null, not a JSON string or number"),
+        ({"noise": "bogus"}, "noise", "invalid choice: 'bogus'"),
+        ({"json": "no"}, "json", 'to "no", not a JSON boolean'),
+        ({"json": 1}, "json", "to 1, not a JSON boolean"),
+    ])
+    def test_config_file_bad_value_exit_one(self, tmp_path, small_dataset, capsys,
+                                            values, key, message):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(values))
+        ckpt = tmp_path / "fit.ckpt"
+        assert run(["train", "--dataset", str(small_dataset), "--max-iters", "2",
+                    "--config", str(config), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} sets {key!r}")
+        assert message in err
+        assert not ckpt.exists()
+
+    def test_config_file_json_false_keeps_text_summary(self, tmp_path, small_dataset, capsys):
+        config = tmp_path / "text.json"
+        config.write_text(json.dumps({"json": False, "max-iters": 2, "noise": "dephasing"}))
+        assert run(["train", "--dataset", str(small_dataset), "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("optimizer: lbfgs+gngd\n") and "hidden: 15\n" in out
+
     def test_removed_flag_is_usage_error(self, small_dataset):
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--dataset", str(small_dataset), "--metric-eps", "1e-3"])
-        assert exc.value.code == 2
+        for flag, value in (("--metric-eps", "1e-3"), ("--optimizer", "gngd")):
+            with pytest.raises(SystemExit) as exc:
+                run(["train", "--dataset", str(small_dataset), flag, value])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "role,content",
@@ -423,6 +454,20 @@ def test_readme_commands_parse():
         parser.parse_args(argv)  # SystemExit(2) on an unknown or malformed flag
 
 
+def test_readme_train_beats_maxlik(tmp_path, monkeypatch, capsys):
+    """The README's simulate, gen-data, train and maxlik lines, run as written:
+    the NDO fit reaches at least MaxLik's fidelity on the same dataset."""
+    monkeypatch.chdir(tmp_path)
+    fits = {}
+    for argv in readme_commands():
+        if argv[0] in ("simulate", "gen-data", "train", "maxlik"):
+            assert run([*argv, "--json"]) == 0
+            fits[argv[0]] = json.loads(capsys.readouterr().out)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert fits["train"]["optimizer"] == report["optimizer"] == "lbfgs+gngd"
+    assert fits["train"]["fidelity"] >= fits["maxlik"]["fidelity"]
+
+
 NOISE = ["none", "mixing", "dephasing", "depolarizing"]
 WALK_FLAGS = {
     "steps": (("--steps",), None, None, True),
@@ -459,7 +504,6 @@ CLI_SURFACE = {
     "train": {
         "dataset": (("--dataset",), None, None, True),
         "steps": (("--steps",), None, None, False),
-        "optimizer": (("--optimizer",), "gngd", ["gd", "cg", "lbfgs", "gngd"], False),
         "hidden": (("--hidden",), None, None, False),
         "ancillary": (("--ancillary",), None, None, False),
         "noise": (("--noise",), "none", NOISE, False),

@@ -619,6 +619,24 @@ class TestOnePassPerPoint:
         obj.cost(x + 1e-3)  # a new point forms the probabilities again
         assert (len(probs), len(adjoints)) == (2, 1)
 
+    def test_point_before_last_stays_cached(self, monkeypatch):
+        """A search that accepts x1 and fails the doubled trial x2 then asks
+        for the gradient at x1: the state is formed twice, not three times."""
+        rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
+        params = ndo.init_params(6, 3, 3, scale=0.5, seed=4)
+        obj = ndo_objective(params, ds, bases)
+        evals = count_calls(monkeypatch, ndo, "evaluate")
+        x1 = params.to_vector()
+        x2 = x1 + 1e-3
+        obj.cost(x1)
+        obj.cost(x2)
+        g1 = obj.grad(x1)
+        assert len(evals) == 2
+        obj.cost(x1 + 2e-3)  # a third point evicts x2, the least recently used
+        obj.cost(x2)
+        assert len(evals) == 4
+        np.testing.assert_array_equal(g1, grad(params, ds, bases))
+
     def test_maxlik_point_forms_t_and_probabilities_once(self, monkeypatch):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
         obj = maxlik._MaxlikObjective(ds, bases)
