@@ -467,45 +467,72 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subs.choices
 
 
-def _apply_config(parser, registry, argv, args):
-    """Re-parse with config-file values injected ahead of the explicit flags.
+def _explicit_flags(argv) -> argparse.Namespace:
+    """The command, --config and the flags argv sets itself: a parse in which
+    no flag has a default and none is required."""
+    parser, registry = build_parser()
+    for sub in registry.values():
+        # help and usage errors from this parse show the real parser's usage line
+        sub.usage = sub.format_usage().removeprefix("usage: ").rstrip("\n")
+        for action in sub._actions:
+            if action.option_strings:
+                action.required, action.default = False, argparse.SUPPRESS
+        for group in sub._mutually_exclusive_groups:
+            group.required = False
+    return parser.parse_args(argv)
+
+
+def _apply_config(sub, explicit: argparse.Namespace) -> None:
+    """Make the config file's values the defaults of the subcommand parser `sub`.
 
     A value must be a JSON boolean for an on/off flag, else a string or number
-    that passes the flag's type and choices. Inserting the values right after
-    the subcommand lets argparse's last-occurrence rule give explicit flags precedence.
+    that passes the flag's type and choices. A flag the file sets is no longer
+    required. A flag given explicitly, or a flag in a mutually exclusive group
+    with one given explicitly, keeps its command-line value: explicit flags win.
     """
-    values = fileio.read_json(args.config, "config file")
-    sub = registry[args.command]
+    values = fileio.read_json(explicit.config, "config file")
     by_dest = {action.dest: action for action in sub._actions if action.option_strings}
-    where = f"config file {args.config} sets"
-    tokens = []
+    where = f"config file {explicit.config} sets"
+    groups = {action.dest: group for group in sub._mutually_exclusive_groups
+              for action in group._group_actions}
+    # member of a group -> the config key that fills it, None for an explicit flag
+    owner = {dest: None for dest, group in groups.items()
+             if any(a.dest in vars(explicit) for a in group._group_actions)}
     for key, value in values.items():
         action = by_dest.get(key.replace("-", "_"))
         if action is None or action.dest == "config":
-            raise ValueError(f"{where} unknown flag {key!r} for {args.command!r}")
+            raise ValueError(f"{where} unknown flag {key!r} for {explicit.command!r}")
         on_off = isinstance(action, argparse._StoreTrueAction)
         if on_off != isinstance(value, bool) or not isinstance(value, (str, int, float)):
             kind = "a JSON boolean" if on_off else "a JSON string or number"
             raise ValueError(f"{where} {key!r} to {json.dumps(value)}, not {kind}")
         if not on_off:
             try:
-                sub._get_values(action, [str(value)])  # argparse's own type and choices checks
+                value = sub._get_values(action, [str(value)])  # argparse's own type and choices checks
             except argparse.ArgumentError as exc:
                 raise ValueError(f"{where} {key!r}: {exc.message}") from None
-            tokens.append(f"{action.option_strings[0]}={value}")
-        elif value:
-            tokens.append(action.option_strings[0])
-    at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
+        if action.dest in vars(explicit):
+            continue
+        group = groups.get(action.dest)
+        if group is not None:
+            if action.dest in owner:
+                if owner[action.dest] is None:
+                    continue
+                raise ValueError(f"{where} both {owner[action.dest]!r} and {key!r}, "
+                                 "which exclude each other")
+            owner.update((a.dest, key) for a in group._group_actions)
+            group.required = False
+        action.default, action.required = value, False
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    explicit = _explicit_flags(argv)
     parser, registry = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args = _apply_config(parser, registry, argv, args)
+        if getattr(explicit, "config", None):
+            _apply_config(registry[explicit.command], explicit)
+        args = parser.parse_args(argv)
         return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,12 +20,15 @@ from .training import TrainConfig, TrainReport, minimize_vector
 
 
 @functools.lru_cache(maxsize=64)
-def _lower_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of the strict lower triangle, row-major (read-only, shared)."""
-    pairs = np.tril_indices(d, -1)
-    for arr in pairs:
-        arr.setflags(write=False)
-    return pairs
+def _t_slots(d: int) -> np.ndarray:
+    """Position of each packed parameter in the float view of the row-major
+    complex d x d T: Re T[k, k] for the diagonal, then Re and Im of each
+    strictly-lower T[r, c], row-major (read-only, shared)."""
+    rows, cols = np.tril_indices(d, -1)
+    lower = 2 * (rows * d + cols)
+    slots = np.concatenate([2 * (d + 1) * np.arange(d), np.stack([lower, lower + 1], axis=1).ravel()])
+    slots.setflags(write=False)
+    return slots
 
 
 def t_matrix(t_params: np.ndarray, d: int) -> np.ndarray:
@@ -33,21 +36,15 @@ def t_matrix(t_params: np.ndarray, d: int) -> np.ndarray:
     t_params = np.asarray(t_params, dtype=float)
     if t_params.shape != (d * d,):
         raise ValueError(f"expected {d * d} parameters for d={d}, got {t_params.shape}")
-    t = np.zeros((d, d), dtype=np.complex128)
-    t[np.diag_indices(d)] = t_params[:d]
-    t[_lower_pairs(d)] = t_params[d::2] + 1j * t_params[d + 1 :: 2]
-    return t
+    t = np.zeros(2 * d * d)
+    t[_t_slots(d)] = t_params
+    return t.view(np.complex128).reshape(d, d)
 
 
 def pack_t(t: np.ndarray) -> np.ndarray:
     """Inverse of `t_matrix` (imaginary diagonal and upper triangle discarded)."""
-    d = t.shape[0]
-    out = np.empty(d * d)
-    out[:d] = np.diag(t).real
-    lower = t[_lower_pairs(d)]
-    out[d::2] = lower.real
-    out[d + 1 :: 2] = lower.imag
-    return out
+    t = np.ascontiguousarray(t, dtype=np.complex128)
+    return t.reshape(-1).view(np.float64)[_t_slots(t.shape[0])]
 
 
 def _t_state(t_params: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

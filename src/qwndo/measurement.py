@@ -11,13 +11,19 @@ Rows of each basis matrix U^n are these bras, ordered coin-major like the
 reference basis, so outcome probabilities are diag(U^n rho U^n^dag). Every
 row has at most two nonzeros, so `BasisTables` stores each basis as two
 (column index, coefficient) pairs per row instead of a dense d x d matrix,
-and contracts states and outcome weights with them in O(n_bases * d).
+and contracts states and outcome weights with them in O(n_bases * d). Both
+contractions go through per-outcome gather tables built once per table and
+take the four terms of each outcome one by one; they are exact to the bit
+against the 2 x 2 outer-product form because every coefficient is real or
+purely imaginary and every coherence pairs an up site (first slot) with a
+down site (second slot).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +52,20 @@ class BasisTables:
 
     Every other entry of U^n is zero. A row with a single nonzero (basis 0)
     carries coefficient 0 in its second slot.
+
+    The contractions read and write through gather tables built once per
+    table (`_gather`): for every outcome (n, j) the flat positions of its two
+    populations rho[i0, i0], rho[i1, i1] and its two coherences rho[i0, i1],
+    rho[i1, i0], with i0, i1 = index[n, j]. They take each of the four terms
+    c_s rho[i_s, i_t] conj(c_t) on its own, with the rounding of the full
+    complex product, because the tables have two properties:
+
+    - every coefficient is real or purely imaginary (1, 1/sqrt 2, +-i/sqrt 2
+      or 0), so a population term is the real (|c_s| rho_ss) |c_s|;
+    - every coherence has one orientation: i0 is an up site (even index) and
+      i1 a down site (odd index), so the adjoint sums the cross terms into
+      the (even, odd) entries M[i0, i1] alone, in outcome order, and mirrors
+      them onto M[i1, i0] by conjugation; the diagonal is not mirrored.
     """
 
     index: np.ndarray  # (n_bases, d, 2) integer column indices
@@ -60,30 +80,57 @@ class BasisTables:
         return self.index.shape[1]
 
     @functools.cached_property
-    def _pair_index(self) -> np.ndarray:
-        """(n_bases, d, 2, 2) flat positions index[s] * d + index[t] of the
-        rho entries each outcome reads, built once per table (read-only)."""
-        flat = self.index[..., :, None] * self.dim + self.index[..., None, :]
-        flat.setflags(write=False)
-        return flat
+    def _gather(self) -> SimpleNamespace:
+        """Per-outcome positions and coefficients of the two contractions (read-only).
+
+        pop0/pop1 are rho[i0, i0]/rho[i1, i1] in the float view of rho,
+        cross/cross_t rho[i0, i1]/rho[i1, i0] in its complex view; slots are
+        the adjoint's four float-view positions of M per outcome: Re M[i0, i0],
+        Re and Im M[i0, i1], Re M[i1, i1]; a0/a1 are |c0|/|c1|, c0/c1 the
+        coefficients and c0bar/c1bar their conjugates.
+        """
+        d = self.dim
+        i0, i1 = self.index[..., 0], self.index[..., 1]
+        cross = i0 * d + i1
+        diag0, diag1 = 2 * (i0 * (d + 1)), 2 * (i1 * (d + 1))
+        c0, c1 = self.coef[..., 0], self.coef[..., 1]
+        tables = SimpleNamespace(
+            pop0=diag0, pop1=diag1, cross=cross, cross_t=i1 * d + i0,
+            slots=np.stack([diag0, 2 * cross, 2 * cross + 1, diag1], axis=-1).ravel(),
+            a0=np.abs(c0), a1=np.abs(c1), c0=c0, c1=c1, c0bar=c0.conj(), c1bar=c1.conj(),
+        )
+        for arr in vars(tables).values():
+            arr.setflags(write=False)
+        return tables
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """diag(U^n rho U^n^dag) for every basis n, shape (n_bases, d)."""
+        """diag(U^n rho U^n^dag) for every basis n, shape (n_bases, d).
+
+        Each outcome sums its terms t_st = c_s rho[i_s, i_t] conj(c_t) as
+        (t00 + t01) + (t10 + t11).
+        """
         d = self.dim
         if rho.shape != (d, d):
             raise ValueError(f"rho shape {rho.shape} does not match basis dimension {d}")
-        c = self.coef
-        sub = rho.reshape(-1)[self._pair_index]  # (n_b, d, 2, 2)
-        return (c[..., :, None] * sub * c.conj()[..., None, :]).sum(axis=(-2, -1)).real
+        g = self._gather
+        flat = np.ascontiguousarray(rho, dtype=np.complex128).reshape(-1)
+        pops = flat.view(np.float64)
+        t01 = (g.c0 * flat[g.cross] * g.c1bar).real
+        t10 = (g.c1 * flat[g.cross_t] * g.c0bar).real
+        return (g.a0 * pops[g.pop0] * g.a0 + t01) + (t10 + g.a1 * pops[g.pop1] * g.a1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """M(a, b) = sum_nj w[n, j] U^n(j, a) conj(U^n(j, b)) for real weights w."""
-        d = self.dim
-        c = self.coef
-        vals = (w[..., None, None] * c[..., :, None] * c.conj()[..., None, :]).ravel()
-        flat = self._pair_index.ravel()
-        m = np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
-        return m.reshape(d, d)
+        d, g = self.dim, self._gather
+        w = np.asarray(w)
+        if w.shape != (self.n_bases, d):
+            raise ValueError(f"w shape {w.shape}, expected (n_bases, d) = {(self.n_bases, d)}")
+        cross = w * g.c0 * g.c1bar
+        vals = np.stack([w * g.a0 * g.a0, cross.real, cross.imag, w * g.a1 * g.a1], axis=-1)
+        half = np.bincount(g.slots, vals.ravel(), 2 * d * d).view(np.complex128).reshape(d, d)
+        m = half + half.conj().T
+        np.fill_diagonal(m, half.diagonal())
+        return m
 
 
 def all_basis_unitaries(n_steps: int) -> BasisTables:

@@ -338,6 +338,11 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     1/eps conditioning sets (at eps = 1e-6 after 100 L-BFGS steps, 8.1e-9,
     1.7e-8 and 3.6e-8 at N = 5, 10 and 30, against 5.2e-9, 9.2e-9 and 2.7e-8
     after three refinement steps), far above roundoff.
+
+    Only e and the factor's diagonal are scanned for non-finite entries, not
+    the whole factor. A non-finite entry in row i of the factor reaches its
+    pivot L_ii, whose square subtracts the squares of that row, as NaN or
+    -inf; `cho_factor` rejects -inf as not positive but passes NaN.
     """
     k = gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
     d, m_h, m_a = ev.rho.shape[0], ev.sig_lam.shape[0], ev.s_upper.shape[0]
@@ -345,9 +350,13 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     if not np.isfinite(t_bar) or t_bar <= 0.0:
         y = e  # degenerate metric: fall back to the identity
     else:
+        if not np.all(np.isfinite(e)):
+            raise ValueError("metric right-hand side e has a non-finite entry")
         k.flat[:: k.shape[0] + 1] += eps * t_bar
         factor = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
-        y = cho_solve(factor, e)
+        if not np.all(np.isfinite(factor[0].diagonal())):
+            raise np.linalg.LinAlgError("metric K + lam I has a non-finite Cholesky pivot")
+        y = cho_solve(factor, e, check_finite=False)
     return _rho_pullback(ev, _row_matrix(y, d)).real.copy()
 
 

@@ -6,7 +6,10 @@ check the upper-pair kernel and the lazy caches of `ndo.NdoEval`; the
 per-entry NDO references and the brute-force purification check the
 kernels and the closed-form state; the dense basis builder
 (`basis_unitary` and friends) and the einsum contractions over its
-(n_bases, d, d) stack check `measurement.BasisTables`; the dense P x P
+(n_bases, d, d) stack check `measurement.BasisTables`, and `GatherBases`,
+which contracts through each row's 2 x 2 outer product of coefficients,
+pins its term-by-term contractions bit for bit; the two-scatter T and its
+gathers pin `maxlik.t_matrix` and `maxlik.pack_t`; the dense P x P
 metric and its plain solve check the rho-space `training.solve_metric`;
 the complex Jacobian of all d^2 entries, filled one visible index at a
 time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`,
@@ -36,7 +39,6 @@ from scipy.linalg.blas import dsyrk
 
 from qwndo import kernels, ndo, training, walk
 from qwndo.kernels import param_offsets
-from qwndo.maxlik import pack_t, t_matrix
 from qwndo.measurement import K_X, K_Y, n_bases
 from qwndo.ndo import NdoParams
 from qwndo.training import PROB_FLOOR, TrainConfig
@@ -388,8 +390,10 @@ class DenseBases:
 
 
 class GatherBases:
-    """`measurement.BasisTables` contractions with the gather index formed on
-    every call from the (row, column) index pair."""
+    """`measurement.BasisTables` contractions through the (n_bases, d, 2, 2)
+    outer product c_s conj(c_t) of each row's coefficients, with the gather
+    index formed on every call from the (row, column) index pair: the
+    arithmetic the tables' term-by-term contractions reproduce bit for bit."""
 
     def __init__(self, tables):
         self.tables = tables
@@ -422,6 +426,27 @@ def data_adjoint(rho: np.ndarray, data: np.ndarray, bases) -> np.ndarray:
     pm = bases.probabilities(rho)
     w = np.where(data > 0, data / np.maximum(pm, PROB_FLOOR), 0.0)
     return bases.adjoint(w)
+
+
+def t_matrix(t_params: np.ndarray, d: int) -> np.ndarray:
+    """`maxlik.t_matrix` as two scatters into the complex T: the diagonal,
+    then the strictly-lower entries formed as re + 1j * im."""
+    t = np.zeros((d, d), dtype=np.complex128)
+    t[np.diag_indices(d)] = t_params[:d]
+    t[np.tril_indices(d, -1)] = t_params[d::2] + 1j * t_params[d + 1 :: 2]
+    return t
+
+
+def pack_t(t: np.ndarray) -> np.ndarray:
+    """`maxlik.pack_t` as separate gathers of the diagonal's real part and
+    the strictly-lower entries' real and imaginary parts."""
+    d = t.shape[0]
+    out = np.empty(d * d)
+    out[:d] = np.diag(t).real
+    lower = t[np.tril_indices(d, -1)]
+    out[d::2] = lower.real
+    out[d + 1 :: 2] = lower.imag
+    return out
 
 
 def maxlik_grad(x: np.ndarray, data: np.ndarray, stack: np.ndarray) -> np.ndarray:

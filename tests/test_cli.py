@@ -266,6 +266,44 @@ class TestTrainAndEvaluate:
         out = capsys.readouterr().out
         assert out.startswith("optimizer: lbfgs+gngd\n") and "hidden: 15\n" in out
 
+    def test_config_key_yields_to_explicit_flag_of_its_group(self, tmp_path):
+        config = tmp_path / "walk.json"
+        config.write_text(json.dumps({"alpha": 0.5}))
+        out, ref = tmp_path / "config.state", tmp_path / "flags.state"
+        argv = ["simulate", "--steps", "2", "--angles", "0.1,0.2"]
+        assert run(argv + ["--config", str(config), "--out", str(out)]) == 0
+        assert run(argv + ["--out", str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_config_sets_two_flags_of_one_group_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "walk.json"
+        config.write_text(json.dumps({"alpha": 0.5, "angles": "0.1,0.2"}))
+        assert run(["simulate", "--steps", "2", "--config", str(config)]) == 1
+        assert "both 'alpha' and 'angles'" in capsys.readouterr().err
+
+    def test_required_flag_from_config(self, tmp_path, capsys):
+        config = tmp_path / "walk.json"
+        config.write_text(json.dumps({"steps": 2}))
+        assert run(["simulate", "--config", str(config), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_steps"] == 2
+        with pytest.raises(SystemExit) as exc:  # still required without the file
+            run(["simulate", "--json"])
+        assert exc.value.code == 2
+
+    def test_help_marks_required_flags(self, capsys):
+        # --config is read after a parse in which no flag is required
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "-h"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert " --steps STEPS" in usage and "[--steps STEPS]" not in usage
+
+    def test_required_group_member_from_config(self, tmp_path, hadamard_state, capsys):
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"state": str(hadamard_state)}))
+        assert run(["evaluate", "--config", str(config), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["purity"] > 0.99
+
     def test_removed_flag_is_usage_error(self, small_dataset):
         for flag, value in (("--metric-eps", "1e-3"), ("--optimizer", "gngd")):
             with pytest.raises(SystemExit) as exc:

@@ -45,6 +45,16 @@ class TestRhoFromT:
         np.testing.assert_array_equal(maxlik.pack_t(t), params)
 
 
+    @pytest.mark.parametrize("d", [1, 2, 6, 22, 62])
+    def test_scatter_and_gather_equal_reference(self, d):
+        rng = np.random.default_rng(d)
+        params = rng.normal(size=d * d)
+        params[rng.integers(0, d * d, 2)] = 0.0
+        assert np.array_equal(maxlik.t_matrix(params, d), oracles.t_matrix(params, d))
+        t = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))  # upper and Im diag ignored
+        assert np.array_equal(maxlik.pack_t(t), oracles.pack_t(t))
+        assert np.array_equal(maxlik.pack_t(t.T), oracles.pack_t(t.T))  # not C-contiguous
+
 class TestMaxlikGradient:
     def test_matches_finite_differences(self):
         rho = walk.evolve(walk.WalkConfig(1, (np.pi / 4,), noise="dephasing", delta_beta=0.9))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qwndo import measurement, walk
+from qwndo import maxlik, measurement, ndo, walk
 from qwndo.measurement import DatasetFormatError
 
 AGREEMENT_STEPS = [0, 1, 2, 5, 30]
@@ -124,6 +124,56 @@ class TestTablesAgainstDenseOracle:
         # the dense (63, 62, 62) complex stack is 3.9 MB
         tables = measurement.all_basis_unitaries(30)
         assert tables.index.nbytes + tables.coef.nbytes < 200_000
+
+
+def agreement_states(n_steps):
+    """A random state, the NDO's mixed start, a nearly pure NDO state whose
+    coherences are subnormal, a MaxLik state and a disordered dephasing walk."""
+    d = 2 * (n_steps + 1)
+    angles = tuple(walk.disordered_angles(n_steps, 3))
+    return {
+        "random": random_density(d, n_steps),
+        "ndo mixed start": ndo.density_matrix(ndo.mixed_init_params(d, 4, 4, seed=1)),
+        "nearly pure, subnormal": ndo.density_matrix(oracles.nearly_pure_subnormal(d, 3, 3)),
+        "maxlik": maxlik.rho_from_t(maxlik.init_t_params(d, seed=2, scale=1.0)),
+        "walk": walk.evolve(walk.WalkConfig(n_steps, angles, noise="dephasing", delta_beta=1.2)),
+    }
+
+
+class TestTermByTermContractions:
+    """The term-by-term contractions against `oracles.GatherBases`, bit for bit."""
+
+    @pytest.mark.parametrize("n_steps", AGREEMENT_STEPS)
+    def test_equal_gather_oracle(self, n_steps):
+        tables = measurement.all_basis_unitaries(n_steps)
+        oracle = oracles.GatherBases(tables)
+        rng = np.random.default_rng(n_steps)
+        for name, rho in agreement_states(n_steps).items():
+            probs = tables.probabilities(rho)
+            assert np.array_equal(probs, oracle.probabilities(rho)), name
+            # the fit's weights data / model, and weights spread over [0, 2)
+            model = np.maximum(probs, 1e-300)
+            for w in (rng.uniform(0.0, 1.0, probs.shape) / model, rng.uniform(0.0, 2.0, probs.shape)):
+                assert np.array_equal(tables.adjoint(w), oracle.adjoint(w)), name
+
+    @pytest.mark.parametrize("n_steps", AGREEMENT_STEPS)
+    def test_coefficients_real_or_imaginary_and_coherences_oriented(self, n_steps):
+        # the two properties that make the term-by-term contractions exact
+        tables = measurement.all_basis_unitaries(n_steps)
+        c = tables.coef
+        assert np.all((c.real == 0.0) | (c.imag == 0.0))
+        if n_steps >= 1:
+            assert np.all(tables.index[1:, :, 0] % 2 == 0)  # up site
+            assert np.all(tables.index[1:, :, 1] % 2 == 1)  # down site
+        assert np.array_equal(tables.index[0, :, 0], np.arange(tables.dim))
+        assert np.array_equal(tables.index[0, :, 1], np.arange(tables.dim))
+        assert np.all(c[0, :, 1] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (7, 5), (7, 6, 1)])
+    def test_adjoint_rejects_misshaped_weights(self, shape):
+        tables = measurement.all_basis_unitaries(2)
+        with pytest.raises(ValueError, match=r"w shape .* expected \(n_bases, d\) = \(7, 6\)"):
+            tables.adjoint(np.ones(shape))
 
 
 class TestMeasureDistribution:

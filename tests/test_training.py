@@ -5,6 +5,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from qwndo import maxlik, measurement, ndo, training, walk
@@ -235,6 +236,65 @@ class TestMetric:
         assert np.trace(metric_gram(ev)) == 0.0
         np.testing.assert_array_equal(obj.grad(params.to_vector()), 0.0)
         np.testing.assert_array_equal(training.solve_metric(ev, e, 1e-6), 0.0)
+
+    @staticmethod
+    def small_metric():
+        rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
+        obj = training._NdoObjective(ds, bases, 4, 3, 3)
+        return obj.metric(ndo.init_params(4, 3, 3, scale=0.8, seed=8).to_vector())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_solve_metric_non_finite_e_raises(self, bad):
+        ev, e = self.small_metric()
+        e = e.copy()
+        e[3] = bad
+        with pytest.raises(ValueError, match="right-hand side e"):
+            training.solve_metric(ev, e, 1e-6)
+
+    def test_solve_metric_unchanged_without_finite_scan(self, monkeypatch):
+        ev, e = self.small_metric()
+        direction = training.solve_metric(ev, e, 1e-6)
+        monkeypatch.setattr(training, "cho_solve", lambda factor, b, check_finite=False:
+                            scipy.linalg.cho_solve(factor, b))  # scans the factor and b
+        assert np.array_equal(direction, training.solve_metric(ev, e, 1e-6))
+
+    def test_cholesky_pivots_show_a_non_finite_factor(self):
+        # cho_factor passes a NaN pivot; a non-finite entry anywhere in the
+        # lower triangle still leaves a non-finite pivot, or is rejected
+        rng = np.random.default_rng(0)
+        n = 300  # above the blocking size of the factorization
+        a = rng.normal(size=(n, n))
+        k0 = a @ a.T / n + 1e-3 * np.eye(n)
+        factored = 0
+        for trial in range(60):
+            k = k0.copy()
+            i, j = sorted(rng.integers(0, n, 2), reverse=True)
+            k[i, j] = k[j, i] = (np.nan, np.inf, -np.inf)[trial % 3]
+            try:
+                c, _ = scipy.linalg.cho_factor(k, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                continue
+            factored += 1
+            assert not np.all(np.isfinite(c.diagonal()))
+        assert factored > 0
+
+    def test_solve_metric_never_solves_with_a_non_finite_factor(self, monkeypatch):
+        # a non-finite entry of K either falls back to the identity (on the
+        # diagonal, through the trace) or stops the solve with LinAlgError
+        ev, e = self.small_metric()
+        k0 = training.gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+        fallback = training._rho_pullback(ev, training._row_matrix(e, 4)).real
+        n = k0.shape[0]
+        for i, j in zip(*np.tril_indices(n)):
+            for bad in (np.nan, np.inf, -np.inf):
+                k = k0.copy()
+                k[i, j] = k[j, i] = bad
+                monkeypatch.setattr(training, "gram", lambda *args, k=k: k.copy())
+                if i == j:
+                    assert np.array_equal(training.solve_metric(ev, e, 1e-6), fallback)
+                else:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        training.solve_metric(ev, e, 1e-6)
 
     def test_solve_metric_unchanged_by_subnormal_range_entries(self):
         # coherences driven to 1e-200 and 1e-291 put entries near 1e-200 and in
