@@ -61,7 +61,9 @@ class BasisTables:
     complex product, because the tables have two properties:
 
     - every coefficient is real or purely imaginary (1, 1/sqrt 2, +-i/sqrt 2
-      or 0), so a population term is the real (|c_s| rho_ss) |c_s|;
+      or 0), so a population term is the real (|c_s| rho_ss) |c_s|, and the
+      first one, c0, is real and positive, so the adjoint's cross term
+      w c0 conj(c1) is the pair of real products (w |c0|) conj(c1);
     - every coherence has one orientation: i0 is an up site (even index) and
       i1 a down site (odd index), so the adjoint sums the cross terms into
       the (even, odd) entries M[i0, i1] alone, in outcome order, and mirrors
@@ -86,18 +88,23 @@ class BasisTables:
         pop0/pop1 are rho[i0, i0]/rho[i1, i1] in the float view of rho,
         cross/cross_t rho[i0, i1]/rho[i1, i0] in its complex view; slots are
         the adjoint's four float-view positions of M per outcome: Re M[i0, i0],
-        Re and Im M[i0, i1], Re M[i1, i1]; a0/a1 are |c0|/|c1|, c0/c1 the
-        coefficients and c0bar/c1bar their conjugates.
+        Re and Im M[i0, i1], Re M[i1, i1], and left/right the real factors
+        of the four slot values w left right: (|c0|, |c0|, |c0|, |c1|) and
+        (|c0|, Re conj(c1), Im conj(c1), |c1|); a0/a1 are |c0|/|c1|, c0/c1
+        the coefficients and c0bar/c1bar their conjugates.
         """
         d = self.dim
         i0, i1 = self.index[..., 0], self.index[..., 1]
         cross = i0 * d + i1
         diag0, diag1 = 2 * (i0 * (d + 1)), 2 * (i1 * (d + 1))
         c0, c1 = self.coef[..., 0], self.coef[..., 1]
+        a0, a1, c1bar = np.abs(c0), np.abs(c1), c1.conj()
         tables = SimpleNamespace(
             pop0=diag0, pop1=diag1, cross=cross, cross_t=i1 * d + i0,
             slots=np.stack([diag0, 2 * cross, 2 * cross + 1, diag1], axis=-1).ravel(),
-            a0=np.abs(c0), a1=np.abs(c1), c0=c0, c1=c1, c0bar=c0.conj(), c1bar=c1.conj(),
+            left=np.stack([a0, a0, a0, a1], axis=-1),
+            right=np.stack([a0, c1bar.real, c1bar.imag, a1], axis=-1),
+            a0=a0, a1=a1, c0=c0, c1=c1, c0bar=c0.conj(), c1bar=c1bar,
         )
         for arr in vars(tables).values():
             arr.setflags(write=False)
@@ -120,13 +127,17 @@ class BasisTables:
         return (g.a0 * pops[g.pop0] * g.a0 + t01) + (t10 + g.a1 * pops[g.pop1] * g.a1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """M(a, b) = sum_nj w[n, j] U^n(j, a) conj(U^n(j, b)) for real weights w."""
+        """M(a, b) = sum_nj w[n, j] U^n(j, a) conj(U^n(j, b)) for real weights w.
+
+        The cross term w c0 conj(c1) is formed in real arithmetic as
+        (w |c0|) Re conj(c1) and (w |c0|) Im conj(c1), the same bits as the
+        complex product because c0 is real and positive.
+        """
         d, g = self.dim, self._gather
         w = np.asarray(w)
         if w.shape != (self.n_bases, d):
             raise ValueError(f"w shape {w.shape}, expected (n_bases, d) = {(self.n_bases, d)}")
-        cross = w * g.c0 * g.c1bar
-        vals = np.stack([w * g.a0 * g.a0, cross.real, cross.imag, w * g.a1 * g.a1], axis=-1)
+        vals = (w[..., None] * g.left) * g.right
         half = np.bincount(g.slots, vals.ravel(), 2 * d * d).view(np.complex128).reshape(d, d)
         m = half + half.conj().T
         np.fill_diagonal(m, half.diagonal())
@@ -167,8 +178,12 @@ class MeasurementDataset:
         expected = (n_bases(self.n_steps), 2 * (self.n_steps + 1))
         if self.probs.shape != expected:
             raise ValueError(f"probs shape {self.probs.shape}, expected {expected}")
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be nonnegative")
+        bad = np.flatnonzero(~np.isfinite(self.probs).all(axis=1))
+        if bad.size:
+            raise ValueError(f"basis n={bad[0]}: non-finite probability")
+        bad = np.flatnonzero((self.probs < 0).any(axis=1))
+        if bad.size:
+            raise ValueError(f"basis n={bad[0]}: negative probability")
         sums = self.probs.sum(axis=1)
         off = np.max(np.abs(sums - 1.0))
         if off > 1e-9:
@@ -195,6 +210,8 @@ def generate_dataset(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho has a non-finite entry; invalid state")
     probs = all_basis_unitaries(n_steps).probabilities(rho)
     worst = probs.min()
     if worst < -CLAMP_TOL:

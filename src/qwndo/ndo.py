@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from . import fileio, kernels
 from .kernels import param_offsets, param_shapes
@@ -147,19 +146,19 @@ def mixed_init_params(d: int, m_h: int, m_a: int, seed: int = 0) -> NdoParams:
     """`init_params` plus phase-network ancilla weights that make the state nearly I/d.
 
     Ancilla i gives basis state v the weight u_mu[i, v] = MIXING_PHASE * H[v + 1, i + 1],
-    where H is the Sylvester-Hadamard matrix of the smallest power-of-two
-    order n > max(d, m_a); its all-ones first row and column are skipped.
-    Two rows of H differ in sign on n/2 of the other columns, so when
-    m_a = n - 1 every pair of basis states is split by n/2 ancillas and its
-    coherence shrinks by 0.38^(n/2) (4.6e-4 at d = 12 with 15 ancillas).
-    Smaller m_a keeps only the first columns and mixes less; the random draw
-    only breaks the symmetry.
+    where H[a, b] = (-1)^popcount(a & b) is the Sylvester-Hadamard matrix;
+    its all-ones first row and column are skipped. In the order-n matrix,
+    n the smallest power of two > max(d, m_a), two rows differ in sign on
+    n/2 of the other columns, so when m_a = n - 1 every pair of basis states
+    is split by n/2 ancillas and its coherence shrinks by 0.38^(n/2)
+    (4.6e-4 at d = 12 with 15 ancillas). Smaller m_a keeps only the first
+    columns and mixes less; the random draw only breaks the symmetry.
     """
     base = init_params(d, m_h, m_a, seed=seed)
-    order = 1
-    while order <= max(d, m_a):
-        order *= 2
-    signs = hadamard(order)[1 : d + 1, 1 : m_a + 1].T
+    overlap = np.arange(1, m_a + 1)[:, None] & np.arange(1, d + 1)
+    for shift in (32, 16, 8, 4, 2, 1):  # fold the parity of popcount into bit 0
+        overlap ^= overlap >> shift
+    signs = 1 - 2 * (overlap & 1)
     arrays = {name: getattr(base, name) for name in ARRAY_NAMES}
     arrays["u_mu"] = arrays["u_mu"] + MIXING_PHASE * signs
     return NdoParams(**arrays)

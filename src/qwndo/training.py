@@ -23,6 +23,10 @@ J_r (Schraudolph, Neural Comput. 14, 2002): `gram` forms K = J_r J_r^T from
 the one-hot structure of the network in O(d^4 (m_h + m_a)), and
 `_rho_pullback` forms J_r^T y, the gradient at y = e, by one contraction.
 `kernels.assemble_jacobian` builds J_r only for the tests that check both.
+The metric solve's Cholesky factor and solve are the package's one use of
+SciPy: `solve_metric` imports `scipy.linalg` when it first factors a
+metric, so a process that never runs natural gradient descent (MaxLik,
+simulation, data generation) never loads it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import fileio, kernels, metrics, ndo
 from .measurement import BasisTables
@@ -139,12 +142,19 @@ class TrainReport:
 
 
 def _data_probs(ds, bases: BasisTables, d: int) -> np.ndarray:
-    """The dataset's (n_bases, d) probabilities, checked against the bases and model dimension d."""
+    """The dataset's (n_bases, d) probabilities, checked against the bases and
+    model dimension d, and finite and nonnegative: the cost's mask data > 0
+    would drop a NaN or negative entry without a word."""
     data = np.asarray(ds.probs if hasattr(ds, "probs") else ds, dtype=float)
     if data.ndim != 2 or data.shape[0] != bases.n_bases:
         raise ValueError(f"n_bases mismatch: dataset shape {data.shape}, {bases.n_bases} bases")
     if data.shape[1] != d or bases.dim != d:
         raise ValueError(f"dim mismatch: dataset {data.shape[1]}, bases {bases.dim}, model {d}")
+    bad = np.argwhere(~(np.isfinite(data) & (data >= 0)))
+    if bad.size:
+        n, j = bad[0]
+        raise ValueError(f"dataset probability {data[n, j]} at basis n={n}, outcome j={j}; "
+                         "need finite and >= 0")
     return data
 
 
@@ -352,6 +362,8 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     else:
         if not np.all(np.isfinite(e)):
             raise ValueError("metric right-hand side e has a non-finite entry")
+        from scipy.linalg import cho_factor, cho_solve  # loaded by the first solve only
+
         k.flat[:: k.shape[0] + 1] += eps * t_bar
         factor = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
         if not np.all(np.isfinite(factor[0].diagonal())):

@@ -92,6 +92,14 @@ class TestMaxlikGradient:
         with pytest.raises(ValueError, match="dim"):
             maxlik._MaxlikObjective(ds.probs[:, :2], measurement.all_basis_unitaries(1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
+    def test_non_finite_or_negative_data_named(self, value):
+        # the cost's mask data > 0 would drop such an entry's basis silently
+        data = measurement.generate_dataset(walk.initial_state(1), 1).probs.copy()
+        data[2, 3] = value
+        with pytest.raises(ValueError, match=r"basis n=2, outcome j=3; need finite and >= 0"):
+            maxlik.maxlik_fit(data, measurement.all_basis_unitaries(1))
+
 
 class TestMaxlikFit:
     def test_self_consistent_dataset_reaches_zero_cost(self):

@@ -117,8 +117,14 @@ class TestTablesAgainstDenseOracle:
     def test_adjoint(self, n_steps):
         tables = measurement.all_basis_unitaries(n_steps)
         dense = oracles.DenseBases(n_steps)
-        w = np.random.default_rng(n_steps).uniform(0.0, 2.0, (tables.n_bases, tables.dim))
-        assert np.abs(tables.adjoint(w) - dense.adjoint(w)).max() <= 1e-15
+        gather = oracles.GatherBases(tables)
+        rng = np.random.default_rng(n_steps)
+        for _ in range(20):
+            w = rng.uniform(0.0, 2.0, (tables.n_bases, tables.dim))
+            w[rng.uniform(size=w.shape) < 0.3] = 0.0  # outcomes the data never saw
+            m = tables.adjoint(w)
+            assert np.abs(m - dense.adjoint(w)).max() <= 1e-15
+            assert np.array_equal(m, gather.adjoint(w))
 
     def test_tables_stay_small_at_n30(self):
         # the dense (63, 62, 62) complex stack is 3.9 MB
@@ -162,6 +168,7 @@ class TestTermByTermContractions:
         tables = measurement.all_basis_unitaries(n_steps)
         c = tables.coef
         assert np.all((c.real == 0.0) | (c.imag == 0.0))
+        assert np.all((c[..., 0].real > 0.0) & (c[..., 0].imag == 0.0))  # the adjoint's real cross term
         if n_steps >= 1:
             assert np.all(tables.index[1:, :, 0] % 2 == 0)  # up site
             assert np.all(tables.index[1:, :, 1] % 2 == 1)  # down site
@@ -265,6 +272,21 @@ class TestGenerateDataset:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             measurement.generate_dataset(walk.initial_state(1), 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, value):
+        rho = walk.initial_state(2)
+        rho[3, 4] = value
+        with pytest.raises(ValueError, match="rho has a non-finite entry"):
+            measurement.generate_dataset(rho, 2)
+
+    @pytest.mark.parametrize("value, error", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                              (-np.inf, "non-finite"), (-0.25, "negative")])
+    def test_dataset_rejects_bad_probability_naming_its_basis(self, value, error):
+        probs = measurement.generate_dataset(walk.initial_state(2), 2).probs.copy()
+        probs[4, 1] = value
+        with pytest.raises(ValueError, match=f"basis n=4: {error} probability"):
+            measurement.MeasurementDataset(n_steps=2, probs=probs)
 
 
 class TestDatasetFiles:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qwndo import ndo
 from qwndo.kernels import param_offsets
@@ -62,6 +63,18 @@ class TestParams:
         for name in ndo.ARRAY_NAMES:
             arr = getattr(params, name)
             assert arr.base is base and not arr.flags.writeable
+
+    @pytest.mark.parametrize("d, m_a", [(2, 1), (4, 3), (12, 15), (12, 16), (22, 40), (62, 15)])
+    def test_mixed_init_signs_are_a_sylvester_hadamard_slice(self, d, m_a):
+        order = 1
+        while order <= max(d, m_a):
+            order *= 2
+        signs = scipy.linalg.hadamard(order)[1 : d + 1, 1 : m_a + 1].T
+        base = ndo.init_params(d, 3, m_a, seed=4)
+        mixed = ndo.mixed_init_params(d, 3, m_a, seed=4)
+        assert np.array_equal(mixed.u_mu, base.u_mu + ndo.MIXING_PHASE * signs)
+        for name in set(ndo.ARRAY_NAMES) - {"u_mu"}:
+            assert np.array_equal(getattr(mixed, name), getattr(base, name))
 
     def test_default_scale_near_uniform_projector(self):
         d = 6

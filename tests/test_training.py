@@ -254,8 +254,9 @@ class TestMetric:
     def test_solve_metric_unchanged_without_finite_scan(self, monkeypatch):
         ev, e = self.small_metric()
         direction = training.solve_metric(ev, e, 1e-6)
-        monkeypatch.setattr(training, "cho_solve", lambda factor, b, check_finite=False:
-                            scipy.linalg.cho_solve(factor, b))  # scans the factor and b
+        cho_solve = scipy.linalg.cho_solve  # solve_metric imports it by name on each call
+        monkeypatch.setattr(scipy.linalg, "cho_solve", lambda factor, b, check_finite=False:
+                            cho_solve(factor, b))  # scans the factor and b
         assert np.array_equal(direction, training.solve_metric(ev, e, 1e-6))
 
     def test_cholesky_pivots_show_a_non_finite_factor(self):
