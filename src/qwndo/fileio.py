@@ -2,7 +2,8 @@
 
 State files, datasets (`measurement`), checkpoints (`ndo`), training
 reports (`training`) and config files (`cli`) all go through `read_json`
-and `write_json`, so a malformed file fails the same way whatever its kind.
+and `write_json`, and versioned files read their header fields through
+`require`, so a malformed file fails the same way whatever its kind.
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ def read_json(path, kind: str, error: type[ValueError] = ValueError) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{kind} {path} must hold a JSON object at the top level")
     return doc
+
+
+def require(doc: dict, field: str, kind, what: str, error: type[ValueError] = ValueError):
+    """doc[field] of type `kind` (a JSON boolean is no integer), else `error` naming `what`."""
+    if field not in doc:
+        raise error(f"{what} missing field {field!r}")
+    value = doc[field]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise error(f"{what} field {field!r} has wrong type {type(value).__name__}")
+    return value
 
 
 def write_json(path, doc: dict) -> None:
@@ -53,23 +64,22 @@ def save_state(rho: np.ndarray, path, n_steps: int | None = None) -> None:
 def load_state(path) -> tuple[np.ndarray, int]:
     """Read a state file; returns (rho, n_steps). The state must be a density matrix."""
     doc = read_json(path, "state file")
-    for field in ("format_version", "n_steps", "dim", "re", "im"):
-        if field not in doc:
-            raise ValueError(f"state file missing field {field!r}")
-    if doc["format_version"] != STATE_FORMAT_VERSION:
-        raise ValueError(f"unsupported state format_version {doc['format_version']}")
-    d = doc["dim"]
+    version = require(doc, "format_version", int, "state file")
+    if version != STATE_FORMAT_VERSION:
+        raise ValueError(f"unsupported state format_version {version}")
+    n_steps = require(doc, "n_steps", int, "state file")
+    d = require(doc, "dim", int, "state file")
     parts = {}
     for field in ("re", "im"):
+        value = require(doc, field, list, "state file")
         try:
-            parts[field] = np.array(doc[field], dtype=float)
+            parts[field] = np.array(value, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"state file field {field!r} is not a numeric array") from exc
     re, im = parts["re"], parts["im"]
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"state file field 're'/'im' shape does not match dim {d}")
-    n_steps = doc["n_steps"]
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or 2 * (n_steps + 1) != d:
+    if 2 * (n_steps + 1) != d:
         raise ValueError(f"state file field 'n_steps' = {n_steps!r} does not match dim {d}")
     rho = re + 1j * im
     validate_density_matrix(rho)

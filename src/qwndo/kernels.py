@@ -2,13 +2,13 @@
 
 Parameters flatten block by block in the order of `param_shapes`, each
 matrix row-major. The log density A and every per-pair quantity derived from
-it are Hermitian in the index pair, so the complex ancilla terms are computed
-on the d(d+1)/2 upper pairs (`_upper_pairs`) and `mirror`ed by conjugation.
-Each softplus keeps the exp it evaluates, and the matching logistic reuses it:
-one exp per pre-activation serves the state, the gradient and the metric.
-`assemble_jacobian` builds the real state Jacobian, which no fit forms: it
-is the reference that `training.gram` and the metric's pullback are tested
-against.
+it are Hermitian in the index pair, so the complex ancilla terms live on the
+d(d+1)/2 upper pairs (`_upper_pairs`) only: A is `mirror`ed by conjugation,
+and the gradient, the metric and `assemble_jacobian` read the ancilla
+logistic there. Each softplus keeps its exp, and the matching logistic
+reuses it. `assemble_jacobian` builds the real state Jacobian, which no fit
+forms: the reference that `training.gram` and the metric's pullback are
+tested against.
 """
 
 from __future__ import annotations
@@ -138,9 +138,10 @@ def mirror(upper: np.ndarray, d: int) -> np.ndarray:
     return full
 
 
-def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
+def assemble_jacobian(rho, sig_lam, sig_mu, s_upper):
     """Real Jacobian J_r of rho's d^2 Hermitian coordinates, shape (d*d, P);
-    the test reference of `training.gram` (J_r J_r^T) and its pullback J_r^T y.
+    the test reference of `training.gram` (J_r J_r^T) and its pullback J_r^T y,
+    from the same caches (s_upper: the ancilla logistic on the upper pairs).
 
     rho is Hermitian, so its derivative is fixed by the upper entries
     (alpha <= beta), and J_r is `hermitian_rows` of them: d(rho_aa)/d(theta)
@@ -155,10 +156,10 @@ def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
     """
     d = rho.shape[0]
     m_h = sig_lam.shape[0]
-    m_a = s_pair.shape[0]
+    m_a = s_upper.shape[0]
     off = param_offsets(d, m_h, m_a)
     pd = rho.diagonal().real
-    s_diag = s_pair[:, np.arange(d), np.arange(d)].real
+    s_diag = s_upper[:, :d].real
     z = np.zeros(off["total"])
     z[off["w_lam"] : off["w_lam"] + m_h * d] = (sig_lam * pd[None, :]).ravel()
     z[off["u_lam"] : off["u_lam"] + m_a * d] = (s_diag * pd[None, :]).ravel()
@@ -170,7 +171,7 @@ def assemble_jacobian(rho, sig_lam, sig_mu, s_pair):
     jac = r[:, None] * (-z)[None, :].astype(np.complex128)
     k = np.arange(al.size)[:, None]
     half, half_j = (0.5 * r)[:, None], (0.5j * r)[:, None]
-    s_ab = s_pair[:, al, be].T  # (pairs, m_a)
+    s_ab = s_upper.T  # (pairs, m_a)
 
     def block(name, width):
         return jac[:, off[name] : off[name] + width * d].reshape(jac.shape[0], width, d)

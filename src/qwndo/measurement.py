@@ -144,11 +144,13 @@ class BasisTables:
         return m
 
 
+@functools.lru_cache(maxsize=64)
 def all_basis_unitaries(n_steps: int) -> BasisTables:
     """Tables of all 2*(N+1)+1 bases in index order, built from the pairing above.
 
     Row j = 2l + c of basis 2k-1 (2k) holds K_Y[c] (K_X[c]) on (up, l) and
     (down, (l-(k-1)) mod (N+1)); basis 0 holds coefficient 1 on column j.
+    Built once per N, read-only, and shared with their gather tables.
     """
     n_sites = n_steps + 1
     d = 2 * n_sites
@@ -162,6 +164,8 @@ def all_basis_unitaries(n_steps: int) -> BasisTables:
     for first, gate in ((1, K_Y), (2, K_X)):
         index[first::2, :, 1] = np.repeat(2 * partner + 1, 2, axis=1)
         coef[first::2] = np.tile(gate, (n_sites, 1))
+    index.setflags(write=False)
+    coef.setflags(write=False)
     return BasisTables(index=index, coef=coef)
 
 
@@ -240,23 +244,14 @@ def save_dataset(ds: MeasurementDataset, path) -> None:
     })
 
 
-def _require(doc: dict, field: str, kind) -> object:
-    """doc[field], which must be of type `kind`; JSON booleans are not integers."""
-    if field not in doc:
-        raise DatasetFormatError(f"missing field {field!r}")
-    value = doc[field]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DatasetFormatError(f"field {field!r} has wrong type {type(value).__name__}")
-    return value
-
-
 def load_dataset(path) -> MeasurementDataset:
     """Read a dataset file, validating schema and basis completeness."""
     doc = fileio.read_json(path, "dataset", DatasetFormatError)
-    version = _require(doc, "format_version", int)
+    require = functools.partial(fileio.require, what="dataset", error=DatasetFormatError)
+    version = require(doc, "format_version", int)
     if version != DATASET_FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported format_version {version}")
-    n_steps = _require(doc, "n_steps", int)
+    n_steps = require(doc, "n_steps", int)
     if n_steps < 0:
         raise DatasetFormatError(f"field 'n_steps' must be >= 0, got {n_steps}")
     shots = doc.get("shots")
@@ -265,13 +260,13 @@ def load_dataset(path) -> MeasurementDataset:
     seed = doc.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise DatasetFormatError("field 'seed' must be an integer or null")
-    bases = _require(doc, "bases", list)
+    bases = require(doc, "bases", list)
     expected = n_bases(n_steps)
     entries = {}
     for entry in bases:
         if not isinstance(entry, dict):
             raise DatasetFormatError("each basis entry must be an object")
-        idx = _require(entry, "index", int)
+        idx = require(entry, "index", int)
         if not 0 <= idx < expected:
             raise DatasetFormatError(f"basis index {idx} out of range")
         if idx in entries:
@@ -287,7 +282,7 @@ def load_dataset(path) -> MeasurementDataset:
     d = 2 * (n_steps + 1)
     probs = np.empty((expected, d))
     for idx, entry in entries.items():
-        vec = _require(entry, "probs", list)
+        vec = require(entry, "probs", list)
         if len(vec) != d:
             raise DatasetFormatError(f"basis n={idx}: expected {d} probabilities, got {len(vec)}")
         try:

@@ -184,9 +184,9 @@ class NdoEval:
     The logistic caches are formed on first use from the pre-activations and
     the exps their softplus already evaluated (`kernels.pair_cache`), so a
     point that only needs its cost (a rejected line-search trial) never pays
-    for them, and one that does pays no second exp. The ancilla logistic is
-    formed on the upper index pairs, which the metric reads, and mirrored to
-    the full (m_a, d, d) array, which the gradient reads.
+    for them, and one that does pays no second exp. The ancilla logistic
+    exists only on the upper index pairs (`s_upper`), where the gradient, the
+    metric and the Jacobian reference all read it.
     """
 
     a: np.ndarray          # (d, d) complex log density entries
@@ -213,11 +213,6 @@ class NdoEval:
         """(m_a, d(d+1)/2) complex ancilla logistic on the upper index pairs."""
         return kernels._logistic_c(self.z, self.t_z)
 
-    @functools.cached_property
-    def s_pair(self) -> np.ndarray:
-        """(m_a, d, d) complex ancilla logistic per index pair, `s_upper` mirrored."""
-        return kernels.mirror(self.s_upper, self.rho.shape[0])
-
 
 def evaluate(params: NdoParams) -> NdoEval:
     """Compute the state plus the pre-activations of the gradient caches in one pass."""
@@ -239,22 +234,16 @@ def save_checkpoint(params: NdoParams, path) -> None:
 
 def load_checkpoint(path) -> NdoParams:
     doc = fileio.read_json(path, "checkpoint")
-    for field in ("format_version", "dim", "m_h", "m_a", "arrays"):
-        if field not in doc:
-            raise ValueError(f"checkpoint missing field {field!r}")
-    if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {doc['format_version']}")
-    if not isinstance(doc["arrays"], dict):
-        raise ValueError("checkpoint field 'arrays' must be a JSON object")
-    arrays = {}
-    for name in ARRAY_NAMES:
-        if name not in doc["arrays"]:
-            raise ValueError(f"checkpoint missing array {name!r}")
-        arrays[name] = doc["arrays"][name]
+    version = fileio.require(doc, "format_version", int, "checkpoint")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format_version {version}")
+    dims = tuple(fileio.require(doc, name, int, "checkpoint") for name in ("dim", "m_h", "m_a"))
+    stored = fileio.require(doc, "arrays", dict, "checkpoint")
+    arrays = {name: fileio.require(stored, name, list, "checkpoint arrays") for name in ARRAY_NAMES}
     try:
         params = NdoParams(**arrays)
     except ValueError as exc:
         raise ValueError(f"checkpoint array {exc}") from exc
-    if (params.dim, params.m_h, params.m_a) != (doc["dim"], doc["m_h"], doc["m_a"]):
+    if (params.dim, params.m_h, params.m_a) != dims:
         raise ValueError("checkpoint header dims do not match array shapes")
     return params

@@ -16,7 +16,8 @@ time, checks the real Hermitian-row Jacobian of `kernels.assemble_jacobian`,
 whose dsyrk Gram, transpose product and Cholesky solve check the metric
 that `training.gram`, `training._rho_pullback` and `training.solve_metric` form
 without it, and whose extended-precision copy checks the gradient near a
-basis state;
+basis state; the einsums over the mirrored (m_a, d, d) ancilla logistic
+check `training._contract`'s upper-pair ancilla blocks;
 the per-call gather, KL mask and data adjoint check the fit's cached ones;
 the two-loop recursion that forms every s.y on use checks `training._Lbfgs`;
 backtracking from the unit step on every search checks the warm-started
@@ -95,13 +96,12 @@ def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
 
 def evaluate(params: NdoParams) -> SimpleNamespace:
     """`ndo.evaluate` through the full-triangle `pair_cache`, with the logistic
-    caches computed up front; s_upper is read from the full s_pair."""
+    caches computed up front; s_upper is read from the full-triangle logistic."""
     a, x_lam, x_mu, z = pair_cache(*params.arrays())
     rho, log_z = ndo._normalize(a)
-    s_pair = logistic_c(z)
     al, be = kernels._upper_pairs(params.dim)
     return SimpleNamespace(a=a, rho=rho, log_z=log_z, sig_lam=logistic(x_lam),
-                           sig_mu=logistic(x_mu), s_pair=s_pair, s_upper=s_pair[:, al, be])
+                           sig_mu=logistic(x_mu), s_upper=logistic_c(z)[:, al, be])
 
 
 def a_entry(params: NdoParams, v: int, vp: int) -> complex:
@@ -196,23 +196,25 @@ def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
 
 
 def eager_caches(params: NdoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sig_lam, sig_mu, s_pair) of `evaluate`, the values `ndo.NdoEval`
+    """(sig_lam, sig_mu, s_upper) of `evaluate`, the values `ndo.NdoEval`
     computes on first use."""
     ev = evaluate(params)
-    return ev.sig_lam, ev.sig_mu, ev.s_pair
+    return ev.sig_lam, ev.sig_mu, ev.s_upper
 
 
-def complex_jacobian(rho, sig_lam, sig_mu, s_pair) -> np.ndarray:
+def complex_jacobian(rho, sig_lam, sig_mu, s_upper) -> np.ndarray:
     """Jacobian d(rho)/d(theta) of all d^2 entries as a (d*d, P) complex matrix.
 
     Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z), where
     z = sum_v rho[v, v] dA[v, v, :] is the gradient of log Z (zero on mu-group
     entries), filled one visible index v at a time in the precision of the
-    inputs. `training._hermitian_rows` of it is `kernels.assemble_jacobian`.
+    inputs from the full (m_a, d, d) ancilla logistic, `s_upper` mirrored.
+    `training._hermitian_rows` of it is `kernels.assemble_jacobian`.
     """
     d = rho.shape[0]
     m_h = sig_lam.shape[0]
-    m_a = s_pair.shape[0]
+    m_a = s_upper.shape[0]
+    s_pair = kernels.mirror(s_upper, d)
     off = param_offsets(d, m_h, m_a)
     pd = rho.diagonal().real
     s_diag = s_pair[:, np.arange(d), np.arange(d)].real
@@ -253,6 +255,25 @@ def complex_jacobian(rho, sig_lam, sig_mu, s_pair) -> np.ndarray:
     )
     j3[:, :, off["d_lam"] :] += rho[:, :, None] * np.moveaxis(s_pair, 0, -1)
     return jac
+
+
+def contract_full(ev, e_mat: np.ndarray) -> np.ndarray:
+    """`training._contract` over the full (m_a, d, d) ancilla logistic, `s_upper`
+    mirrored: its row sums, column sums and total against E by three einsums."""
+    s_pair = kernels.mirror(ev.s_upper, e_mat.shape[0])
+    rs = e_mat.sum(axis=1)
+    cs = e_mat.sum(axis=0)
+    plus, minus = 0.5 * (rs + cs), 0.5j * (rs - cs)
+    row_u = np.einsum("iab,ab->ia", s_pair, e_mat)
+    col_u = np.einsum("iab,ab->ib", s_pair, e_mat)
+    blocks = {
+        "w_lam": ev.sig_lam * plus, "w_mu": ev.sig_mu * minus,
+        "u_lam": 0.5 * (row_u + col_u), "u_mu": 0.5j * (row_u - col_u),
+        "b_lam": plus, "b_mu": minus,
+        "c_lam": ev.sig_lam @ plus, "c_mu": ev.sig_mu @ minus,
+        "d_lam": np.einsum("iab,ab->i", s_pair, e_mat),
+    }
+    return np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
 
 
 def rho_jacobian(params: NdoParams) -> np.ndarray:
@@ -510,7 +531,7 @@ def dense_metric_direction(metric: np.ndarray, grad: np.ndarray, eps: float) -> 
 
 def jacobian_rows(ev) -> np.ndarray:
     """The real Hermitian-row Jacobian J_r at an evaluation, which no fit forms."""
-    return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+    return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
 
 
 def extended_jacobian_rows(ev) -> np.ndarray:
@@ -521,7 +542,7 @@ def extended_jacobian_rows(ev) -> np.ndarray:
         return a.astype(np.clongdouble if np.iscomplexobj(a) else np.longdouble)
 
     d = ev.rho.shape[0]
-    jac = complex_jacobian(widen(ev.rho), widen(ev.sig_lam), widen(ev.sig_mu), widen(ev.s_pair))
+    jac = complex_jacobian(widen(ev.rho), widen(ev.sig_lam), widen(ev.sig_mu), widen(ev.s_upper))
     return training._hermitian_rows(jac.reshape(d, d, -1))
 
 
@@ -557,11 +578,12 @@ def two_phase_fit_ndo(ds, bases, d, m_h, m_a, seed=0, warmup_iters=500, polish_i
                       grad_tol=1e-8):
     """`training.fit_ndo` as two fits: an L-BFGS warm-up, then a GNGD polish on
     a fresh objective from the warm-up's end point, their reports merged at
-    the seam, which both fits evaluate."""
+    the seam, which both fits evaluate. Returns the parameters, the merged
+    report and the warm-up's own report."""
     init = ndo.mixed_init_params(d, m_h, m_a, seed=seed)
     mid, warm = training.optimize((TrainConfig("lbfgs", grad_tol, warmup_iters),), ds, bases, init)
     params, polish = training.optimize((TrainConfig("gngd", grad_tol, polish_iters),), ds, bases, mid)
-    return params, dataclasses.replace(
+    merged = dataclasses.replace(
         polish,
         optimizer="lbfgs+gngd",
         costs=warm.costs + polish.costs[1:],
@@ -569,3 +591,4 @@ def two_phase_fit_ndo(ds, bases, d, m_h, m_a, seed=0, warmup_iters=500, polish_i
         step_sizes=warm.step_sizes + polish.step_sizes,
         millis=warm.millis + polish.millis,
     )
+    return params, merged, warm

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qwndo import fileio, walk
+from qwndo import fileio, measurement, ndo, walk
 
 
 class TestStateFile:
@@ -79,6 +79,45 @@ class TestStateFile:
         path.write_text("{{{")
         with pytest.raises(ValueError, match="JSON"):
             fileio.load_state(path)
+
+
+def save_and_load(kind):
+    """(save, load) of a valid file of `kind`; save writes it to the path given."""
+    rho = walk.initial_state(1)
+    return {
+        "state file": (lambda path: fileio.save_state(rho, path), fileio.load_state),
+        "dataset": (
+            lambda path: measurement.save_dataset(measurement.generate_dataset(rho, 1), path),
+            measurement.load_dataset,
+        ),
+        "checkpoint": (lambda path: ndo.save_checkpoint(ndo.init_params(4, 2, 3), path),
+                       ndo.load_checkpoint),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [("state file", "format_version", True), ("state file", "n_steps", True),
+     ("state file", "dim", 4.0), ("state file", "dim", None),
+     ("dataset", "format_version", True), ("dataset", "n_steps", 1.0),
+     ("checkpoint", "format_version", True), ("checkpoint", "dim", 4.0),
+     ("checkpoint", "m_h", True), ("checkpoint", "m_a", "3"), ("checkpoint", "m_a", None)],
+)
+def test_versioned_fields_checked_alike_in_every_kind(tmp_path, kind, field, value):
+    """A boolean, float or string where an integer belongs, or a missing
+    field (None here), is rejected by name whatever the file's kind."""
+    save, load = save_and_load(kind)
+    path = tmp_path / "file.json"
+    save(path)
+    load(path)  # the unedited file loads
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{kind} (missing )?field '{field}'"):
+        load(path)
 
 
 class TestCsv:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qwndo import kernels, ndo, training
+from qwndo import kernels, measurement, ndo, training, walk
 
 import oracles
 from oracles import grad_a
@@ -36,7 +36,7 @@ class TestJacobianAgainstNaive:
         for al in range(d):
             for be in range(d):
                 naive_j[al * d + be] = ev.rho[al, be] * (grad_a(params, al, be) - z)
-        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
         naive_g = oracles.dense_metric(naive_j)
         assert np.max(np.abs(jr.T @ jr - naive_g)) <= 1e-12
 
@@ -52,7 +52,7 @@ class TestRealJacobian:
     def test_equals_hermitian_rows_of_oracle(self, d, m_h, m_a, scale, seed):
         params = ndo.init_params(d, m_h, m_a, scale=scale, seed=seed)
         ev = ndo.evaluate(params)
-        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_pair)
+        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
         ref = training._hermitian_rows(oracles.rho_jacobian(params).reshape(d, d, -1))
         assert jr.shape == (d * d, params.n_params) and jr.dtype == np.float64
         assert np.array_equal(jr, ref)
@@ -108,10 +108,33 @@ class TestUpperPairKernel:
         assert ev.z.shape == (15, d * (d + 1) // 2)
         if state == "scale 0 but the mixing phases":
             assert np.all(ev.z.real == 0) and np.all(ev.z.imag[:, d:] != 0)
-        for name in ("a", "rho", "s_pair", "sig_lam", "sig_mu"):
+        for name in ("a", "rho", "s_upper", "sig_lam", "sig_mu"):
             assert np.array_equal(getattr(ev, name), getattr(ref, name)), name
         assert ev.log_z == ref.log_z
         assert np.array_equal(ndo.density_matrix(params), ref.rho)
+
+    @pytest.mark.parametrize("d", [4, 12, 22])
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_contract_matches_full_triangle_einsums(self, state, d, monkeypatch):
+        """The upper-pair ancilla blocks of `_contract` against the einsums over
+        the mirrored logistic, at the E that a KL covector of walk data gives;
+        rho, and E with it, need not be bitwise Hermitian."""
+        n = d // 2 - 1
+        rho = walk.evolve(walk.WalkConfig(n, (np.pi / 4,) * n, noise="dephasing", delta_beta=0.7))
+        obj = training._NdoObjective(measurement.generate_dataset(rho, n),
+                                     measurement.all_basis_unitaries(n), d, 15, 15)
+        point = obj._at(self.STATES[state](d).to_vector())
+        contract, seen = training._contract, []
+        monkeypatch.setattr(training, "_contract", lambda ev, e: seen.append(e) or contract(ev, e))
+        training._rho_pullback(point.aux, training._covector(obj._adjoint(point)))
+        (e_mat,) = seen
+        g = contract(point.aux, e_mat)
+        ref = oracles.contract_full(point.aux, e_mat)
+        # Measured against the summands' scale max|s| sum|E|, not against max|g|:
+        # at scale 0 floored outcomes make |Y| ~ 1e12 and both sums lose every
+        # digit of g. Worst measured: 1.9e-16 (random, scale 1, d = 22).
+        scale = np.abs(point.aux.s_upper).max() * np.abs(e_mat).sum()
+        assert np.max(np.abs(g - ref)) <= 5e-16 * scale
 
 
 class TestHelpers:

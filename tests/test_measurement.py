@@ -126,6 +126,28 @@ class TestTablesAgainstDenseOracle:
             assert np.abs(m - dense.adjoint(w)).max() <= 1e-15
             assert np.array_equal(m, gather.adjoint(w))
 
+    def test_built_once_per_size_and_read_only(self):
+        tables = measurement.all_basis_unitaries(4)
+        assert measurement.all_basis_unitaries(4) is tables
+        assert measurement.all_basis_unitaries(3) is not tables
+        for arr in (tables.index, tables.coef):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 0
+
+    @pytest.mark.parametrize("shots,seed", [(None, None), (1000, 4)])
+    def test_shared_tables_give_the_fresh_tables_dataset(self, tmp_path, monkeypatch, shots, seed):
+        """A dataset measured through the shared tables is byte for byte the
+        one measured through tables built for the call."""
+        rho = walk.evolve(walk.WalkConfig(3, (0.3, 0.7, 1.1), noise="dephasing", delta_beta=0.5))
+        shared = tmp_path / "shared.json"
+        measurement.all_basis_unitaries(3).probabilities(rho)  # gather tables already built
+        measurement.save_dataset(measurement.generate_dataset(rho, 3, shots, seed), shared)
+        monkeypatch.setattr(measurement, "all_basis_unitaries",
+                            measurement.all_basis_unitaries.__wrapped__)
+        fresh = tmp_path / "fresh.json"
+        measurement.save_dataset(measurement.generate_dataset(rho, 3, shots, seed), fresh)
+        assert shared.read_bytes() == fresh.read_bytes()
+
     def test_tables_stay_small_at_n30(self):
         # the dense (63, 62, 62) complex stack is 3.9 MB
         tables = measurement.all_basis_unitaries(30)

@@ -175,10 +175,10 @@ class TestLazyCaches:
     def test_equal_eager_caches(self, scale, seed):
         params = ndo.init_params(6, 4, 3, scale=scale, seed=seed)
         ev = ndo.evaluate(params)
-        assert not {"sig_lam", "sig_mu", "s_pair"} & set(vars(ev))  # nothing computed yet
-        for lazy, eager in zip((ev.sig_lam, ev.sig_mu, ev.s_pair), eager_caches(params)):
+        assert not {"sig_lam", "sig_mu", "s_upper"} & set(vars(ev))  # nothing computed yet
+        for lazy, eager in zip((ev.sig_lam, ev.sig_mu, ev.s_upper), eager_caches(params)):
             assert np.array_equal(lazy, eager)
-        assert ev.s_pair is ev.s_pair  # computed once
+        assert ev.s_upper is ev.s_upper  # computed once
 
 
 class TestPurificationOracle:
