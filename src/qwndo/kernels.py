@@ -1,14 +1,18 @@
 """Hot numeric kernels for the density-operator ansatz, vectorized in NumPy.
 
 Parameters flatten block by block in the order of `param_shapes`, each
-matrix row-major. The log density A and every per-pair quantity derived from
-it are Hermitian in the index pair, so the complex ancilla terms live on the
-d(d+1)/2 upper pairs (`_upper_pairs`) only: A is `mirror`ed by conjugation,
-and the gradient, the metric and `assemble_jacobian` read the ancilla
-logistic there. Each softplus keeps its exp, and the matching logistic
-reuses it. `assemble_jacobian` builds the real state Jacobian, which no fit
-forms: the reference that `training.gram` and the metric's pullback are
-tested against.
+matrix row-major; each lam block sits next to its mu block, so the two
+networks are read as stacked (2, ...) views and evaluated in one pass. The
+log density A and every per-pair quantity derived from it are Hermitian in
+the index pair, so the complex ancilla terms live on the d(d+1)/2 upper pairs
+(`_upper_pairs`) only: A is `mirror`ed by conjugation, and the gradient, the
+metric and `assemble_jacobian` read the ancilla logistic there. The ancilla
+sum of complex softplus terms is taken as the log of a product of factors
+1 + t (`pair_cache`), so A is exact mod 2 pi i, which leaves rho = exp(A) / Z
+unchanged. Each softplus keeps its exp, and each logistic reuses it (the
+ancilla's, its factor). `assemble_jacobian` builds the real state Jacobian,
+which no fit forms: the reference that `training.gram` and the metric's
+pullback are tested against.
 """
 
 from __future__ import annotations
@@ -51,69 +55,62 @@ def _softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _logistic(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) from the t of `_softplus(x)`: 1/w where x >= 0, else t/w, w = 1 + t."""
-    w = 1.0 + t
-    out = t / w
-    np.divide(1.0, w, out=out, where=x >= 0)
-    return out
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
-def _softplus_c(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex log(1 + e^z) and the exp it evaluates, t = exp(-z) where Re z > 0
-    and exp(z) elsewhere: log1p(t), plus z where Re z > 0."""
-    pos = z.real > 0
-    t = np.exp(np.where(pos, -z, z))
-    out = np.log1p(t)
-    np.add(out, z, out=out, where=pos)
-    return out, t
+# Ancillas per factor of the product form: each factor 1 + t has |1 + t| <= 2,
+# so a block's product stays below 2^512, far inside the double range.
+PRODUCT_BLOCK = 512
 
 
-def _logistic_c(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Complex 1 / (1 + e^-z) from the t of `_softplus_c(z)`: 1/w where Re z >= 0,
-    else t/w, w = 1 + t. Where Re z == 0 exactly, t is exp(z), so only there
-    is exp(-z) evaluated again."""
-    w = 1.0 + t
-    out = t / w
-    np.divide(1.0, w, out=out, where=z.real >= 0)
-    zero = z.real == 0
-    if zero.any():
-        out[zero] = 1.0 / (1.0 + np.exp(-z[zero]))
-    return out
-
-
-def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
+def pair_cache(w, u, b, c, d_lam):
     """Matrix of log density entries A plus what its derivatives reuse.
 
-    Returns (a, x_lam, t_lam, x_mu, t_mu, z, t_z): a is (d, d) complex; x_* = W + c
-    has shape (m_h, d) and t_* = exp(-|x_*|); z is the complex ancilla argument
-    on the d(d+1)/2 upper index pairs (`_upper_pairs` order), shape
-    (m_a, pairs), and t_z the exp its softplus evaluates. z(b, a) = conj z(a, b),
-    so the softplus and its sum over ancillas run on the upper pairs only, and
-    the sum is `mirror`ed into A. The gradient and the metric read
-    logistic(x_*) and the complex logistic of z, which `ndo.NdoEval` forms from
-    these exps on first use.
+    Takes the two networks stacked, lam then mu on the first axis: w (2, m_h, d),
+    u (2, m_a, d), b (2, d) and c (2, m_h), as `ndo.NdoParams` holds them, plus
+    the ancilla bias d_lam (m_a,). Returns (a, x, t_x, pos, t, w_a): a is the
+    (d, d) complex A; x = W + c, shape (2, m_h, d), and t_x = exp(-|x|) are
+    the hidden pre-activations and the exps of their softplus; pos, t and
+    w_a = 1 + t are the ancilla factors on the d(d+1)/2 upper index pairs
+    (`_upper_pairs` order), shape (m_a, pairs).
+
+    The ancilla argument is z = x + iy with x = (u_lam(v) + u_lam(v'))/2 + d_lam
+    and y = (u_mu(v) - u_mu(v'))/2. Its softplus is z + log(1 + e^-z) where
+    pos = x > 0 and log(1 + e^z) elsewhere, so the ancilla sum is taken as a
+    product, Pi = sum_i [pos_i] z_i + log prod_i (1 + t_i), with
+    t = e^-|x| e^(-+iy) (minus where pos) from one real exp, cos and sin per
+    entry. The product runs over blocks of PRODUCT_BLOCK ancillas with one
+    complex log per block. The log's branch differs from the sum of the
+    softplus branches by a multiple of 2 pi i, so A is exact mod 2 pi i and
+    rho = exp(A) / Z is unchanged. z(v', v) = conj z(v, v'), so A is formed on
+    the upper pairs and `mirror`ed; the gradient and the metric read the
+    logistics, which `ndo.NdoEval` forms from these factors on first use.
     """
-    d = w_lam.shape[1]
-    x_lam = w_lam + c_lam[:, None]
-    x_mu = w_mu + c_mu[:, None]
-    sp_lam, t_lam = _softplus(x_lam)
-    sp_mu, t_mu = _softplus(x_mu)
-    hs_lam = sp_lam.sum(axis=0)
-    hs_mu = sp_mu.sum(axis=0)
+    d = w.shape[2]
+    m_a = u.shape[1]
+    x = w + c[:, :, None]
+    sp, t_x = _softplus(x)
+    half = 0.5 * (sp.sum(axis=1) + b)  # half of each network's visible term, (2, d)
     al, be = _upper_pairs(d)
-    # np.take keeps z C-ordered (u[:, al] would not), so the sum over ancillas
-    # adds one ancilla after another, as on the full (m_a, d, d) array, and
-    # conjugating the summed upper pairs gives the lower ones exactly.
-    z = (
-        0.5 * (np.take(u_lam, al, axis=1) + np.take(u_lam, be, axis=1))
-        + 0.5j * (np.take(u_mu, al, axis=1) - np.take(u_mu, be, axis=1))
-        + d_lam[:, None]
-    )
-    sp_z, t_z = _softplus_c(z)
-    pi = mirror(sp_z.sum(axis=0), d)
-    gamma_plus = 0.5 * (hs_lam[:, None] + hs_lam[None, :] + b_lam[:, None] + b_lam[None, :])
-    gamma_minus = 0.5 * (hs_mu[:, None] - hs_mu[None, :] + b_mu[:, None] - b_mu[None, :])
-    a = gamma_plus + 1j * gamma_minus + pi
-    return a, x_lam, t_lam, x_mu, t_mu, z, t_z
+    # np.take keeps the (m_a, pairs) arrays C-ordered (u[..., al] would not), so
+    # the reductions over ancillas run one ancilla after another, as on the
+    # full (m_a, d, d) triangle.
+    u_al, u_be = np.take(u, al, axis=2), np.take(u, be, axis=2)
+    re = 0.5 * (u_al[0] + u_be[0]) + d_lam[:, None]
+    im = 0.5 * (u_al[1] - u_be[1])
+    pos = re > 0
+    mag = np.exp(-np.abs(re))
+    t = np.empty(re.shape, dtype=np.complex128)
+    np.multiply(mag, np.cos(im), out=t.real)
+    np.multiply(np.where(pos, -mag, mag), np.sin(im), out=t.imag)
+    w_a = 1.0 + t
+    h_al, h_be = np.take(half, al, axis=1), np.take(half, be, axis=1)
+    a_re = h_al[0] + h_be[0] + np.where(pos, re, 0.0).sum(axis=0)
+    a_im = h_al[1] - h_be[1] + np.where(pos, im, 0.0).sum(axis=0)
+    a = a_re + 1j * a_im
+    for start in range(0, m_a, PRODUCT_BLOCK):
+        a += np.log(w_a[start : start + PRODUCT_BLOCK].prod(axis=0))
+    return mirror(a, d), x, t_x, pos, t, w_a
 
 
 @functools.lru_cache(maxsize=64)

@@ -9,6 +9,12 @@ closed form, giving every log density entry
 
 with rho = exp(A) / Z and Z = sum_v exp(A(v, v)).
 
+The two networks are evaluated as one: `NdoParams` holds each lam/mu pair of
+blocks as one stacked (2, ...) view of the parameter vector, so one softplus,
+one logistic and one gather serve both. Pi is taken as the log of a product
+of ancilla factors (`kernels.pair_cache`), which fixes A only mod 2 pi i;
+rho = exp(A) / Z does not depend on the branch.
+
 The phase-network ancilla bias cancels between a purification amplitude and
 its conjugate, so the parameter set carries only the lambda ancilla bias.
 """
@@ -38,7 +44,14 @@ def n_params(d: int, m_h: int, m_a: int) -> int:
 @dataclass(frozen=True)
 class NdoParams:
     """The nine real parameter arrays of the amplitude (lam) and phase (mu)
-    networks, with the shapes and order of `kernels.param_shapes`."""
+    networks, with the shapes and order of `kernels.param_shapes`.
+
+    However it is built, every instance holds one read-only copy of the
+    flattened vector, and the nine arrays are views into it, as are the
+    stacked (lam, mu) views w (2, m_h, d), u (2, m_a, d), b (2, d) and
+    c (2, m_h) that `kernels.pair_cache` takes: `param_shapes` puts each
+    pair next to each other.
+    """
 
     w_lam: np.ndarray
     w_mu: np.ndarray
@@ -51,23 +64,22 @@ class NdoParams:
     d_lam: np.ndarray
 
     def __post_init__(self):
+        arrays = []
         for name, ndim in zip(ARRAY_NAMES, ARRAY_NDIMS):
             try:
-                arr = np.array(getattr(self, name), dtype=float)
+                arr = np.asarray(getattr(self, name), dtype=float)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name} is not a numeric array") from exc
             if arr.ndim != ndim:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {ndim} dimensions")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        m_h, d = self.w_lam.shape
-        m_a = self.u_lam.shape[0]
-        for name, shape in param_shapes(d, m_h, m_a).items():
-            arr = getattr(self, name)
+            arrays.append(arr)
+        (m_h, d), m_a = arrays[0].shape, arrays[2].shape[0]
+        for arr, (name, shape) in zip(arrays, param_shapes(d, m_h, m_a).items()):
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+        _bind(self, d, m_h, m_a, np.concatenate([arr.ravel() for arr in arrays]))
 
     @property
     def dim(self) -> int:
@@ -90,35 +102,48 @@ class NdoParams:
         return tuple(getattr(self, name) for name in ARRAY_NAMES)
 
     def to_vector(self) -> np.ndarray:
-        """Flatten to the optimizer's parameter vector (row-major matrices)."""
-        return np.concatenate([arr.ravel() for arr in self.arrays()])
+        """A copy of the optimizer's parameter vector (row-major matrices)."""
+        return self._vector.copy()
 
     @classmethod
     def from_vector(cls, d: int, m_h: int, m_a: int, vec: np.ndarray) -> "NdoParams":
         """Read-only views into one copy of `vec`, checked once for length and finiteness."""
-        blocks = _blocks(d, m_h, m_a)
         vec = np.array(vec, dtype=float)
-        if vec.shape != (blocks[-1][2],):
-            raise ValueError(f"vector length {vec.shape}, expected ({blocks[-1][2]},)")
+        size = n_params(d, m_h, m_a)
+        if vec.shape != (size,):
+            raise ValueError(f"vector length {vec.shape}, expected ({size},)")
         if not np.isfinite(vec).all():
             bad = int(np.argmin(np.isfinite(vec)))
-            name = next(name for name, _, stop, _ in blocks if bad < stop)
+            name = next(name for name, _, stop, _ in _views(d, m_h, m_a) if bad < stop)
             raise ValueError(f"{name} contains non-finite entries")
-        vec.setflags(write=False)
         params = object.__new__(cls)
-        for name, start, stop, shape in blocks:
-            object.__setattr__(params, name, vec[start:stop].reshape(shape))
+        _bind(params, d, m_h, m_a, vec)
         return params
 
 
+def _bind(params: NdoParams, d: int, m_h: int, m_a: int, vec: np.ndarray) -> None:
+    """Make vec read-only and set the nine arrays and the stacked views of
+    params to views into it."""
+    vec.setflags(write=False)
+    object.__setattr__(params, "_vector", vec)
+    for name, start, stop, shape in _views(d, m_h, m_a):
+        object.__setattr__(params, name, vec[start:stop].reshape(shape))
+
+
 @functools.lru_cache(maxsize=64)
-def _blocks(d: int, m_h: int, m_a: int) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """(name, start, stop, shape) of each block of the flattened vector."""
+def _views(d: int, m_h: int, m_a: int) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of each block of the flattened vector, then
+    of the stacked (lam, mu) pairs w, u, b and c."""
     off = param_offsets(d, m_h, m_a)
-    return tuple(
+    blocks = tuple(
         (name, off[name], off[name] + math.prod(shape), shape)
         for name, shape in param_shapes(d, m_h, m_a).items()
     )
+    stacked = tuple(
+        (name, off[f"{name}_lam"], off[f"{name}_mu"] + math.prod(shape), (2, *shape))
+        for name, shape in (("w", (m_h, d)), ("u", (m_a, d)), ("b", (d,)), ("c", (m_h,)))
+    )
+    return blocks + stacked
 
 
 def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) -> NdoParams:
@@ -174,51 +199,58 @@ def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 def density_matrix(params: NdoParams) -> np.ndarray:
     """The normalized state exp(A) / Z; Hermitian, unit trace and PSD by construction."""
-    return _normalize(kernels.pair_cache(*params.arrays())[0])[0]
+    a = kernels.pair_cache(params.w, params.u, params.b, params.c, params.d_lam)[0]
+    return _normalize(a)[0]
 
 
 @dataclass(frozen=True)
 class NdoEval:
     """One-pass evaluation of everything the cost, gradient and metric reuse.
 
-    The logistic caches are formed on first use from the pre-activations and
-    the exps their softplus already evaluated (`kernels.pair_cache`), so a
-    point that only needs its cost (a rejected line-search trial) never pays
-    for them, and one that does pays no second exp. The ancilla logistic
-    exists only on the upper index pairs (`s_upper`), where the gradient, the
-    metric and the Jacobian reference all read it.
+    The logistic caches are formed on first use from the factors that
+    `kernels.pair_cache` already evaluated, so a point that only needs its
+    cost (a rejected line-search trial) never pays for them, and one that
+    does pays no second exp. The hidden logistic `sig` is stacked like the
+    networks, (2, m_h, d); the ancilla logistic exists only on the upper
+    index pairs (`s_upper`), where the gradient, the metric and the Jacobian
+    reference all read it.
     """
 
-    a: np.ndarray          # (d, d) complex log density entries
+    a: np.ndarray          # (d, d) complex log density entries, exact mod 2 pi i
     rho: np.ndarray        # (d, d) complex state
     log_z: float
-    x_lam: np.ndarray      # (m_h, d) hidden pre-activation W + c, amplitude net
-    t_lam: np.ndarray      # exp(-|x_lam|)
-    x_mu: np.ndarray
-    t_mu: np.ndarray
-    z: np.ndarray          # (m_a, d(d+1)/2) complex ancilla argument per upper pair
-    t_z: np.ndarray        # the exp of z's softplus
+    x: np.ndarray          # (2, m_h, d) hidden pre-activations W + c, lam then mu
+    t_x: np.ndarray        # exp(-|x|)
+    pos: np.ndarray        # (m_a, d(d+1)/2) Re z > 0 of the ancilla argument z per upper pair
+    t: np.ndarray          # e^-z where pos, else e^z
+    w: np.ndarray          # 1 + t
 
     @functools.cached_property
+    def sig(self) -> np.ndarray:
+        """(2, m_h, d) hidden logistic, amplitude net then phase net."""
+        return kernels._logistic(self.x, self.t_x)
+
+    @property
     def sig_lam(self) -> np.ndarray:
-        """(m_h, d) hidden logistic, amplitude net."""
-        return kernels._logistic(self.x_lam, self.t_lam)
+        return self.sig[0]
 
-    @functools.cached_property
+    @property
     def sig_mu(self) -> np.ndarray:
-        return kernels._logistic(self.x_mu, self.t_mu)
+        return self.sig[1]
 
     @functools.cached_property
     def s_upper(self) -> np.ndarray:
-        """(m_a, d(d+1)/2) complex ancilla logistic on the upper index pairs."""
-        return kernels._logistic_c(self.z, self.t_z)
+        """(m_a, d(d+1)/2) complex ancilla logistic on the upper index pairs:
+        1/w where pos, else t/w, which keeps its relative accuracy where
+        Re z << 0."""
+        return np.where(self.pos, 1.0, self.t) / self.w
 
 
 def evaluate(params: NdoParams) -> NdoEval:
-    """Compute the state plus the pre-activations of the gradient caches in one pass."""
-    a, *pre = kernels.pair_cache(*params.arrays())
+    """Compute the state plus the factors of the gradient caches in one pass."""
+    a, *factors = kernels.pair_cache(params.w, params.u, params.b, params.c, params.d_lam)
     rho, lz = _normalize(a)
-    return NdoEval(a, rho, lz, *pre)
+    return NdoEval(a, rho, lz, *factors)
 
 
 def save_checkpoint(params: NdoParams, path) -> None:
@@ -233,17 +265,29 @@ def save_checkpoint(params: NdoParams, path) -> None:
 
 
 def load_checkpoint(path) -> NdoParams:
+    """Parameters from a `save_checkpoint` file. Each array is read with the
+    shape that the header's (dim, m_h, m_a) gives it, since JSON keeps no
+    shape for an empty array (a zero-unit layer)."""
     doc = fileio.read_json(path, "checkpoint")
     version = fileio.require(doc, "format_version", int, "checkpoint")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version}")
-    dims = tuple(fileio.require(doc, name, int, "checkpoint") for name in ("dim", "m_h", "m_a"))
+    dims = {name: fileio.require(doc, name, int, "checkpoint") for name in ("dim", "m_h", "m_a")}
+    for name, least in (("dim", 1), ("m_h", 0), ("m_a", 0)):
+        if dims[name] < least:
+            raise ValueError(f"checkpoint field '{name}' must be >= {least}, got {dims[name]}")
     stored = fileio.require(doc, "arrays", dict, "checkpoint")
-    arrays = {name: fileio.require(stored, name, list, "checkpoint arrays") for name in ARRAY_NAMES}
+    arrays = {}
+    for name, shape in param_shapes(*dims.values()).items():
+        values = fileio.require(stored, name, list, "checkpoint arrays")
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint array {name} is not a numeric array") from exc
+        if arr.shape != shape and not arr.size == 0 == math.prod(shape):
+            raise ValueError(f"checkpoint array {name} has shape {arr.shape}, expected {shape}")
+        arrays[name] = arr.reshape(shape)
     try:
-        params = NdoParams(**arrays)
+        return NdoParams(**arrays)
     except ValueError as exc:
         raise ValueError(f"checkpoint array {exc}") from exc
-    if (params.dim, params.m_h, params.m_a) != dims:
-        raise ValueError("checkpoint header dims do not match array shapes")
-    return params

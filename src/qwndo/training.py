@@ -210,23 +210,26 @@ def _rho_pullback(ev: ndo.NdoEval, y_mat: np.ndarray) -> np.ndarray:
 
 def _contract(ev: ndo.NdoEval, e_mat: np.ndarray) -> np.ndarray:
     """sum_ab E_ab dA_ab / d theta by dA's one-hot structure, as a complex vector
-    whose real part is the contraction with a Hermitian (d, d) E. The ancilla
-    blocks Re r, -Im r, sum Re r read only E's upper triangle, E assumed
-    Hermitian: s times E then mirrors by conjugation, so r, the row sums of
-    its mirrored upper pairs, are its column sums conjugated."""
+    whose real part is the contraction with a Hermitian (d, d) E. Like the
+    parameter vector, the pieces come stacked, lam then mu: the networks'
+    weights, visible and hidden biases read E's row and column sums through
+    pm = (plus, minus) and the stacked logistic. The ancilla blocks Re r,
+    -Im r, sum Re r read only E's upper triangle, E assumed Hermitian: s times
+    E then mirrors by conjugation, so r, the row sums of its mirrored upper
+    pairs, are its column sums conjugated."""
     rs = e_mat.sum(axis=1)
     cs = e_mat.sum(axis=0)
-    plus, minus = 0.5 * (rs + cs), 0.5j * (rs - cs)
+    pm = np.stack([0.5 * (rs + cs), 0.5j * (rs - cs)])
     d = e_mat.shape[0]
     r = kernels.mirror(ev.s_upper * e_mat[kernels._upper_pairs(d)], d).sum(axis=2)
-    blocks = {
-        "w_lam": ev.sig_lam * plus, "w_mu": ev.sig_mu * minus,
-        "u_lam": r.real, "u_mu": -r.imag,
-        "b_lam": plus, "b_mu": minus,
-        "c_lam": ev.sig_lam @ plus, "c_mu": ev.sig_mu @ minus,
-        "d_lam": r.real.sum(axis=1),
-    }
-    return np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
+    pieces = (
+        ev.sig * pm[:, None, :],  # w_lam, w_mu
+        r.real, -r.imag,  # u_lam, u_mu
+        pm,  # b_lam, b_mu
+        ev.sig @ pm[:, :, None],  # c_lam, c_mu
+        r.real.sum(axis=1),  # d_lam
+    )
+    return np.concatenate([piece.ravel() for piece in pieces])
 
 
 def _row_matrix(y: np.ndarray, d: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Reference implementations that pin the vectorized kernels and tables in tests.
 
-The masked softplus and logistic functions, each with its own exp, the
-full-triangle (m_a, d, d) `pair_cache` and the eager caches built on them
-check the upper-pair kernel and the lazy caches of `ndo.NdoEval`; the
+The masked softplus and logistic functions, each with its own exp, define
+what the kernel's product form of the ancilla sum must equal (A mod 2 pi i);
+the full-triangle (m_a, d, d) `pair_cache`, the same product arithmetic
+entry for entry, and the eager caches built on it check the upper-pair
+kernel and the lazy caches of `ndo.NdoEval` bit for bit; the
 per-entry NDO references and the brute-force purification check the
 kernels and the closed-form state; the dense basis builder
 (`basis_unitary` and friends) and the einsum contractions over its
@@ -75,33 +77,36 @@ def logistic_c(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_cache(w_lam, w_mu, u_lam, u_mu, b_lam, b_mu, c_lam, c_mu, d_lam):
-    """`kernels.pair_cache` over the full (m_a, d, d) ancilla argument, each
-    softplus with its own exp. Returns (a, x_lam, x_mu, z)."""
-    x_lam = w_lam + c_lam[:, None]
-    x_mu = w_mu + c_mu[:, None]
-    hs_lam = softplus(x_lam).sum(axis=0)
-    hs_mu = softplus(x_mu).sum(axis=0)
-    z = (
-        0.5 * (u_lam[:, :, None] + u_lam[:, None, :])
-        + 0.5j * (u_mu[:, :, None] - u_mu[:, None, :])
-        + d_lam[:, None, None]
-    ).astype(np.complex128)
-    pi = softplus_c(z).sum(axis=0)
-    gamma_plus = 0.5 * (hs_lam[:, None] + hs_lam[None, :] + b_lam[:, None] + b_lam[None, :])
-    gamma_minus = 0.5 * (hs_mu[:, None] - hs_mu[None, :] + b_mu[:, None] - b_mu[None, :])
-    a = gamma_plus + 1j * gamma_minus + pi
-    return a, x_lam, x_mu, z
+def pair_cache(w, u, b, c, d_lam):
+    """`kernels.pair_cache` over the full (m_a, d, d) ancilla triangle: the same
+    stacked networks and the same product arithmetic entry for entry, each
+    softplus with its own exp. Returns (a, x, pos, t, w_a), the ancilla
+    factors on the full triangle."""
+    x = w + c[:, :, None]
+    half = 0.5 * (softplus(x).sum(axis=1) + b)
+    re = 0.5 * (u[0][:, :, None] + u[0][:, None, :]) + d_lam[:, None, None]
+    im = 0.5 * (u[1][:, :, None] - u[1][:, None, :])
+    pos = re > 0
+    mag = np.exp(-np.abs(re))
+    t = mag * np.cos(im) + 1j * (np.where(pos, -mag, mag) * np.sin(im))
+    w_a = 1.0 + t
+    a_re = half[0][:, None] + half[0][None, :] + np.where(pos, re, 0.0).sum(axis=0)
+    a_im = half[1][:, None] - half[1][None, :] + np.where(pos, im, 0.0).sum(axis=0)
+    a = a_re + 1j * a_im
+    for start in range(0, u.shape[1], kernels.PRODUCT_BLOCK):
+        a += np.log(w_a[start : start + kernels.PRODUCT_BLOCK].prod(axis=0))
+    return a, x, pos, t, w_a
 
 
 def evaluate(params: NdoParams) -> SimpleNamespace:
     """`ndo.evaluate` through the full-triangle `pair_cache`, with the logistic
     caches computed up front; s_upper is read from the full-triangle logistic."""
-    a, x_lam, x_mu, z = pair_cache(*params.arrays())
+    a, x, pos, t, w_a = pair_cache(params.w, params.u, params.b, params.c, params.d_lam)
     rho, log_z = ndo._normalize(a)
     al, be = kernels._upper_pairs(params.dim)
-    return SimpleNamespace(a=a, rho=rho, log_z=log_z, sig_lam=logistic(x_lam),
-                           sig_mu=logistic(x_mu), s_upper=logistic_c(z)[:, al, be])
+    sig = logistic(x)
+    return SimpleNamespace(a=a, rho=rho, log_z=log_z, sig=sig, sig_lam=sig[0], sig_mu=sig[1],
+                           s_upper=(np.where(pos, 1.0, t) / w_a)[:, al, be])
 
 
 def a_entry(params: NdoParams, v: int, vp: int) -> complex:

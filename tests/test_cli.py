@@ -191,6 +191,13 @@ class TestTrainAndEvaluate:
         assert doc["similarity"] > 0.999
         assert 0 < doc["purity"] <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("units", [("--hidden", "0"), ("--ancillary", "0")])
+    def test_evaluate_checkpoint_with_an_empty_layer(self, tmp_path, small_dataset, units):
+        ckpt = tmp_path / "fit.ckpt"
+        assert run(["train", "--dataset", str(small_dataset), *units,
+                    "--max-iters", "3", "--checkpoint", str(ckpt)]) == 0
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(small_dataset)]) == 0
+
     def test_evaluate_dataset_mismatch_names_state_file(self, tmp_path, hadamard_state, capsys):
         ds = tmp_path / "ds1.json"
         measurement.save_dataset(measurement.generate_dataset(np.eye(4) / 4, 1), ds)

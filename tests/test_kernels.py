@@ -105,10 +105,10 @@ class TestUpperPairKernel:
         params = self.STATES[state](d)
         ev = ndo.evaluate(params)
         ref = oracles.evaluate(params)
-        assert ev.z.shape == (15, d * (d + 1) // 2)
-        if state == "scale 0 but the mixing phases":
-            assert np.all(ev.z.real == 0) and np.all(ev.z.imag[:, d:] != 0)
-        for name in ("a", "rho", "s_upper", "sig_lam", "sig_mu"):
+        assert ev.t.shape == ev.w.shape == ev.pos.shape == (15, d * (d + 1) // 2)
+        if state == "scale 0 but the mixing phases":  # Re z == 0, Im z != 0 off the diagonal
+            assert not ev.pos.any() and np.all(ev.t.imag[:, d:] != 0)
+        for name in ("a", "rho", "s_upper", "sig", "sig_lam", "sig_mu"):
             assert np.array_equal(getattr(ev, name), getattr(ref, name)), name
         assert ev.log_z == ref.log_z
         assert np.array_equal(ndo.density_matrix(params), ref.rho)
@@ -137,6 +137,83 @@ class TestUpperPairKernel:
         assert np.max(np.abs(g - ref)) <= 5e-16 * scale
 
 
+def ancilla_params(z):
+    """d = 2 and no hidden units, with ancilla i's argument z[i] on the pair (0, 1):
+    A(0, 1) is the ancilla sum of softplus(z), and s_upper[:, 2] its logistic."""
+    z = np.asarray(z, dtype=complex)
+    zeros = np.zeros((0, 2))
+    return ndo.NdoParams(zeros, zeros, np.zeros((z.size, 2)), np.stack([z.imag, -z.imag], axis=1),
+                         np.zeros(2), np.zeros(2), np.zeros(0), np.zeros(0), z.real)
+
+
+def ancilla_term(z):
+    """sum_i softplus(z[i]) as `ndo.evaluate` takes it, mod 2 pi i."""
+    return ndo.evaluate(ancilla_params(np.atleast_1d(z))).a[0, 1]
+
+
+def wrap(diff):
+    """diff with its imaginary part taken mod 2 pi into [-pi, pi)."""
+    return diff.real + 1j * ((diff.imag + np.pi) % (2 * np.pi) - np.pi)
+
+
+def definitional_a(params):
+    return np.array([[oracles.a_entry(params, v, w) for w in range(params.dim)]
+                     for v in range(params.dim)])
+
+
+def definitional_s_upper(params):
+    """The complex logistic of every ancilla argument on the upper pairs, each with its own exp."""
+    al, be = kernels._upper_pairs(params.dim)
+    z = (0.5 * (params.u_lam[:, al] + params.u_lam[:, be]) + params.d_lam[:, None]
+         + 0.5j * (params.u_mu[:, al] - params.u_mu[:, be]))
+    return oracles.logistic_c(z)
+
+
+class TestProductForm:
+    """The product form of the ancilla sum against its definition: A mod 2 pi
+    from `oracles.a_entry`, one complex log1p per (ancilla, pair), and the
+    logistics from `oracles.logistic` and `oracles.logistic_c`, one exp each.
+    The bounds are about three times the worst measured case: 3.3e-16 of
+    1 + max|A| for A, and 4.1e-16 relative for s_upper."""
+
+    def check(self, params):
+        ev = ndo.evaluate(params)
+        ref = definitional_a(params)
+        assert np.max(np.abs(wrap(ev.a - ref))) <= 1e-15 * (1.0 + np.abs(ref).max())
+        s_ref = definitional_s_upper(params)
+        nonzero = s_ref != 0
+        assert np.array_equal(ev.s_upper[~nonzero], s_ref[~nonzero])
+        rel = np.abs(ev.s_upper - s_ref)[nonzero] / np.abs(s_ref[nonzero])
+        assert rel.size == 0 or rel.max() <= 1e-15
+        assert np.array_equal(ev.sig, oracles.logistic(ev.x))
+
+    @pytest.mark.parametrize("d", [4, 12, 22])
+    @pytest.mark.parametrize("state", list(TestUpperPairKernel.STATES))
+    def test_matches_definition(self, state, d):
+        self.check(TestUpperPairKernel.STATES[state](d))
+
+    @pytest.mark.parametrize("m_a", [0, kernels.PRODUCT_BLOCK, kernels.PRODUCT_BLOCK + 1, 1100])
+    @pytest.mark.parametrize("start", ["scale 0", "mixed"])
+    def test_block_edges(self, start, m_a):
+        """Zero, one, two and three product blocks. From scale 0 every factor
+        is 2, so a full block's product is 2^512."""
+        if start == "scale 0":
+            params = ndo.init_params(4, 3, m_a, scale=0.0)
+            ev = ndo.evaluate(params)
+            assert np.all(ev.w == 2.0)
+            np.testing.assert_allclose(ev.a, (m_a + 3) * np.log(2.0), rtol=1e-15, atol=0)
+        else:
+            params = ndo.mixed_init_params(4, 3, m_a, seed=0)
+        self.check(params)
+
+    @pytest.mark.parametrize("z", [-40.0 + 1.0j, -40.0 - 1.0j])
+    def test_logistic_far_left_is_exp(self, z):
+        """Where Re z << 0 the logistic is e^z / (1 + e^z) ~ e^z, kept to
+        relative accuracy: t / w, not 1 - 1 / w."""
+        s = ndo.evaluate(ancilla_params([z])).s_upper[0, 2]
+        assert abs(s - np.exp(z)) <= 1e-14 * abs(np.exp(z))
+
+
 class TestHelpers:
     def test_softplus_stable_at_extremes(self):
         x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
@@ -149,22 +226,23 @@ class TestHelpers:
 
     def test_complex_softplus_matches_series(self):
         z = np.array([0.2 + 0.3j, -1.0 - 2.0j, 50.0 + 1.0j])
-        out = kernels._softplus_c(z)[0]
-        np.testing.assert_allclose(out[:2], np.log(1 + np.exp(z[:2])), atol=1e-14)
-        np.testing.assert_allclose(out[2], z[2] + np.exp(-z[2]), atol=1e-14)
+        out = np.array([ancilla_term(single) for single in z])
+        np.testing.assert_allclose(wrap(out[:2] - np.log(1 + np.exp(z[:2]))), 0, atol=1e-14)
+        np.testing.assert_allclose(wrap(out[2] - z[2] - np.exp(-z[2])), 0, atol=1e-14)
 
     def test_complex_logistic_limits(self):
-        z = np.array([1000.0 + 0.5j, -1000.0 + 0.5j])
-        out = kernels._logistic_c(z, kernels._softplus_c(z)[1])
-        np.testing.assert_allclose(out[0], 1.0, atol=1e-12)
-        np.testing.assert_allclose(out[1], 0.0, atol=1e-12)
+        ev = ndo.evaluate(ancilla_params(np.array([1000.0 + 0.5j, -1000.0 + 0.5j])))
+        np.testing.assert_allclose(ev.s_upper[0, 2], 1.0, atol=1e-12)
+        np.testing.assert_allclose(ev.s_upper[1, 2], 0.0, atol=1e-12)
 
     def test_complex_pair_on_the_imaginary_axis(self):
-        """Where Re z == 0 the softplus takes exp(z) and the logistic exp(-z)."""
+        """Where Re z <= 0 the factor is 1 + e^z, and the logistic e^z / (1 + e^z)
+        needs no second exp, also at Re z == 0."""
         z = np.array([0.0 + 0.0j, 0.0 + 1.0j, -0.0 - 2.5j, 1e-300 + 1.0j, -1e-300 + 1.0j])
-        sp, t = kernels._softplus_c(z)
-        assert np.array_equal(sp, oracles.softplus_c(z))
-        assert np.array_equal(kernels._logistic_c(z, t), oracles.logistic_c(z))
+        out = np.array([ancilla_term(single) for single in z])
+        assert np.max(np.abs(wrap(out - oracles.softplus_c(z)))) <= 1e-15
+        s = ndo.evaluate(ancilla_params(z)).s_upper[:, 2]
+        assert np.max(np.abs(s - oracles.logistic_c(z)) / np.abs(oracles.logistic_c(z))) <= 1e-15
 
     def test_active_backend_name(self):
         assert kernels.active_backend() == "numpy"

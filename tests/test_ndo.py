@@ -175,7 +175,7 @@ class TestLazyCaches:
     def test_equal_eager_caches(self, scale, seed):
         params = ndo.init_params(6, 4, 3, scale=scale, seed=seed)
         ev = ndo.evaluate(params)
-        assert not {"sig_lam", "sig_mu", "s_upper"} & set(vars(ev))  # nothing computed yet
+        assert not {"sig", "s_upper"} & set(vars(ev))  # nothing computed yet
         for lazy, eager in zip((ev.sig_lam, ev.sig_mu, ev.s_upper), eager_caches(params)):
             assert np.array_equal(lazy, eager)
         assert ev.s_upper is ev.s_upper  # computed once
@@ -235,6 +235,33 @@ class TestCheckpoint:
         loaded = ndo.load_checkpoint(path)
         for name in ndo.ARRAY_NAMES:
             np.testing.assert_array_equal(getattr(params, name), getattr(loaded, name))
+
+    @pytest.mark.parametrize("m_h,m_a", [(3, 0), (0, 3), (0, 0)])
+    def test_round_trip_zero_units(self, tmp_path, m_h, m_a):
+        """An empty layer is written as [], which keeps no shape; the header gives it back."""
+        params = ndo.init_params(5, m_h, m_a, scale=0.37, seed=22)
+        path = tmp_path / "ckpt.json"
+        ndo.save_checkpoint(params, path)
+        loaded = ndo.load_checkpoint(path)
+        assert (loaded.dim, loaded.m_h, loaded.m_a) == (5, m_h, m_a)
+        np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("m_h", 3, "checkpoint array w_lam has shape"),
+        ("dim", 4, "checkpoint array w_lam has shape"),
+        ("m_a", 0, "checkpoint array u_lam has shape"),
+        ("m_a", -1, "checkpoint field 'm_a' must be >= 0"),
+    ])
+    def test_header_that_does_not_fit_the_arrays_rejected(self, tmp_path, field, value, message):
+        import json
+
+        path = tmp_path / "ckpt.json"
+        ndo.save_checkpoint(ndo.init_params(5, 2, 2), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            ndo.load_checkpoint(path)
 
     def test_missing_array_rejected(self, tmp_path):
         import json

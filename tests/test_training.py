@@ -915,10 +915,10 @@ PHASE_SEAMS = {
         dict(seed=1, warmup_iters=300, polish_iters=30, grad_tol=1e-5),
         ("grad_tol", 50), ("grad_tol", 50),
     ),
-    "warmup-line-search-failure": (  # L-BFGS fails at step 441; GNGD takes 10 more
+    "warmup-line-search-failure": (  # L-BFGS fails at step 467; GNGD takes 6 more
         (1, "none", 0.0), (4, 3, 3),
         dict(seed=4, warmup_iters=2000, polish_iters=30),
-        ("line-search failure", 441), ("line-search failure", 451),
+        ("line-search failure", 467), ("line-search failure", 473),
     ),
 }
 
