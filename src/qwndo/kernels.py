@@ -135,10 +135,11 @@ def mirror(upper: np.ndarray, d: int) -> np.ndarray:
     return full
 
 
-def assemble_jacobian(rho, sig_lam, sig_mu, s_upper):
+def assemble_jacobian(rho, sig, s_upper):
     """Real Jacobian J_r of rho's d^2 Hermitian coordinates, shape (d*d, P);
     the test reference of `training.gram` (J_r J_r^T) and its pullback J_r^T y,
-    from the same caches (s_upper: the ancilla logistic on the upper pairs).
+    from the same caches: the stacked hidden logistic sig (2, m_h, d), lam
+    then mu, and the ancilla logistic s_upper on the upper pairs.
 
     rho is Hermitian, so its derivative is fixed by the upper entries
     (alpha <= beta), and J_r is `hermitian_rows` of them: d(rho_aa)/d(theta)
@@ -152,7 +153,8 @@ def assemble_jacobian(rho, sig_lam, sig_mu, s_upper):
     the alpha term, then the beta term (both land on a diagonal row).
     """
     d = rho.shape[0]
-    m_h = sig_lam.shape[0]
+    sig_lam, sig_mu = sig
+    m_h = sig.shape[1]
     m_a = s_upper.shape[0]
     off = param_offsets(d, m_h, m_a)
     pd = rho.diagonal().real

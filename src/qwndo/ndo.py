@@ -97,10 +97,6 @@ class NdoParams:
     def n_params(self) -> int:
         return n_params(self.dim, self.m_h, self.m_a)
 
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The nine arrays in flattening order."""
-        return tuple(getattr(self, name) for name in ARRAY_NAMES)
-
     def to_vector(self) -> np.ndarray:
         """A copy of the optimizer's parameter vector (row-major matrices)."""
         return self._vector.copy()
@@ -210,10 +206,10 @@ class NdoEval:
     The logistic caches are formed on first use from the factors that
     `kernels.pair_cache` already evaluated, so a point that only needs its
     cost (a rejected line-search trial) never pays for them, and one that
-    does pays no second exp. The hidden logistic `sig` is stacked like the
-    networks, (2, m_h, d); the ancilla logistic exists only on the upper
-    index pairs (`s_upper`), where the gradient, the metric and the Jacobian
-    reference all read it.
+    does pays no second exp. The hidden logistic exists only stacked like
+    the networks, `sig` (2, m_h, d), and the ancilla logistic only on the
+    upper index pairs, `s_upper` (m_a, d(d+1)/2): the gradient, the metric
+    and the Jacobian reference all read these two layouts.
     """
 
     a: np.ndarray          # (d, d) complex log density entries, exact mod 2 pi i
@@ -229,14 +225,6 @@ class NdoEval:
     def sig(self) -> np.ndarray:
         """(2, m_h, d) hidden logistic, amplitude net then phase net."""
         return kernels._logistic(self.x, self.t_x)
-
-    @property
-    def sig_lam(self) -> np.ndarray:
-        return self.sig[0]
-
-    @property
-    def sig_mu(self) -> np.ndarray:
-        return self.sig[1]
 
     @functools.cached_property
     def s_upper(self) -> np.ndarray:

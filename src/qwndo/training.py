@@ -22,11 +22,13 @@ Commun. Phys. 2024) makes the metric solve d^2 x d^2. Neither product needs
 J_r (Schraudolph, Neural Comput. 14, 2002): `gram` forms K = J_r J_r^T from
 the one-hot structure of the network in O(d^4 (m_h + m_a)), and
 `_rho_pullback` forms J_r^T y, the gradient at y = e, by one contraction.
-`kernels.assemble_jacobian` builds J_r only for the tests that check both;
-all three read the ancilla logistic on the upper index pairs only. SciPy's
-one use is the metric's Cholesky factor and solve: `solve_metric` imports
-`scipy.linalg` when it first factors a metric, so a process that never runs
-natural gradient descent (MaxLik, simulation, data generation) never loads it.
+`kernels.assemble_jacobian` builds J_r only for the tests that check both.
+All three read the same two caches of `ndo.NdoEval`: the hidden logistic of
+both networks stacked, (2, m_h, d), and the ancilla logistic on the upper
+index pairs. SciPy's one use is the metric's Cholesky factor and solve:
+`solve_metric` imports `scipy.linalg` when it first factors a metric, so a
+process that never runs natural gradient descent (MaxLik, simulation, data
+generation) never loads it.
 """
 
 from __future__ import annotations
@@ -264,31 +266,20 @@ def _pair_matches(d: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _network_cols(sig: np.ndarray, combine) -> np.ndarray:
-    """Phi (delta_c +- delta_e) / 4 for every upper pair q = (c, e), shape
-    (d, pairs), where Phi = sig^T sig + diag(sum_h sig^2 + 1) is one network's
-    Gram over its hidden weights, hidden biases and visible biases. Rows a + b
-    (lam, combine = np.add) or a - b (mu, np.subtract) of it give
-    sum_theta dA_p dA_q for p = (a, b), without the mu network's factor i^2."""
-    d = sig.shape[1]
-    al, be = kernels._upper_pairs(d)
-    phi = sig.T @ sig
-    phi[np.diag_indices(d)] += (sig * sig).sum(axis=0) + 1.0
-    phi *= 0.25
-    return combine(phi[:, al], phi[:, be])
-
-
-def gram(rho: np.ndarray, sig_lam: np.ndarray, sig_mu: np.ndarray,
-         s_upper: np.ndarray) -> np.ndarray:
+def gram(rho: np.ndarray, sig: np.ndarray, s_upper: np.ndarray) -> np.ndarray:
     """K = J_r J_r^T, the (d^2, d^2) metric in rho-space, from the evaluation's
-    caches; J_r itself is never formed.
+    caches: the stacked hidden logistic sig (2, m_h, d) and the upper-pair
+    ancilla logistic s_upper; J_r itself is never formed.
 
     Row p = (a, b), a <= b, of the complex Jacobian is J_p = rho_p (dA_p - z),
     with z = sum_v rho_vv dA_vv the gradient of log Z. The one-hot visible
     encoding gives D = sum_theta conj(dA_p) dA_q and E = sum_theta dA_p dA_q,
     q = (c, e), in closed form:
-    - the networks add their lam part + mu part to D and lam - mu to E
-      (`_network_cols`);
+    - the networks add lam + mu to D and lam - mu to E, where the lam part is
+      (delta_a + delta_b)^T Phi_lam (delta_c + delta_e) and the mu part
+      (delta_a - delta_b)^T Phi_mu (delta_c - delta_e), with each network's
+      Gram Phi = (sig^T sig + diag(sum_h sig^2 + 1)) / 4 over its hidden
+      weights, hidden biases and visible biases;
     - the ancillas add G (1 + [a=c]/2 + [b=e]/2) to D and
       H (1 + [a=e]/2 + [b=c]/2) to E, with G = s^H s and H = s^T s over the
       upper-pair logistic s (`_pair_matches`).
@@ -304,7 +295,13 @@ def gram(rho: np.ndarray, sig_lam: np.ndarray, sig_mu: np.ndarray,
     d = rho.shape[0]
     al, be = kernels._upper_pairs(d)
     n = al.size
-    lam, mu = _network_cols(sig_lam, np.add), _network_cols(sig_mu, np.subtract)
+    # both networks' Phi in one stacked product, then its columns c + e (lam)
+    # and c - e (mu) for every upper pair q = (c, e), shape (d, pairs)
+    phi = np.matmul(sig.transpose(0, 2, 1), sig)
+    diag = np.arange(d)
+    phi[:, diag, diag] += (sig * sig).sum(axis=1) + 1.0
+    phi *= 0.25
+    lam, mu = phi[0][:, al] + phi[0][:, be], phi[1][:, al] - phi[1][:, be]
     plus, minus = lam + mu, lam - mu
     # ct[0] is D, then C; ct[1] is E, then T
     ct = np.matmul(np.stack([s_upper.conj(), s_upper]).transpose(0, 2, 1), s_upper)
@@ -360,8 +357,8 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     pivot L_ii, whose square subtracts the squares of that row, as NaN or
     -inf; `cho_factor` rejects -inf as not positive but passes NaN.
     """
-    k = gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
-    d, m_h, m_a = ev.rho.shape[0], ev.sig_lam.shape[0], ev.s_upper.shape[0]
+    k = gram(ev.rho, ev.sig, ev.s_upper)
+    d, m_h, m_a = ev.rho.shape[0], ev.sig.shape[1], ev.s_upper.shape[0]
     t_bar = float(np.trace(k)) / ndo.n_params(d, m_h, m_a)
     if not np.isfinite(t_bar) or t_bar <= 0.0:
         y = e  # degenerate metric: fall back to the identity

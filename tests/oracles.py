@@ -105,7 +105,7 @@ def evaluate(params: NdoParams) -> SimpleNamespace:
     rho, log_z = ndo._normalize(a)
     al, be = kernels._upper_pairs(params.dim)
     sig = logistic(x)
-    return SimpleNamespace(a=a, rho=rho, log_z=log_z, sig=sig, sig_lam=sig[0], sig_mu=sig[1],
+    return SimpleNamespace(a=a, rho=rho, log_z=log_z, sig=sig,
                            s_upper=(np.where(pos, 1.0, t) / w_a)[:, al, be])
 
 
@@ -200,24 +200,26 @@ def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def eager_caches(params: NdoParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sig_lam, sig_mu, s_upper) of `evaluate`, the values `ndo.NdoEval`
-    computes on first use."""
+def eager_caches(params: NdoParams) -> tuple[np.ndarray, np.ndarray]:
+    """(sig, s_upper) of `evaluate`, the values `ndo.NdoEval` computes on
+    first use."""
     ev = evaluate(params)
-    return ev.sig_lam, ev.sig_mu, ev.s_upper
+    return ev.sig, ev.s_upper
 
 
-def complex_jacobian(rho, sig_lam, sig_mu, s_upper) -> np.ndarray:
+def complex_jacobian(rho, sig, s_upper) -> np.ndarray:
     """Jacobian d(rho)/d(theta) of all d^2 entries as a (d*d, P) complex matrix.
 
     Row (alpha, beta) is rho[alpha, beta] * (dA[alpha, beta, :] - z), where
     z = sum_v rho[v, v] dA[v, v, :] is the gradient of log Z (zero on mu-group
     entries), filled one visible index v at a time in the precision of the
-    inputs from the full (m_a, d, d) ancilla logistic, `s_upper` mirrored.
+    inputs from the stacked hidden logistic sig (2, m_h, d) and the full
+    (m_a, d, d) ancilla logistic, `s_upper` mirrored.
     `training._hermitian_rows` of it is `kernels.assemble_jacobian`.
     """
     d = rho.shape[0]
-    m_h = sig_lam.shape[0]
+    sig_lam, sig_mu = sig
+    m_h = sig.shape[1]
     m_a = s_upper.shape[0]
     s_pair = kernels.mirror(s_upper, d)
     off = param_offsets(d, m_h, m_a)
@@ -269,13 +271,14 @@ def contract_full(ev, e_mat: np.ndarray) -> np.ndarray:
     rs = e_mat.sum(axis=1)
     cs = e_mat.sum(axis=0)
     plus, minus = 0.5 * (rs + cs), 0.5j * (rs - cs)
+    sig_lam, sig_mu = ev.sig
     row_u = np.einsum("iab,ab->ia", s_pair, e_mat)
     col_u = np.einsum("iab,ab->ib", s_pair, e_mat)
     blocks = {
-        "w_lam": ev.sig_lam * plus, "w_mu": ev.sig_mu * minus,
+        "w_lam": sig_lam * plus, "w_mu": sig_mu * minus,
         "u_lam": 0.5 * (row_u + col_u), "u_mu": 0.5j * (row_u - col_u),
         "b_lam": plus, "b_mu": minus,
-        "c_lam": ev.sig_lam @ plus, "c_mu": ev.sig_mu @ minus,
+        "c_lam": sig_lam @ plus, "c_mu": sig_mu @ minus,
         "d_lam": np.einsum("iab,ab->i", s_pair, e_mat),
     }
     return np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
@@ -536,7 +539,7 @@ def dense_metric_direction(metric: np.ndarray, grad: np.ndarray, eps: float) -> 
 
 def jacobian_rows(ev) -> np.ndarray:
     """The real Hermitian-row Jacobian J_r at an evaluation, which no fit forms."""
-    return kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+    return kernels.assemble_jacobian(ev.rho, ev.sig, ev.s_upper)
 
 
 def extended_jacobian_rows(ev) -> np.ndarray:
@@ -547,7 +550,7 @@ def extended_jacobian_rows(ev) -> np.ndarray:
         return a.astype(np.clongdouble if np.iscomplexobj(a) else np.longdouble)
 
     d = ev.rho.shape[0]
-    jac = complex_jacobian(widen(ev.rho), widen(ev.sig_lam), widen(ev.sig_mu), widen(ev.s_upper))
+    jac = complex_jacobian(widen(ev.rho), widen(ev.sig), widen(ev.s_upper))
     return training._hermitian_rows(jac.reshape(d, d, -1))
 
 

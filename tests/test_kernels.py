@@ -36,7 +36,7 @@ class TestJacobianAgainstNaive:
         for al in range(d):
             for be in range(d):
                 naive_j[al * d + be] = ev.rho[al, be] * (grad_a(params, al, be) - z)
-        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+        jr = kernels.assemble_jacobian(ev.rho, ev.sig, ev.s_upper)
         naive_g = oracles.dense_metric(naive_j)
         assert np.max(np.abs(jr.T @ jr - naive_g)) <= 1e-12
 
@@ -52,7 +52,7 @@ class TestRealJacobian:
     def test_equals_hermitian_rows_of_oracle(self, d, m_h, m_a, scale, seed):
         params = ndo.init_params(d, m_h, m_a, scale=scale, seed=seed)
         ev = ndo.evaluate(params)
-        jr = kernels.assemble_jacobian(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+        jr = kernels.assemble_jacobian(ev.rho, ev.sig, ev.s_upper)
         ref = training._hermitian_rows(oracles.rho_jacobian(params).reshape(d, d, -1))
         assert jr.shape == (d * d, params.n_params) and jr.dtype == np.float64
         assert np.array_equal(jr, ref)
@@ -108,7 +108,7 @@ class TestUpperPairKernel:
         assert ev.t.shape == ev.w.shape == ev.pos.shape == (15, d * (d + 1) // 2)
         if state == "scale 0 but the mixing phases":  # Re z == 0, Im z != 0 off the diagonal
             assert not ev.pos.any() and np.all(ev.t.imag[:, d:] != 0)
-        for name in ("a", "rho", "s_upper", "sig", "sig_lam", "sig_mu"):
+        for name in ("a", "rho", "s_upper", "sig"):
             assert np.array_equal(getattr(ev, name), getattr(ref, name)), name
         assert ev.log_z == ref.log_z
         assert np.array_equal(ndo.density_matrix(params), ref.rho)

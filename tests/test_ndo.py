@@ -176,7 +176,7 @@ class TestLazyCaches:
         params = ndo.init_params(6, 4, 3, scale=scale, seed=seed)
         ev = ndo.evaluate(params)
         assert not {"sig", "s_upper"} & set(vars(ev))  # nothing computed yet
-        for lazy, eager in zip((ev.sig_lam, ev.sig_mu, ev.s_upper), eager_caches(params)):
+        for lazy, eager in zip((ev.sig, ev.s_upper), eager_caches(params)):
             assert np.array_equal(lazy, eager)
         assert ev.s_upper is ev.s_upper  # computed once
 

@@ -2,18 +2,36 @@
 
 `perfbench/tracing.py` replaces module and class attributes with timing
 wrappers, so a layer that the library reaches through a name bound at import
-or class-definition time would silently report zero calls.
+or class-definition time would silently report zero calls. Each benchmark
+workload also runs one op at its tiny size, so that a change to the calls it
+makes fails here rather than in a benchmark run.
 """
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qwndo import maxlik, measurement, training, walk
+from qwndo import kernels, maxlik, measurement, training, walk
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import workloads  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_benchmark_workload_runs_at_tiny_size(name):
+    """Every benchmark workload builds and runs one op through the public
+    calls it makes (`fit_ndo`, `maxlik_fit`, `generate_dataset` and their
+    keywords), so a change to them fails here, not in the benchmark."""
+    workload = workloads.build(name, None, tiny=True)
+    out = workload.op(0)
+    d = walk.dim(workload.spec.n_steps)
+    assert out.target.shape == out.rho.shape == (d, d)
+    assert np.all(np.isfinite(out.rho))
+    assert len(out.costs) > 1 and np.all(np.isfinite(out.costs))
+    assert isinstance(kernels.active_backend(), str)
 
 
 def test_fits_reach_every_traced_layer():

@@ -36,7 +36,7 @@ def grad(params, ds, bases):
 
 def metric_gram(ev):
     """`training.gram` at an evaluation."""
-    return training.gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+    return training.gram(ev.rho, ev.sig, ev.s_upper)
 
 
 def pullback_rows(ev, y):
@@ -283,7 +283,7 @@ class TestMetric:
         # a non-finite entry of K either falls back to the identity (on the
         # diagonal, through the trace) or stops the solve with LinAlgError
         ev, e = self.small_metric()
-        k0 = training.gram(ev.rho, ev.sig_lam, ev.sig_mu, ev.s_upper)
+        k0 = training.gram(ev.rho, ev.sig, ev.s_upper)
         fallback = training._rho_pullback(ev, training._row_matrix(e, 4)).real
         n = k0.shape[0]
         for i, j in zip(*np.tril_indices(n)):
@@ -469,10 +469,10 @@ class TestBitIdentity:
         e_ref = training._hermitian_rows(-m_ref.T)
         e_ref[:12] -= e_ref[:12].mean()
         assert np.array_equal(e, e_ref)
-        for name in ("rho", "sig_lam", "sig_mu", "s_upper"):
+        for name in ("rho", "sig", "s_upper"):
             assert np.array_equal(getattr(ev, name), getattr(eager, name)), name
         # the metric's Gram against the complex oracle's Hermitian rows
-        jac = oracles.complex_jacobian(rho, eager.sig_lam, eager.sig_mu, eager.s_upper)
+        jac = oracles.complex_jacobian(rho, eager.sig, eager.s_upper)
         ref = oracles.jacobian_gram(training._hermitian_rows(jac.reshape(12, 12, -1)))
         assert np.max(np.abs(metric_gram(ev) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
