@@ -525,6 +525,15 @@ def _apply_config(sub, explicit: argparse.Namespace) -> None:
         action.default, action.required = value, False
 
 
+def _check_seeds(args) -> None:
+    """Reject a negative --seed or --disordered-seed, whether a flag or the
+    config file set it: NumPy's own error names neither the flag nor the value."""
+    for dest in ("seed", "disordered_seed"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     explicit = _explicit_flags(argv)
@@ -533,6 +542,7 @@ def main(argv=None) -> int:
         if getattr(explicit, "config", None):
             _apply_config(registry[explicit.command], explicit)
         args = parser.parse_args(argv)
+        _check_seeds(args)
         return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

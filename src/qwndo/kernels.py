@@ -92,10 +92,10 @@ def pair_cache(w, u, b, c, d_lam):
     sp, t_x = _softplus(x)
     half = 0.5 * (sp.sum(axis=1) + b)  # half of each network's visible term, (2, d)
     al, be = _upper_pairs(d)
-    # np.take keeps the (m_a, pairs) arrays C-ordered (u[..., al] would not), so
-    # the reductions over ancillas run one ancilla after another, as on the
-    # full (m_a, d, d) triangle.
-    u_al, u_be = np.take(u, al, axis=2), np.take(u, be, axis=2)
+    # The take method keeps the (m_a, pairs) arrays C-ordered (u[..., al] would
+    # not), so the reductions over ancillas run one ancilla after another, as
+    # on the full (m_a, d, d) triangle.
+    u_al, u_be = u.take(al, axis=2), u.take(be, axis=2)
     re = 0.5 * (u_al[0] + u_be[0]) + d_lam[:, None]
     im = 0.5 * (u_al[1] - u_be[1])
     pos = re > 0
@@ -104,7 +104,7 @@ def pair_cache(w, u, b, c, d_lam):
     np.multiply(mag, np.cos(im), out=t.real)
     np.multiply(np.where(pos, -mag, mag), np.sin(im), out=t.imag)
     w_a = 1.0 + t
-    h_al, h_be = np.take(half, al, axis=1), np.take(half, be, axis=1)
+    h_al, h_be = half.take(al, axis=1), half.take(be, axis=1)
     a_re = h_al[0] + h_be[0] + np.where(pos, re, 0.0).sum(axis=0)
     a_im = h_al[1] - h_be[1] + np.where(pos, im, 0.0).sum(axis=0)
     a = a_re + 1j * a_im

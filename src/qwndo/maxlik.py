@@ -11,6 +11,7 @@ T, driven by the shared conjugate-gradient machinery.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -50,19 +51,24 @@ def pack_t(t: np.ndarray) -> np.ndarray:
 def _t_state(t_params: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(rho, T, tr(T T^dag)) with rho = T T^dag / tr(T T^dag)."""
     t_params = np.asarray(t_params, dtype=float)
-    d = int(round(np.sqrt(t_params.size)))
+    d = math.isqrt(t_params.size)
     if d * d != t_params.size:
         raise ValueError(f"parameter count {t_params.size} is not a perfect square")
     t = t_matrix(t_params, d)
     gram = t @ t.conj().T
-    tr = np.trace(gram).real
+    tr = gram.trace().real
     if tr <= 0.0:
         raise ValueError("all-zero parameter vector has no associated state")
     return gram / tr, t, tr
 
 
 def rho_from_t(t_params: np.ndarray) -> np.ndarray:
-    """The PSD unit-trace state T T^dag / tr(T T^dag)."""
+    """The PSD unit-trace state T T^dag / tr(T T^dag). A non-finite parameter
+    raises ValueError naming the first one; it would make every entry NaN."""
+    t_params = np.asarray(t_params, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(t_params))
+    if bad.size:
+        raise ValueError(f"T parameter {bad[0]} is {t_params.flat[bad[0]]}; need finite")
     return _t_state(t_params)[0]
 
 
@@ -86,7 +92,7 @@ class _MaxlikObjective(training.KlObjective):
 
     def _pullback(self, rho, aux, m):
         t, tau = aux
-        swp = float(np.sum(rho * m).real)  # sum_nj w_nj * model_nj
+        swp = float((rho * m).sum().real)  # sum_nj w_nj * model_nj
         return pack_t((2.0 / tau) * (swp * t - m.conj() @ t))
 
 

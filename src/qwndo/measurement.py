@@ -140,7 +140,7 @@ class BasisTables:
         vals = (w[..., None] * g.left) * g.right
         half = np.bincount(g.slots, vals.ravel(), 2 * d * d).view(np.complex128).reshape(d, d)
         m = half + half.conj().T
-        np.fill_diagonal(m, half.diagonal())
+        m.reshape(-1)[:: d + 1] = half.diagonal()
         return m
 
 

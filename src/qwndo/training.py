@@ -34,6 +34,7 @@ generation) never loads it.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -175,7 +176,8 @@ def _covector(m: np.ndarray) -> np.ndarray:
     """Y = -M, the cost's derivative in rho, without its identity part, which
     J_r^T annihilates (rho keeps unit trace) only in exact arithmetic."""
     y = -m
-    y.reshape(-1)[:: y.shape[0] + 1] -= y.diagonal().real.mean()
+    d = y.shape[0]
+    y.reshape(-1)[:: d + 1] -= y.diagonal().real.sum() / d
     return y
 
 
@@ -184,8 +186,8 @@ def _grad_from_eval(ev: ndo.NdoEval, y_mat: np.ndarray) -> np.ndarray:
     adjoint M of `KlObjective`. Its E is Hermitian, so a network block's imaginary
     part is roundoff (the ancilla blocks are real); a larger one raises RuntimeError."""
     g = _rho_pullback(ev, y_mat)
-    resid = np.max(np.abs(g.imag))
-    scale = max(1.0, float(np.max(np.abs(g.real))))
+    resid = np.abs(g.imag).max()
+    scale = max(1.0, float(np.abs(g.real).max()))
     if resid > 1e-10 * scale:
         raise RuntimeError(f"gradient imaginary residue {resid:.3e} exceeds roundoff")
     return g.real.copy()
@@ -221,7 +223,7 @@ def _contract(ev: ndo.NdoEval, e_mat: np.ndarray) -> np.ndarray:
     pairs, are its column sums conjugated."""
     rs = e_mat.sum(axis=1)
     cs = e_mat.sum(axis=0)
-    pm = np.stack([0.5 * (rs + cs), 0.5j * (rs - cs)])
+    pm = np.array([0.5 * (rs + cs), 0.5j * (rs - cs)])
     d = e_mat.shape[0]
     r = kernels.mirror(ev.s_upper * e_mat[kernels._upper_pairs(d)], d).sum(axis=2)
     pieces = (
@@ -244,7 +246,7 @@ def _row_matrix(y: np.ndarray, d: int) -> np.ndarray:
 def _largest_population(pd: np.ndarray) -> tuple[int, float]:
     """The index s of the largest population and 1 - tr rho, which is roundoff;
     1 - rho_ss is exact when rho_ss >= 1/2, so the defect is formed from it."""
-    top = int(np.argmax(pd))
+    top = int(pd.argmax())
     return top, (1.0 - pd[top]) - np.concatenate([pd[:top], pd[top + 1:]]).sum()
 
 
@@ -304,7 +306,7 @@ def gram(rho: np.ndarray, sig: np.ndarray, s_upper: np.ndarray) -> np.ndarray:
     lam, mu = phi[0][:, al] + phi[0][:, be], phi[1][:, al] - phi[1][:, be]
     plus, minus = lam + mu, lam - mu
     # ct[0] is D, then C; ct[1] is E, then T
-    ct = np.matmul(np.stack([s_upper.conj(), s_upper]).transpose(0, 2, 1), s_upper)
+    ct = np.matmul(np.array([s_upper.conj(), s_upper]).transpose(0, 2, 1), s_upper)
     flat = ct.reshape(-1)
     first, second = _pair_matches(d)
     half_first, half_second = 0.5 * flat[first], 0.5 * flat[second]
@@ -325,9 +327,9 @@ def gram(rho: np.ndarray, sig: np.ndarray, s_upper: np.ndarray) -> np.ndarray:
     w = float(v[:d].real @ pd - off_trace * (row[:d].real @ pd))
     r = rho[al, be]
     r[:d] *= np.sqrt(0.5)  # the (C + T) / 2 of the diagonal coordinates
-    ct -= np.stack([v.conj(), v])[:, :, None] - 0.5 * w
+    ct -= np.array([v.conj(), v])[:, :, None] - 0.5 * w
     ct -= v - 0.5 * w
-    ct *= np.stack([r.conj(), r])[:, :, None]
+    ct *= np.array([r.conj(), r])[:, :, None]
     ct *= r
     c, t = ct
     k = np.empty((d * d, d * d))
@@ -359,17 +361,17 @@ def solve_metric(ev: ndo.NdoEval, e: np.ndarray, eps: float) -> np.ndarray:
     """
     k = gram(ev.rho, ev.sig, ev.s_upper)
     d, m_h, m_a = ev.rho.shape[0], ev.sig.shape[1], ev.s_upper.shape[0]
-    t_bar = float(np.trace(k)) / ndo.n_params(d, m_h, m_a)
+    t_bar = float(k.trace()) / ndo.n_params(d, m_h, m_a)
     if not np.isfinite(t_bar) or t_bar <= 0.0:
         y = e  # degenerate metric: fall back to the identity
     else:
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise ValueError("metric right-hand side e has a non-finite entry")
         from scipy.linalg import cho_factor, cho_solve  # loaded by the first solve only
 
         k.flat[:: k.shape[0] + 1] += eps * t_bar
         factor = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
-        if not np.all(np.isfinite(factor[0].diagonal())):
+        if not np.isfinite(factor[0].diagonal()).all():
             raise np.linalg.LinAlgError("metric K + lam I has a non-finite Cholesky pivot")
         y = cho_solve(factor, e, check_finite=False)
     return _rho_pullback(ev, _row_matrix(y, d)).real.copy()
@@ -425,6 +427,12 @@ def _gradient_fallback(fun, x, f0, g):
     return None
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a real vector, the bits of `np.linalg.norm` (a dot, then
+    a correctly rounded sqrt) without its Python-level argument handling."""
+    return math.sqrt(float(v @ v))
+
+
 class _Lbfgs:
     """Two-loop recursion with bounded memory; skips non-curvature updates.
     Each curvature pair (s, y) is kept with its s.y, which the recursion reads
@@ -436,7 +444,7 @@ class _Lbfgs:
 
     def update(self, s: np.ndarray, y: np.ndarray) -> None:
         sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 1e-10 * _norm(s) * _norm(y):
             self.pairs.append((s, y, sy))
             if len(self.pairs) > self.memory:
                 self.pairs.pop(0)
@@ -479,7 +487,7 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
     f = fun(x)
     g = grad_fun(x)
     costs = [f]
-    grad_norms = [float(np.linalg.norm(g))]
+    grad_norms = [_norm(g)]
     step_sizes: list[float] = []
     millis: list[float] = []
     for config in configs:
@@ -543,7 +551,7 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
                 lbfgs.update(xn - x, gn - g)
             x, f, g = xn, fn, gn
             costs.append(f)
-            grad_norms.append(float(np.linalg.norm(g)))
+            grad_norms.append(_norm(g))
             step_sizes.append(eta)
             millis.append(1e3 * (time.perf_counter() - t0))
     report = TrainReport(
@@ -596,7 +604,7 @@ class KlObjective:
         if point is None:
             rho, aux = self._state(x)
             model = np.maximum(model_distributions(rho, self.bases), PROB_FLOOR)
-            cost = float(np.sum(self.kept * (self.log_kept - np.log(model[self.mask]))))
+            cost = float((self.kept * (self.log_kept - np.log(model[self.mask]))).sum())
             point = _Point(key, rho, aux, model, cost)
         else:
             self._points.remove(point)

@@ -469,18 +469,38 @@ def test_channel_flag_of_another_noise_exit_one(tmp_path, capsys, argv, flag):
         (["train", "--hidden", "-1"], "--hidden", -1),
         (["bench-opt", "--steps", "1", "--ancillary", "-2"], "--ancillary", -2),
         (["reproduce", "fig5", "--steps", "1", "--hidden", "-1"], "--hidden", -1),
+        (["train", "--seed", "-2"], "--seed", -2),
+        (["maxlik", "--seed", "-2"], "--seed", -2),
+        (["bench-opt", "--steps", "1", "--seed", "-1"], "--seed", -1),
+        (["reproduce", "fig5", "--steps", "1", "--seed", "-1"], "--seed", -1),
+        (["simulate", "--steps", "2", "--disordered-seed", "-1"], "--disordered-seed", -1),
+        (["gen-data", "--seed", "-3"], "--seed", -3),
     ],
 )
-def test_negative_unit_count_exit_one(tmp_path, capsys, small_dataset, argv, flag, value):
+def test_negative_count_or_seed_exit_one(tmp_path, capsys, hadamard_state, small_dataset,
+                                         argv, flag, value):
     out = tmp_path / "out"
     extra = {
         "train": ["--dataset", str(small_dataset), "--checkpoint", str(out)],
+        "maxlik": ["--dataset", str(small_dataset), "--out-state", str(out)],
         "bench-opt": ["--out", str(out)],
         "reproduce": ["--out-dir", str(out)],
+        "simulate": ["--out", str(out)],
+        "gen-data": ["--from-state", str(hadamard_state), "--out", str(out)],
     }[argv[0]]
     assert run([*argv, *extra]) == 1
-    assert f"error: {flag} must be >= 0, got {value}" in capsys.readouterr().err
-    assert not out.is_file() and not (out / "summary.txt").exists()
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,flag", [("seed", "--seed"), ("disordered-seed", "--disordered-seed")])
+def test_negative_seed_in_config_exit_one(tmp_path, capsys, key, flag):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: -4}))
+    out = tmp_path / "out"
+    assert run(["bench-opt", "--steps", "1", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -4\n"
+    assert not out.exists()
 
 
 def readme_commands():

@@ -34,6 +34,13 @@ class TestRhoFromT:
         with pytest.raises(ValueError):
             maxlik.rho_from_t(np.zeros(9))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_named(self, value):
+        params = maxlik.init_t_params(3)
+        params[[4, 7]] = value
+        with pytest.raises(ValueError, match=f"^T parameter 4 is {value}; need finite$"):
+            maxlik.rho_from_t(params)
+
     def test_param_count_at_n5(self):
         assert maxlik.init_t_params(2 * (5 + 1)).size == 144
 

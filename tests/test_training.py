@@ -501,6 +501,16 @@ class TestLbfgs:
         assert np.array_equal(training._Lbfgs(4).direction(g), -g)
 
 
+def test_norm_equals_numpy_norm():
+    """`_norm` forms the grad_norms trace and the L-BFGS curvature test with
+    the bits of `np.linalg.norm`."""
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 40, 144, 789, 4003):
+        for _ in range(10):
+            v = rng.standard_normal(size) * 10.0 ** rng.uniform(-100, 100)
+            assert training._norm(v) == float(np.linalg.norm(v))
+
+
 def quadratic_line(scale):
     """f(x) = x.A.x / 2 at x0 = (1, 1) along p = -scale g, g = A x0. Its
     passing Armijo steps are the interval (0, eta_max] with eta_max about
