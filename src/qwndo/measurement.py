@@ -54,16 +54,20 @@ class BasisTables:
     carries coefficient 0 in its second slot.
 
     The contractions read and write through gather tables built once per
-    table (`_gather`): for every outcome (n, j) the flat positions of its two
-    populations rho[i0, i0], rho[i1, i1] and its two coherences rho[i0, i1],
-    rho[i1, i0], with i0, i1 = index[n, j]. They take each of the four terms
-    c_s rho[i_s, i_t] conj(c_t) on its own, with the rounding of the full
-    complex product, because the tables have two properties:
+    table (`_gather`): for every outcome (n, j), with i0, i1 = index[n, j],
+    the positions in the float view of rho of its two populations
+    rho[i0, i0], rho[i1, i1] and of the one part of each coherence
+    rho[i0, i1], rho[i1, i0] that its coefficients can see, and the
+    adjoint's positions in M. They take each of the four terms
+    c_s rho[i_s, i_t] conj(c_t) on its own, in real arithmetic with the
+    rounding of the full complex product, because the tables have two
+    properties:
 
     - every coefficient is real or purely imaginary (1, 1/sqrt 2, +-i/sqrt 2
-      or 0), so a population term is the real (|c_s| rho_ss) |c_s|, and the
-      first one, c0, is real and positive, so the adjoint's cross term
-      w c0 conj(c1) is the pair of real products (w |c0|) conj(c1);
+      or 0), so a population term is the real (|c_s| rho_ss) |c_s|, a
+      coherence term is one real part of rho times two real factors, and
+      the first coefficient, c0, is real and positive, so the adjoint's
+      cross term w c0 conj(c1) is the pair of real products (w |c0|) conj(c1);
     - every coherence has one orientation: i0 is an up site (even index) and
       i1 a down site (odd index), so the adjoint sums the cross terms into
       the (even, odd) entries M[i0, i1] alone, in outcome order, and mirrors
@@ -83,28 +87,33 @@ class BasisTables:
 
     @functools.cached_property
     def _gather(self) -> SimpleNamespace:
-        """Per-outcome positions and coefficients of the two contractions (read-only).
+        """Per-outcome positions and real factors of the two contractions (read-only).
 
-        pop0/pop1 are rho[i0, i0]/rho[i1, i1] in the float view of rho,
-        cross/cross_t rho[i0, i1]/rho[i1, i0] in its complex view; slots are
-        the adjoint's four float-view positions of M per outcome: Re M[i0, i0],
-        Re and Im M[i0, i1], Re M[i1, i1], and left/right the real factors
-        of the four slot values w left right: (|c0|, |c0|, |c0|, |c1|) and
-        (|c0|, Re conj(c1), Im conj(c1), |c1|); a0/a1 are |c0|/|c1|, c0/c1
-        the coefficients and c0bar/c1bar their conjugates.
+        probe holds, for each outcome, four positions in the float view of
+        rho: rho[i0, i0], then the real or imaginary part of rho[i0, i1] and
+        of rho[i1, i0], whichever c1 is (real for a zero c1), then
+        rho[i1, i1]; k01/k10 are the real factors of those two parts, Re c1
+        and Re c1 where c1 is real, Im c1 and -Im c1 where it is imaginary.
+        slots are the adjoint's four float-view positions of M per outcome:
+        Re M[i0, i0], Re and Im M[i0, i1], Re M[i1, i1], and left/right the
+        real factors of the four slot values w left right:
+        (|c0|, |c0|, |c0|, |c1|) and (|c0|, Re conj(c1), Im conj(c1), |c1|);
+        a0/a1 are |c0|/|c1|.
         """
         d = self.dim
         i0, i1 = self.index[..., 0], self.index[..., 1]
-        cross = i0 * d + i1
+        cross, cross_t = 2 * (i0 * d + i1), 2 * (i1 * d + i0)
         diag0, diag1 = 2 * (i0 * (d + 1)), 2 * (i1 * (d + 1))
         c0, c1 = self.coef[..., 0], self.coef[..., 1]
         a0, a1, c1bar = np.abs(c0), np.abs(c1), c1.conj()
+        imag = c1.imag != 0
         tables = SimpleNamespace(
-            pop0=diag0, pop1=diag1, cross=cross, cross_t=i1 * d + i0,
-            slots=np.stack([diag0, 2 * cross, 2 * cross + 1, diag1], axis=-1).ravel(),
+            probe=np.array([diag0, cross + imag, cross_t + imag, diag1]),
+            k01=np.where(imag, c1.imag, c1.real), k10=np.where(imag, -c1.imag, c1.real),
+            slots=np.stack([diag0, cross, cross + 1, diag1], axis=-1).ravel(),
             left=np.stack([a0, a0, a0, a1], axis=-1),
             right=np.stack([a0, c1bar.real, c1bar.imag, a1], axis=-1),
-            a0=a0, a1=a1, c0=c0, c1=c1, c0bar=c0.conj(), c1bar=c1bar,
+            a0=a0, a1=a1,
         )
         for arr in vars(tables).values():
             arr.setflags(write=False)
@@ -114,17 +123,19 @@ class BasisTables:
         """diag(U^n rho U^n^dag) for every basis n, shape (n_bases, d).
 
         Each outcome sums its terms t_st = c_s rho[i_s, i_t] conj(c_t) as
-        (t00 + t01) + (t10 + t11).
+        (t00 + t01) + (t10 + t11), in real arithmetic: with x01 and x10 the
+        parts of the coherences that `_gather` probes,
+        t01 = (|c0| x01) k01 and t10 = (k10 x10) |c0|. The complex products
+        round the same way, since each of their terms that this drops is a
+        product with an exact zero: c0 is real and c1 real or imaginary.
         """
         d = self.dim
         if rho.shape != (d, d):
             raise ValueError(f"rho shape {rho.shape} does not match basis dimension {d}")
         g = self._gather
         flat = np.ascontiguousarray(rho, dtype=np.complex128).reshape(-1)
-        pops = flat.view(np.float64)
-        t01 = (g.c0 * flat[g.cross] * g.c1bar).real
-        t10 = (g.c1 * flat[g.cross_t] * g.c0bar).real
-        return (g.a0 * pops[g.pop0] * g.a0 + t01) + (t10 + g.a1 * pops[g.pop1] * g.a1)
+        p0, x01, x10, p1 = flat.view(np.float64).take(g.probe)
+        return (g.a0 * p0 * g.a0 + (g.a0 * x01) * g.k01) + ((g.k10 * x10) * g.a0 + g.a1 * p1 * g.a1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """M(a, b) = sum_nj w[n, j] U^n(j, a) conj(U^n(j, b)) for real weights w.

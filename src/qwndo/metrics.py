@@ -10,6 +10,8 @@ EIG_CLAMP = 1e-10  # roundoff negatives below this are a bug, not noise
 def hermitian_sqrt(mat: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix via eigendecomposition."""
     mat = np.asarray(mat)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has a non-finite entry")
     dev = np.max(np.abs(mat - mat.conj().T))
     if dev > atol:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
@@ -26,6 +28,9 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    for name, mat in (("rho", rho), ("sigma", sigma)):
+        if not np.isfinite(mat).all():
+            raise ValueError(f"{name} has a non-finite entry")
     root = hermitian_sqrt(rho)
     inner = root @ sigma @ root
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))

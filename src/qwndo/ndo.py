@@ -47,10 +47,12 @@ class NdoParams:
     networks, with the shapes and order of `kernels.param_shapes`.
 
     However it is built, every instance holds one read-only copy of the
-    flattened vector, and the nine arrays are views into it, as are the
-    stacked (lam, mu) views w (2, m_h, d), u (2, m_a, d), b (2, d) and
-    c (2, m_h) that `kernels.pair_cache` takes: `param_shapes` puts each
-    pair next to each other.
+    flattened vector and binds the views that `kernels.pair_cache` takes:
+    the stacked (lam, mu) pairs w (2, m_h, d), u (2, m_a, d), b (2, d) and
+    c (2, m_h), which `param_shapes` puts next to each other, and d_lam.
+    The eight per-block arrays w_lam ... c_mu are formed on first access as
+    the read-only views w[0], w[1], ..., so a point that only the fit
+    evaluates never forms them.
     """
 
     w_lam: np.ndarray
@@ -81,17 +83,27 @@ class NdoParams:
                 raise ValueError(f"{name} contains non-finite entries")
         _bind(self, d, m_h, m_a, np.concatenate([arr.ravel() for arr in arrays]))
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        """Bind a per-block array on its first access (only unbound names get here)."""
+        try:
+            stacked, net = _PER_BLOCK[name]
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        view = getattr(self, stacked)[net]
+        object.__setattr__(self, name, view)
+        return view
+
     @property
     def dim(self) -> int:
-        return self.w_lam.shape[1]
+        return self.w.shape[2]
 
     @property
     def m_h(self) -> int:
-        return self.w_lam.shape[0]
+        return self.w.shape[1]
 
     @property
     def m_a(self) -> int:
-        return self.u_lam.shape[0]
+        return self.u.shape[1]
 
     @property
     def n_params(self) -> int:
@@ -110,36 +122,41 @@ class NdoParams:
             raise ValueError(f"vector length {vec.shape}, expected ({size},)")
         if not np.isfinite(vec).all():
             bad = int(np.argmin(np.isfinite(vec)))
-            name = next(name for name, _, stop, _ in _views(d, m_h, m_a) if bad < stop)
+            off = param_offsets(d, m_h, m_a)
+            stops = (off[name] for name in (*ARRAY_NAMES[1:], "total"))
+            name = next(name for name, stop in zip(ARRAY_NAMES, stops) if bad < stop)
             raise ValueError(f"{name} contains non-finite entries")
         params = object.__new__(cls)
         _bind(params, d, m_h, m_a, vec)
         return params
 
 
+# Each per-block name as (stacked view, network): w_lam is w[0], w_mu is w[1], ...
+_PER_BLOCK = {
+    f"{stacked}_{net}": (stacked, i) for stacked in "wubc" for i, net in enumerate(("lam", "mu"))
+}
+
+
 def _bind(params: NdoParams, d: int, m_h: int, m_a: int, vec: np.ndarray) -> None:
-    """Make vec read-only and set the nine arrays and the stacked views of
-    params to views into it."""
+    """Make vec read-only and replace the state of params by it and its views
+    w, u, b, c and d_lam; the per-block arrays are bound on first access."""
     vec.setflags(write=False)
-    object.__setattr__(params, "_vector", vec)
+    state = {"_vector": vec}
     for name, start, stop, shape in _views(d, m_h, m_a):
-        object.__setattr__(params, name, vec[start:stop].reshape(shape))
+        state[name] = vec[start:stop].reshape(shape)
+    object.__setattr__(params, "__dict__", state)
 
 
 @functools.lru_cache(maxsize=64)
 def _views(d: int, m_h: int, m_a: int) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """(name, start, stop, shape) of each block of the flattened vector, then
-    of the stacked (lam, mu) pairs w, u, b and c."""
+    """(name, start, stop, shape) in the flattened vector of the stacked
+    (lam, mu) pairs w, u, b and c, then of d_lam."""
     off = param_offsets(d, m_h, m_a)
-    blocks = tuple(
-        (name, off[name], off[name] + math.prod(shape), shape)
-        for name, shape in param_shapes(d, m_h, m_a).items()
-    )
     stacked = tuple(
         (name, off[f"{name}_lam"], off[f"{name}_mu"] + math.prod(shape), (2, *shape))
         for name, shape in (("w", (m_h, d)), ("u", (m_a, d)), ("b", (d,)), ("c", (m_h,)))
     )
-    return blocks + stacked
+    return (*stacked, ("d_lam", off["d_lam"], off["total"], (m_a,)))
 
 
 def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) -> NdoParams:

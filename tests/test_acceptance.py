@@ -165,6 +165,9 @@ def test_criterion_5_open_walk_reconstruction():
 
 def test_criterion_6_ndo_vs_maxlik():
     rows, _ = open_walk_suite()
+    print("\n  k  F NDO   F MaxLik  margin   purity err")
+    for k, r in enumerate(rows):
+        print(f"{k:3d}  {r['fid_ndo']:.4f}  {r['fid_ml']:.4f}  {r['fid_ndo'] - r['fid_ml']:+.4f}  {r['perr_ndo']:.2e}")
     wins = sum(r["fid_ndo"] >= r["fid_ml"] for r in rows)
     mean_ndo = float(np.mean([r["fid_ndo"] for r in rows]))
     mean_ml = float(np.mean([r["fid_ml"] for r in rows]))

@@ -38,6 +38,12 @@ class TestHermitianSqrt:
         with pytest.raises(ValueError, match="PSD"):
             metrics.hermitian_sqrt(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails every comparison, so it passed the Hermiticity bound
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.hermitian_sqrt(np.diag([1.0, bad]))
+
     def test_clamps_roundoff_negative(self):
         out = metrics.hermitian_sqrt(np.diag([1.0, -5e-11]))
         assert out[1, 1] == 0.0
@@ -87,6 +93,13 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             metrics.fidelity(np.eye(2) / 2, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("which", ["rho", "sigma"])
+    def test_rejects_nan_in_either_state(self, which):
+        states = {"rho": random_density(4, 5), "sigma": random_density(4, 6)}
+        states[which][1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"{which} has a non-finite entry"):
+            metrics.fidelity(states["rho"], states["sigma"])
 
 
 class TestPurity:

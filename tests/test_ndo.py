@@ -1,11 +1,14 @@
 """Closed-form density operator vs the brute-force purification, and its gradient."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qwndo import ndo
-from qwndo.kernels import param_offsets
+from qwndo.kernels import param_offsets, param_shapes
 
 from oracles import a_entry, eager_caches, grad_a, purification_oracle
 
@@ -63,6 +66,34 @@ class TestParams:
         for name in ndo.ARRAY_NAMES:
             arr = getattr(params, name)
             assert arr.base is base and not arr.flags.writeable
+
+    def test_from_vector_forms_per_block_views_on_first_read(self):
+        d, m_h, m_a = 4, 3, 2
+        params = ndo.NdoParams.from_vector(d, m_h, m_a, ndo.init_params(d, m_h, m_a, scale=0.5).to_vector())
+        per_block = set(ndo.ARRAY_NAMES) - {"d_lam"}
+        assert not per_block & set(vars(params))
+        off = param_offsets(d, m_h, m_a)
+        for name, shape in param_shapes(d, m_h, m_a).items():
+            arr = getattr(params, name)
+            assert name in vars(params) and getattr(params, name) is arr
+            assert np.shares_memory(arr, params._vector) and not arr.flags.writeable
+            eager = params.to_vector()[off[name] : off[name] + math.prod(shape)].reshape(shape)
+            assert arr.shape == shape and np.array_equal(arr, eager)
+        with pytest.raises(AttributeError, match="no attribute 'w_nu'"):
+            params.w_nu
+
+    def test_replace_and_constructor_still_validate(self):
+        params = ndo.NdoParams.from_vector(4, 3, 2, ndo.init_params(4, 3, 2).to_vector())
+        b_lam = np.array([0.5, 0.0, 0.0, 0.0])
+        again = dataclasses.replace(params, b_lam=b_lam)
+        assert np.array_equal(again.b_lam, b_lam) and np.array_equal(again.u_mu, params.u_mu)
+        with pytest.raises(ValueError, match="b_lam contains non-finite entries"):
+            dataclasses.replace(params, b_lam=np.array([0.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=r"u_mu has shape \(3, 4\), expected \(2, 4\)"):
+            dataclasses.replace(params, u_mu=np.zeros((3, 4)))
+        arrays = {name: getattr(params, name) for name in ndo.ARRAY_NAMES}
+        with pytest.raises(ValueError, match="c_lam is not a numeric array"):
+            ndo.NdoParams(**{**arrays, "c_lam": "abc"})
 
     @pytest.mark.parametrize("d, m_a", [(2, 1), (4, 3), (12, 15), (12, 16), (22, 40), (62, 15)])
     def test_mixed_init_signs_are_a_sylvester_hadamard_slice(self, d, m_a):

@@ -39,6 +39,19 @@ def metric_gram(ev):
     return training.gram(ev.rho, ev.sig, ev.s_upper)
 
 
+def cho_factor_solve_metric(ev, e, eps):
+    """`training.solve_metric` through SciPy's `cho_factor` and `cho_solve`,
+    which scan the metric, its factor and e for non-finite entries."""
+    k = metric_gram(ev)
+    d, m_h, m_a = ev.rho.shape[0], ev.sig.shape[1], ev.s_upper.shape[0]
+    t_bar = float(k.trace()) / ndo.n_params(d, m_h, m_a)
+    y = e
+    if np.isfinite(t_bar) and t_bar > 0.0:
+        k.flat[:: k.shape[0] + 1] += eps * t_bar
+        y = scipy.linalg.cho_solve(scipy.linalg.cho_factor(k.T, lower=True), e)
+    return training._rho_pullback(ev, training._row_matrix(y, d)).real
+
+
 def pullback_rows(ev, y):
     """J_r^T y for Hermitian-row coordinates y, the way `training.solve_metric` forms it."""
     return training._rho_pullback(ev, training._row_matrix(y, ev.rho.shape[0])).real
@@ -251,16 +264,8 @@ class TestMetric:
         with pytest.raises(ValueError, match="right-hand side e"):
             training.solve_metric(ev, e, 1e-6)
 
-    def test_solve_metric_unchanged_without_finite_scan(self, monkeypatch):
-        ev, e = self.small_metric()
-        direction = training.solve_metric(ev, e, 1e-6)
-        cho_solve = scipy.linalg.cho_solve  # solve_metric imports it by name on each call
-        monkeypatch.setattr(scipy.linalg, "cho_solve", lambda factor, b, check_finite=False:
-                            cho_solve(factor, b))  # scans the factor and b
-        assert np.array_equal(direction, training.solve_metric(ev, e, 1e-6))
-
     def test_cholesky_pivots_show_a_non_finite_factor(self):
-        # cho_factor passes a NaN pivot; a non-finite entry anywhere in the
+        # dpotrf passes a NaN pivot; a non-finite entry anywhere in the
         # lower triangle still leaves a non-finite pivot, or is rejected
         rng = np.random.default_rng(0)
         n = 300  # above the blocking size of the factorization
@@ -271,9 +276,8 @@ class TestMetric:
             k = k0.copy()
             i, j = sorted(rng.integers(0, n, 2), reverse=True)
             k[i, j] = k[j, i] = (np.nan, np.inf, -np.inf)[trial % 3]
-            try:
-                c, _ = scipy.linalg.cho_factor(k, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
+            c, info = scipy.linalg.lapack.dpotrf(k, lower=1, clean=0)
+            if info > 0:
                 continue
             factored += 1
             assert not np.all(np.isfinite(c.diagonal()))
@@ -394,6 +398,13 @@ class TestMetricWithoutJacobian:
         # products are subnormal, where doubles keep fewer digits
         tol = 1e-11 * np.linalg.norm(ref) + 1e3 * np.finfo(float).smallest_subnormal
         assert np.linalg.norm(pullback_rows(ev, y) - ref) <= tol
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_solve_equals_cho_factor_path(self, state, eps):
+        ev = ndo.evaluate(self.STATES[state]())
+        e = np.random.default_rng(5).normal(size=ev.rho.size)
+        assert np.array_equal(training.solve_metric(ev, e, eps), cho_factor_solve_metric(ev, e, eps))
 
     @pytest.fixture(scope="class")
     def fit_points(self):
