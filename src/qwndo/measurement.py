@@ -12,11 +12,11 @@ reference basis, so outcome probabilities are diag(U^n rho U^n^dag). Every
 row has at most two nonzeros, so `BasisTables` stores each basis as two
 (column index, coefficient) pairs per row instead of a dense d x d matrix,
 and contracts states and outcome weights with them in O(n_bases * d). Both
-contractions go through per-outcome gather tables built once per table and
-take the four terms of each outcome one by one; they are exact to the bit
-against the 2 x 2 outer-product form because every coefficient is real or
-purely imaginary and every coherence pairs an up site (first slot) with a
-down site (second slot).
+contractions go through one per-outcome position table built once per table:
+the probabilities gather four float-view entries of rho per outcome, and the
+adjoint, their transpose, scatters outcome weights into the same positions.
+Both take the terms of each outcome one by one, exact to the bit against the
+2 x 2 outer product because every coefficient is real or purely imaginary.
 """
 
 from __future__ import annotations
@@ -53,25 +53,23 @@ class BasisTables:
     Every other entry of U^n is zero. A row with a single nonzero (basis 0)
     carries coefficient 0 in its second slot.
 
-    The contractions read and write through gather tables built once per
-    table (`_gather`): for every outcome (n, j), with i0, i1 = index[n, j],
-    the positions in the float view of rho of its two populations
-    rho[i0, i0], rho[i1, i1] and of the one part of each coherence
-    rho[i0, i1], rho[i1, i0] that its coefficients can see, and the
-    adjoint's positions in M. They take each of the four terms
-    c_s rho[i_s, i_t] conj(c_t) on its own, in real arithmetic with the
-    rounding of the full complex product, because the tables have two
-    properties:
+    Both contractions go through one position table built once per table
+    (`_gather`): for every outcome (n, j), with i0, i1 = index[n, j], the
+    positions in the float view of rho of its two populations rho[i0, i0],
+    rho[i1, i1] and of the one part of each coherence rho[i0, i1],
+    rho[i1, i0] that its coefficients can see. `probabilities` gathers from
+    these positions and `adjoint`, the transpose of that map, scatters into
+    them. Each takes the four terms c_s rho[i_s, i_t] conj(c_t) on its own,
+    in real arithmetic with the rounding of the full complex product,
+    because every coefficient is real or purely imaginary (1, 1/sqrt 2,
+    +-i/sqrt 2 or 0) and the first one, c0, is real and positive: a
+    population term is the real (|c_s| rho_ss) |c_s|, and a coherence term
+    is one real part of rho times two real factors.
 
-    - every coefficient is real or purely imaginary (1, 1/sqrt 2, +-i/sqrt 2
-      or 0), so a population term is the real (|c_s| rho_ss) |c_s|, a
-      coherence term is one real part of rho times two real factors, and
-      the first coefficient, c0, is real and positive, so the adjoint's
-      cross term w c0 conj(c1) is the pair of real products (w |c0|) conj(c1);
-    - every coherence has one orientation: i0 is an up site (even index) and
-      i1 a down site (odd index), so the adjoint sums the cross terms into
-      the (even, odd) entries M[i0, i1] alone, in outcome order, and mirrors
-      them onto M[i1, i0] by conjugation; the diagonal is not mirrored.
+    Every coherence also has one orientation: i0 is an up site (even index)
+    and i1 a down site (odd index). Correctness does not depend on it; it
+    makes the adjoint's two coherence entries M[i0, i1] and M[i1, i0] sum
+    the same terms in the same order, so M is exactly Hermitian.
     """
 
     index: np.ndarray  # (n_bases, d, 2) integer column indices
@@ -87,33 +85,24 @@ class BasisTables:
 
     @functools.cached_property
     def _gather(self) -> SimpleNamespace:
-        """Per-outcome positions and real factors of the two contractions (read-only).
+        """Per-outcome positions and real factors of both contractions (read-only).
 
         probe holds, for each outcome, four positions in the float view of
-        rho: rho[i0, i0], then the real or imaginary part of rho[i0, i1] and
-        of rho[i1, i0], whichever c1 is (real for a zero c1), then
-        rho[i1, i1]; k01/k10 are the real factors of those two parts, Re c1
-        and Re c1 where c1 is real, Im c1 and -Im c1 where it is imaginary.
-        slots are the adjoint's four float-view positions of M per outcome:
-        Re M[i0, i0], Re and Im M[i0, i1], Re M[i1, i1], and left/right the
-        real factors of the four slot values w left right:
-        (|c0|, |c0|, |c0|, |c1|) and (|c0|, Re conj(c1), Im conj(c1), |c1|);
-        a0/a1 are |c0|/|c1|.
+        rho (or of conj(M), for the adjoint): rho[i0, i0], then the real or
+        imaginary part of rho[i0, i1] and of rho[i1, i0], whichever c1 is
+        (real for a zero c1), then rho[i1, i1]; k01/k10 are the real factors
+        of those two parts, Re c1 and Re c1 where c1 is real, Im c1 and
+        -Im c1 where it is imaginary; a0/a1 are |c0|/|c1|.
         """
         d = self.dim
         i0, i1 = self.index[..., 0], self.index[..., 1]
         cross, cross_t = 2 * (i0 * d + i1), 2 * (i1 * d + i0)
-        diag0, diag1 = 2 * (i0 * (d + 1)), 2 * (i1 * (d + 1))
-        c0, c1 = self.coef[..., 0], self.coef[..., 1]
-        a0, a1, c1bar = np.abs(c0), np.abs(c1), c1.conj()
+        c1 = self.coef[..., 1]
         imag = c1.imag != 0
         tables = SimpleNamespace(
-            probe=np.array([diag0, cross + imag, cross_t + imag, diag1]),
+            probe=np.array([2 * (i0 * (d + 1)), cross + imag, cross_t + imag, 2 * (i1 * (d + 1))]),
             k01=np.where(imag, c1.imag, c1.real), k10=np.where(imag, -c1.imag, c1.real),
-            slots=np.stack([diag0, cross, cross + 1, diag1], axis=-1).ravel(),
-            left=np.stack([a0, a0, a0, a1], axis=-1),
-            right=np.stack([a0, c1bar.real, c1bar.imag, a1], axis=-1),
-            a0=a0, a1=a1,
+            a0=np.abs(self.coef[..., 0]), a1=np.abs(c1),
         )
         for arr in vars(tables).values():
             arr.setflags(write=False)
@@ -140,19 +129,21 @@ class BasisTables:
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """M(a, b) = sum_nj w[n, j] U^n(j, a) conj(U^n(j, b)) for real weights w.
 
-        The cross term w c0 conj(c1) is formed in real arithmetic as
-        (w |c0|) Re conj(c1) and (w |c0|) Im conj(c1), the same bits as the
-        complex product because c0 is real and positive.
+        The transpose of `probabilities`: each outcome scatters w times the
+        four factors of its probed entries, (w |c0|) |c0|, (w |c0|) k01,
+        (w |c0|) k10 and (w |c1|) |c1|, into the same four positions. The sum
+        is conj(M), as c0 is real: w c0 c1 = conj(M[i0, i1]) lands on
+        rho[i0, i1]'s position and w c0 conj(c1) = conj(M[i1, i0]) on rho[i1, i0]'s.
         """
         d, g = self.dim, self._gather
         w = np.asarray(w)
         if w.shape != (self.n_bases, d):
             raise ValueError(f"w shape {w.shape}, expected (n_bases, d) = {(self.n_bases, d)}")
-        vals = (w[..., None] * g.left) * g.right
-        half = np.bincount(g.slots, vals.ravel(), 2 * d * d).view(np.complex128).reshape(d, d)
-        m = half + half.conj().T
-        m.reshape(-1)[:: d + 1] = half.diagonal()
-        return m
+        w0 = w * g.a0
+        vals = np.array([w0 * g.a0, w0 * g.k01, w0 * g.k10, (w * g.a1) * g.a1])
+        flat = np.bincount(g.probe.ravel(), vals.ravel(), 2 * d * d)
+        # conj, not .T: M stays C-ordered, so callers can write through reshape(-1)
+        return flat.view(np.complex128).reshape(d, d).conj()
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,7 +152,7 @@ def all_basis_unitaries(n_steps: int) -> BasisTables:
 
     Row j = 2l + c of basis 2k-1 (2k) holds K_Y[c] (K_X[c]) on (up, l) and
     (down, (l-(k-1)) mod (N+1)); basis 0 holds coefficient 1 on column j.
-    Built once per N, read-only, and shared with their gather tables.
+    Built once per N, read-only, and shared with their position table.
     """
     n_sites = n_steps + 1
     d = 2 * n_sites
@@ -182,7 +173,10 @@ def all_basis_unitaries(n_steps: int) -> BasisTables:
 
 @dataclass(frozen=True)
 class MeasurementDataset:
-    """Per-basis outcome distributions: probs[n, j] for basis n and outcome j."""
+    """Per-basis outcome distributions: probs[n, j] for basis n and outcome j.
+
+    shots (positive) and seed (non-negative) are each None or an int, not a bool.
+    """
 
     n_steps: int
     probs: np.ndarray  # (n_bases, 2*(N+1))
@@ -190,6 +184,10 @@ class MeasurementDataset:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.shots is not None and not (type(self.shots) is int and self.shots > 0):
+            raise ValueError(f"field 'shots' must be a positive integer or None, got {self.shots!r}")
+        if self.seed is not None and not (type(self.seed) is int and self.seed >= 0):
+            raise ValueError(f"field 'seed' must be a non-negative integer or None, got {self.seed!r}")
         expected = (n_bases(self.n_steps), 2 * (self.n_steps + 1))
         if self.probs.shape != expected:
             raise ValueError(f"probs shape {self.probs.shape}, expected {expected}")
@@ -265,12 +263,6 @@ def load_dataset(path) -> MeasurementDataset:
     n_steps = require(doc, "n_steps", int)
     if n_steps < 0:
         raise DatasetFormatError(f"field 'n_steps' must be >= 0, got {n_steps}")
-    shots = doc.get("shots")
-    if shots is not None and (not isinstance(shots, int) or isinstance(shots, bool) or shots <= 0):
-        raise DatasetFormatError("field 'shots' must be a positive integer or null")
-    seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise DatasetFormatError("field 'seed' must be an integer or null")
     bases = require(doc, "bases", list)
     expected = n_bases(n_steps)
     entries = {}
@@ -303,6 +295,7 @@ def load_dataset(path) -> MeasurementDataset:
         if not np.all(np.isfinite(probs[idx])):
             raise DatasetFormatError(f"basis n={idx}: non-finite 'probs' entry")
     try:
-        return MeasurementDataset(n_steps=n_steps, probs=probs, shots=shots, seed=seed)
+        return MeasurementDataset(n_steps=n_steps, probs=probs, shots=doc.get("shots"),
+                                  seed=doc.get("seed"))
     except ValueError as exc:
         raise DatasetFormatError(str(exc)) from exc

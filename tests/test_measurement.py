@@ -13,7 +13,7 @@ import oracles
 from qwndo import maxlik, measurement, ndo, walk
 from qwndo.measurement import DatasetFormatError
 
-AGREEMENT_STEPS = [0, 1, 2, 5, 30]
+AGREEMENT_STEPS = [0, 1, 2, 5, 10, 20, 30]
 
 
 def random_density(d, seed):
@@ -125,6 +125,7 @@ class TestTablesAgainstDenseOracle:
             m = tables.adjoint(w)
             assert np.abs(m - dense.adjoint(w)).max() <= 1e-15
             assert np.array_equal(m, gather.adjoint(w))
+            assert np.array_equal(m, m.conj().T)
 
     def test_built_once_per_size_and_read_only(self):
         tables = measurement.all_basis_unitaries(4)
@@ -182,7 +183,14 @@ class TestTermByTermContractions:
             # the fit's weights data / model, and weights spread over [0, 2)
             model = np.maximum(probs, 1e-300)
             for w in (rng.uniform(0.0, 1.0, probs.shape) / model, rng.uniform(0.0, 2.0, probs.shape)):
-                assert np.array_equal(tables.adjoint(w), oracle.adjoint(w)), name
+                m = tables.adjoint(w)
+                assert np.array_equal(m, oracle.adjoint(w)), name
+                assert np.array_equal(m, m.conj().T), name
+            # the adjoint is the transpose of the probabilities' map, checked with
+            # the last, bounded weights: data / model puts weights near 1e300 on
+            # outcomes of probability 0, whose terms of sum(M rho) then cancel
+            lhs, rhs = np.sum(w * probs), np.sum(m * rho).real
+            assert abs(lhs - rhs) <= 1e-13 * abs(lhs), name
 
     @pytest.mark.parametrize("n_steps", AGREEMENT_STEPS)
     def test_coefficients_real_or_imaginary_and_coherences_oriented(self, n_steps):
@@ -310,6 +318,14 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match=f"basis n=4: {error} probability"):
             measurement.MeasurementDataset(n_steps=2, probs=probs)
 
+    @pytest.mark.parametrize("field, value", [("shots", 0), ("shots", -5), ("shots", 2.5),
+                                              ("shots", True), ("shots", "10"), ("seed", -3),
+                                              ("seed", 1.0), ("seed", False), ("seed", "2")])
+    def test_dataset_rejects_bad_metadata_naming_its_field(self, field, value):
+        probs = measurement.generate_dataset(walk.initial_state(1), 1).probs
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            measurement.MeasurementDataset(n_steps=1, probs=probs, **{field: value})
+
 
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
@@ -372,6 +388,7 @@ class TestDatasetFiles:
             (lambda d: d["bases"][0].pop("probs"), "probs"),
             (lambda d: d["bases"][0]["probs"].append(0.0), "expected"),
             (lambda d: d.update(shots=-2), "shots"),
+            (lambda d: d.update(seed=-3), "seed"),
         ],
     )
     def test_malformed_fields_named(self, tmp_path, mutate, fragment):
