@@ -1,5 +1,8 @@
 """Command-line front end: simulate walks, build datasets, fit states, benchmark.
 
+`bench-opt` is the paper's optimizer comparison (Fig. 5); `reproduce` reruns
+Figs. 3 and 4 at desk scale.
+
 Exit codes: 0 success, 1 domain or runtime error, 2 usage error. All angles
 are radians. Any subcommand accepts --config FILE (JSON mapping long flag
 names to values); explicit flags override file values.
@@ -82,8 +85,8 @@ def _network_size(noise: str) -> int:
 
 
 def _network_sizes(args) -> tuple[int, int]:
-    """--hidden/--ancillary, defaulting by --noise on subcommands that have it."""
-    default = _network_size(getattr(args, "noise", "none"))
+    """--hidden/--ancillary, defaulting by --noise."""
+    default = _network_size(args.noise)
     hidden = args.hidden if args.hidden is not None else default
     ancillary = args.ancillary if args.ancillary is not None else default
     for flag, value in (("--hidden", hidden), ("--ancillary", ancillary)):
@@ -128,7 +131,7 @@ def cmd_simulate(args) -> int:
     config = _walk_config(args)
     rho = walk.evolve(config)
     if args.out:
-        fileio.save_state(rho, args.out, n_steps=config.n_steps)
+        fileio.save_state(rho, args.out)
     if args.marginal_csv:
         marg = walk.position_marginal(rho)
         fileio.write_csv(
@@ -190,7 +193,7 @@ def cmd_maxlik(args) -> int:
         max_iters=args.max_iters, target=target,
     )
     if args.out_state:
-        fileio.save_state(rho, args.out_state, n_steps=ds.n_steps)
+        fileio.save_state(rho, args.out_state)
     summary = {**_report_fit(args, report), "purity": metrics.purity(rho)}
     if target is not None:
         summary.update(fidelity=report.fidelity, purity_error=report.purity_error)
@@ -222,12 +225,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _compare_optimizers(args, config: walk.WalkConfig, csv_path) -> dict:
+def cmd_bench_opt(args) -> int:
     """Every optimizer from one `init_params` start on the walk's exact dataset.
 
-    Writes the cost traces to `csv_path`; returns {optimizer: report}, each
-    scored against the walk's state.
+    Writes the cost traces to --out. Each optimizer's summary names the first
+    iteration whose cost is at most GD's final cost, and its fidelity to the
+    walk's state.
     """
+    config = _walk_config(args)
     rho = walk.evolve(config)
     ds = measurement.generate_dataset(rho, config.n_steps)
     bases = measurement.all_basis_unitaries(config.n_steps)
@@ -235,18 +240,16 @@ def _compare_optimizers(args, config: walk.WalkConfig, csv_path) -> dict:
     init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a, seed=args.seed)
     reports = {}
     for name in training.OPTIMIZERS:
-        config = training.TrainConfig(name, args.grad_tol, args.max_iters)
-        _, reports[name] = training.optimize((config,), ds, bases, init, target=rho)
+        train_config = training.TrainConfig(name, args.grad_tol, args.max_iters)
+        _, reports[name] = training.optimize((train_config,), ds, bases, init, target=rho)
     rows = [(i, name, c) for name, report in reports.items() for i, c in enumerate(report.costs)]
-    fileio.write_csv(csv_path, ["iter", "optimizer", "cost"], rows)
-    return reports
-
-
-def cmd_bench_opt(args) -> int:
-    reports = _compare_optimizers(args, _walk_config(args), args.out)
+    fileio.write_csv(args.out, ["iter", "optimizer", "cost"], rows)
+    gd_level = reports["gd"].final_cost
     summary = {"bench_csv": args.out}
     for name, report in reports.items():
         summary[f"{name}_iterations"] = report.iterations
+        summary[f"{name}_iters_to_gd_level"] = next(
+            (i for i, c in enumerate(report.costs) if c <= gd_level), "not reached")
         summary[f"{name}_final_cost"] = report.final_cost
         summary[f"{name}_fidelity"] = report.fidelity
     _emit(args, summary)
@@ -336,25 +339,7 @@ def _reproduce_fig4(args, out_dir: Path) -> dict:
     }
 
 
-def _fig5_walk(args) -> walk.WalkConfig:
-    """fig5's Hadamard walk of --steps steps, with its --hidden/--ancillary checked."""
-    _network_sizes(args)
-    return walk.WalkConfig(args.steps, (np.pi / 4,) * max(args.steps, 0))
-
-
-def _reproduce_fig5(args, out_dir: Path) -> dict:
-    csv_path = out_dir / "fig5_cost.csv"
-    reports = _compare_optimizers(args, _fig5_walk(args), csv_path)
-    gd_level = reports["gd"].final_cost
-    summary = {"gd_final_cost": gd_level, "csv": str(csv_path)}
-    for name, report in reports.items():
-        reached = next((i for i, c in enumerate(report.costs) if c <= gd_level), None)
-        summary[f"{name}_iters_to_gd_level"] = reached if reached is not None else "not reached"
-        summary[f"{name}_final_cost"] = report.final_cost
-    return summary
-
-
-REPRODUCE_PRESETS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4, "fig5": _reproduce_fig5}
+REPRODUCE_PRESETS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4}
 
 
 def cmd_reproduce(args) -> int:
@@ -363,8 +348,6 @@ def cmd_reproduce(args) -> int:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     # every input is checked before the report directory is created
     training.TrainConfig(grad_tol=args.grad_tol, max_iters=args.max_iters)
-    if args.preset == "fig5":
-        _fig5_walk(args)
     out_dir = Path(args.out_dir or f"reproduce_{args.preset}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = REPRODUCE_PRESETS[args.preset](args, out_dir)
@@ -386,10 +369,10 @@ def _add_fit_flags(sp, max_iters: int, seed_help: str | None = None) -> None:
     sp.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
-def _add_size_flags(sp, help_fmt: str | None = None) -> None:
-    """--hidden/--ancillary; `help_fmt` is formatted with the kind of unit."""
+def _add_size_flags(sp) -> None:
+    """--hidden/--ancillary, whose defaults --noise sets."""
     for flag, unit in (("--hidden", "hidden"), ("--ancillary", "ancilla")):
-        sp.add_argument(flag, type=int, help=help_fmt.format(unit) if help_fmt else None)
+        sp.add_argument(flag, type=int, help=f"{unit} units (default 10; 15 for open noise)")
 
 
 def _add_dataset_flags(sp, steps_help: str | None = None, csv_help: str | None = None) -> None:
@@ -432,7 +415,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_dataset_flags(sp, steps_help="expected N (checked against the dataset)",
                        csv_help="per-iteration trace CSV to write")
     _add_fit_flags(sp, max_iters=2000)
-    _add_size_flags(sp, "{} units (default 10; 15 for open noise)")
+    _add_size_flags(sp)
     sp.add_argument("--noise", choices=walk.NOISE_KINDS, default="none",
                     help="walk noise the dataset came from; sets size defaults only")
     sp.add_argument("--checkpoint", help="parameter checkpoint file to write")
@@ -449,18 +432,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--reference", help="reference state file")
     sp.add_argument("--dataset", help="dataset for the classical similarity")
 
-    sp = add("bench-opt", cmd_bench_opt, "compare all four optimizers on one dataset")
+    sp = add("bench-opt", cmd_bench_opt,
+             "compare all four optimizers from one start on a walk's exact data (Fig. 5)")
     _add_walk_flags(sp)
     _add_size_flags(sp)
     _add_fit_flags(sp, max_iters=200, seed_help="seed of the shared initialization")
     sp.add_argument("--out", required=True, help="combined cost-trace CSV")
 
-    sp = add("reproduce", cmd_reproduce, "desk-scale reruns of the reported figures")
+    sp = add("reproduce", cmd_reproduce,
+             "desk-scale reruns of Figs. 3 and 4 (Fig. 5 is bench-opt)")
     sp.add_argument("preset", choices=tuple(REPRODUCE_PRESETS))
     sp.add_argument("--max-steps", type=int, default=5, help="fig3: largest N")
     sp.add_argument("--samples", type=int, default=5, help="instances per scenario point")
-    sp.add_argument("--steps", type=int, default=10, help="fig5: walk length")
-    _add_size_flags(sp, "fig5: {} units (default 10)")
     _add_fit_flags(sp, max_iters=300)
     sp.add_argument("--out-dir", help="report directory (default reproduce_<preset>)")
 

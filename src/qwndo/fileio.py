@@ -46,16 +46,17 @@ def write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def save_state(rho: np.ndarray, path, n_steps: int | None = None) -> None:
-    """Write a density matrix as JSON with separate real/imaginary parts."""
+def save_state(rho: np.ndarray, path) -> None:
+    """Write a density matrix as JSON with separate real/imaginary parts.
+
+    The file's n_steps is d/2 - 1, the only value `load_state` accepts for dim d.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
     d = rho.shape[0]
-    if n_steps is None:
-        n_steps = d // 2 - 1
     write_json(path, {
         "format_version": STATE_FORMAT_VERSION,
-        "n_steps": int(n_steps),
-        "dim": int(d),
+        "n_steps": d // 2 - 1,
+        "dim": d,
         "re": rho.real.tolist(),
         "im": rho.imag.tolist(),
     })

@@ -175,7 +175,8 @@ def all_basis_unitaries(n_steps: int) -> BasisTables:
 class MeasurementDataset:
     """Per-basis outcome distributions: probs[n, j] for basis n and outcome j.
 
-    shots (positive) and seed (non-negative) are each None or an int, not a bool.
+    n_steps is a non-negative int; shots (positive) and seed (non-negative) are
+    each None or an int. None of the three may be a bool.
     """
 
     n_steps: int
@@ -184,6 +185,9 @@ class MeasurementDataset:
     seed: int | None = None
 
     def __post_init__(self):
+        # checked first: n_steps sets the expected shape
+        if not (type(self.n_steps) is int and self.n_steps >= 0):
+            raise ValueError(f"field 'n_steps' must be a non-negative integer, got {self.n_steps!r}")
         if self.shots is not None and not (type(self.shots) is int and self.shots > 0):
             raise ValueError(f"field 'shots' must be a positive integer or None, got {self.shots!r}")
         if self.seed is not None and not (type(self.seed) is int and self.seed >= 0):

@@ -5,15 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 EIG_CLAMP = 1e-10  # roundoff negatives below this are a bug, not noise
+HERMITIAN_TOL = 1e-10  # largest |M - M^H| entry that `hermitian_sqrt` takes as roundoff
 
 
-def hermitian_sqrt(mat: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix via eigendecomposition."""
     mat = np.asarray(mat)
     if not np.isfinite(mat).all():
         raise ValueError("matrix has a non-finite entry")
     dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > atol:
+    if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     w, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
     if w.min() < -EIG_CLAMP:
@@ -56,8 +57,4 @@ def classical_similarity(a, b) -> float:
     pb = np.asarray(b.probs if hasattr(b, "probs") else b, dtype=float)
     if pa.shape != pb.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
-    steps_a = getattr(a, "n_steps", None)
-    steps_b = getattr(b, "n_steps", None)
-    if steps_a is not None and steps_b is not None and steps_a != steps_b:
-        raise ValueError(f"n_steps mismatch: {steps_a} vs {steps_b}")
     return float(np.sum(np.sqrt(pa * pb)) / pa.shape[0])

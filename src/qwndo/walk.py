@@ -22,6 +22,7 @@ CHANNELS = {
     "depolarizing": lambda rho, config: depolarizing_step(rho, config.p),
 }
 NOISE_KINDS = tuple(CHANNELS)
+STATE_TOL = 1e-10  # roundoff allowed in a state's Hermiticity, trace and smallest eigenvalue
 
 
 def dim(n_steps: int) -> int:
@@ -31,22 +32,22 @@ def dim(n_steps: int) -> int:
     return 2 * (n_steps + 1)
 
 
-def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
-    """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD within atol."""
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD within STATE_TOL."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > atol:
-        raise ValueError(f"not Hermitian: max deviation {herm:.3e} > {atol:.1e}")
+    if herm > STATE_TOL:
+        raise ValueError(f"not Hermitian: max deviation {herm:.3e} > {STATE_TOL:.1e}")
     tr = abs(np.trace(rho) - 1.0)
-    if tr > atol:
-        raise ValueError(f"trace deviates from 1 by {tr:.3e} > {atol:.1e}")
+    if tr > STATE_TOL:
+        raise ValueError(f"trace deviates from 1 by {tr:.3e} > {STATE_TOL:.1e}")
     lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if lo < -atol:
-        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < -{atol:.1e}")
+    if lo < -STATE_TOL:
+        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < -{STATE_TOL:.1e}")
 
 
 @dataclass(frozen=True)

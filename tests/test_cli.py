@@ -209,7 +209,7 @@ class TestTrainAndEvaluate:
 
     def test_evaluate_non_physical_reference(self, tmp_path, hadamard_state, capsys):
         bad = tmp_path / "bad.state"
-        fileio.save_state(np.diag([2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), bad, n_steps=2)
+        fileio.save_state(np.diag([2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), bad)
         code = run(["evaluate", "--state", str(hadamard_state), "--reference", str(bad)])
         assert code == 1
         assert "not PSD" in capsys.readouterr().err
@@ -383,6 +383,35 @@ class TestBenchOpt:
             assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:])), name
         assert min(by_opt["gngd"]) <= min(costs[-1] for costs in by_opt.values()) + 1e-12
 
+    def test_iterations_to_gd_level(self, tmp_path, capsys):
+        """Fig. 5's statistic: each optimizer's first iteration at or below GD's final cost."""
+        out = tmp_path / "fig5_cost.csv"
+        code = run([
+            "bench-opt", "--steps", "1", "--hidden", "3", "--ancillary", "3",
+            "--max-iters", "30", "--out", str(out), "--json",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "iter,optimizer,cost"
+        costs = {}
+        for line in lines[1:]:
+            _, name, c = line.split(",")
+            costs.setdefault(name, []).append(float(c))
+        gd_level = costs["gd"][-1]
+        assert doc["gd_final_cost"] == gd_level
+        for name in ("gd", "cg", "lbfgs", "gngd"):
+            first = next((i for i, c in enumerate(costs[name]) if c <= gd_level), "not reached")
+            assert doc[f"{name}_iters_to_gd_level"] == first, name
+
+    @pytest.mark.parametrize("flag,value", [("--hidden", "-1"), ("--ancillary", "-2"),
+                                            ("--steps", "-1")])
+    def test_bad_input_exit_one_before_out(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bench.csv"
+        assert run(["bench-opt", "--steps", "1", flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestReproduce:
     def test_fig4_six_rows(self, tmp_path, capsys):
@@ -414,28 +443,25 @@ class TestReproduce:
         assert len(lines) > 1
 
     @pytest.mark.parametrize("preset,flag,value", [
-        ("fig5", "--hidden", "-1"), ("fig5", "--ancillary", "-2"), ("fig5", "--steps", "-1"),
         ("fig4", "--max-iters", "0"), ("fig3", "--grad-tol", "0"),
     ])
     def test_bad_input_exit_one_before_out_dir(self, tmp_path, capsys, preset, flag, value):
         out_dir = tmp_path / "r5"
-        code = run(["reproduce", preset, "--steps", "1", "--max-steps", "1", "--samples", "1",
+        code = run(["reproduce", preset, "--max-steps", "1", "--samples", "1",
                     flag, value, "--out-dir", str(out_dir)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 
-    def test_fig5_structure_and_summary(self, tmp_path, capsys):
-        out_dir = tmp_path / "fig5"
-        code = run([
-            "reproduce", "fig5", "--steps", "1", "--hidden", "3", "--ancillary", "3",
-            "--max-iters", "30", "--out-dir", str(out_dir), "--json",
-        ])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert "gd_final_cost" in doc
-        lines = (out_dir / "fig5_cost.csv").read_text().splitlines()
-        assert lines[0] == "iter,optimizer,cost"
+    @pytest.mark.parametrize("argv", [["fig5"], ["fig3", "--hidden", "3"]])
+    def test_fig5_and_its_flags_are_usage_errors(self, tmp_path, argv):
+        """Fig. 5 is `bench-opt`; `reproduce` has no fig5 preset and none of its flags."""
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["reproduce", *argv, "--max-steps", "1", "--samples", "1", "--max-iters", "2",
+                 "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("preset,flag", [("fig4", "--samples"), ("fig3", "--max-steps")])
     def test_count_below_one_exit_one(self, tmp_path, capsys, preset, flag):
@@ -468,11 +494,11 @@ def test_channel_flag_of_another_noise_exit_one(tmp_path, capsys, argv, flag):
     [
         (["train", "--hidden", "-1"], "--hidden", -1),
         (["bench-opt", "--steps", "1", "--ancillary", "-2"], "--ancillary", -2),
-        (["reproduce", "fig5", "--steps", "1", "--hidden", "-1"], "--hidden", -1),
+        (["bench-opt", "--steps", "1", "--hidden", "-1"], "--hidden", -1),
         (["train", "--seed", "-2"], "--seed", -2),
         (["maxlik", "--seed", "-2"], "--seed", -2),
         (["bench-opt", "--steps", "1", "--seed", "-1"], "--seed", -1),
-        (["reproduce", "fig5", "--steps", "1", "--seed", "-1"], "--seed", -1),
+        (["reproduce", "fig4", "--seed", "-1"], "--seed", -1),
         (["simulate", "--steps", "2", "--disordered-seed", "-1"], "--disordered-seed", -1),
         (["gen-data", "--seed", "-3"], "--seed", -3),
     ],
@@ -611,12 +637,9 @@ CLI_SURFACE = {
         **COMMON_FLAGS,
     },
     "reproduce": {
-        "preset": ((), None, ["fig3", "fig4", "fig5"], True),
+        "preset": ((), None, ["fig3", "fig4"], True),
         "max_steps": (("--max-steps",), 5, None, False),
         "samples": (("--samples",), 5, None, False),
-        "steps": (("--steps",), 10, None, False),
-        "hidden": (("--hidden",), None, None, False),
-        "ancillary": (("--ancillary",), None, None, False),
         "grad_tol": (("--grad-tol",), 1e-08, None, False),
         "max_iters": (("--max-iters",), 300, None, False),
         "seed": (("--seed",), 0, None, False),

@@ -12,7 +12,7 @@ class TestStateFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rho = walk.evolve(walk.WalkConfig(3, (0.3, 0.7, 1.1), noise="dephasing", delta_beta=0.5))
         path = tmp_path / "rho.state"
-        fileio.save_state(rho, path, n_steps=3)
+        fileio.save_state(rho, path)
         loaded, n_steps = fileio.load_state(path)
         assert n_steps == 3
         np.testing.assert_array_equal(loaded, rho)
@@ -61,7 +61,7 @@ class TestStateFile:
     )
     def test_non_physical_state_rejected(self, tmp_path, rho, fragment):
         path = tmp_path / "bad.state"
-        fileio.save_state(rho, path, n_steps=1)
+        fileio.save_state(rho, path)
         with pytest.raises(ValueError, match=fragment):
             fileio.load_state(path)
 

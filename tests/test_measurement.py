@@ -320,11 +320,13 @@ class TestGenerateDataset:
 
     @pytest.mark.parametrize("field, value", [("shots", 0), ("shots", -5), ("shots", 2.5),
                                               ("shots", True), ("shots", "10"), ("seed", -3),
-                                              ("seed", 1.0), ("seed", False), ("seed", "2")])
+                                              ("seed", 1.0), ("seed", False), ("seed", "2"),
+                                              ("n_steps", True), ("n_steps", 1.0),
+                                              ("n_steps", -1), ("n_steps", "1")])
     def test_dataset_rejects_bad_metadata_naming_its_field(self, field, value):
         probs = measurement.generate_dataset(walk.initial_state(1), 1).probs
         with pytest.raises(ValueError, match=f"field '{field}'"):
-            measurement.MeasurementDataset(n_steps=1, probs=probs, **{field: value})
+            measurement.MeasurementDataset(probs=probs, **{"n_steps": 1, field: value})
 
 
 class TestDatasetFiles:

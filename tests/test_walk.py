@@ -277,7 +277,7 @@ class TestEvolve:
             angles = tuple(rng.uniform(0, np.pi, n))
             rng.integers(2**31)  # unused draw: keeps the instances the recorded results used
             config = walk.WalkConfig(n, angles, noise=noise, **kwargs)
-            walk.validate_density_matrix(walk.evolve(config), atol=1e-10)
+            walk.validate_density_matrix(walk.evolve(config))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 30])
     @pytest.mark.parametrize(
