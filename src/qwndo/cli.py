@@ -205,11 +205,10 @@ def cmd_evaluate(args) -> int:
     if args.checkpoint:
         params = ndo.load_checkpoint(args.checkpoint)
         rho = ndo.density_matrix(params)
-        n_steps = params.dim // 2 - 1
-        source = f"checkpoint {args.checkpoint}"
+        source = f"checkpoint {args.checkpoint} has dimension {params.dim}"
     else:
         rho, n_steps = fileio.load_state(args.state)
-        source = f"state file {args.state}"
+        source = f"state file {args.state} has N={n_steps}"
     summary: dict = {"dim": rho.shape[0], "purity": metrics.purity(rho)}
     if args.reference:
         ref, _ = fileio.load_state(args.reference)
@@ -217,8 +216,9 @@ def cmd_evaluate(args) -> int:
         summary["purity_error"] = metrics.purity_error(rho, ref)
     if args.dataset:
         ds = measurement.load_dataset(args.dataset)
-        if n_steps != ds.n_steps:
-            raise ValueError(f"{source} has N={n_steps} but dataset {args.dataset} has N={ds.n_steps}")
+        if rho.shape[0] != 2 * (ds.n_steps + 1):
+            raise ValueError(f"{source} but dataset {args.dataset} has N={ds.n_steps}, "
+                             f"dimension {2 * (ds.n_steps + 1)}")
         model_ds = measurement.generate_dataset(rho, ds.n_steps)
         summary["similarity"] = metrics.classical_similarity(model_ds, ds)
     _emit(args, summary)
@@ -313,7 +313,7 @@ def _reproduce_fig3(args, out_dir: Path) -> dict:
 
 
 def _reproduce_fig4(args, out_dir: Path) -> dict:
-    n = 5
+    n = args.max_steps
     rows = []
     for db in DELTA_BETA_PRESET:
         config = walk.WalkConfig(n, (np.pi / 4,) * n, noise="dephasing", delta_beta=db)
@@ -442,7 +442,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = add("reproduce", cmd_reproduce,
              "desk-scale reruns of Figs. 3 and 4 (Fig. 5 is bench-opt)")
     sp.add_argument("preset", choices=tuple(REPRODUCE_PRESETS))
-    sp.add_argument("--max-steps", type=int, default=5, help="fig3: largest N")
+    sp.add_argument("--max-steps", type=int, default=5, help="fig3: largest N; fig4: N")
     sp.add_argument("--samples", type=int, default=5, help="instances per scenario point")
     _add_fit_flags(sp, max_iters=300)
     sp.add_argument("--out-dir", help="report directory (default reproduce_<preset>)")

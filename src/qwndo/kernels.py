@@ -2,7 +2,9 @@
 
 Parameters flatten block by block in the order of `param_shapes`, each
 matrix row-major; each lam block sits next to its mu block, so the two
-networks are read as stacked (2, ...) views and evaluated in one pass. The
+networks are read as stacked (2, ...) views (`ndo.NdoParams`) and evaluated
+in one pass. The block names of `param_shapes` are the checkpoint's arrays
+and the offsets of `param_offsets`; no parameter object carries them. The
 log density A and every per-pair quantity derived from it are Hermitian in
 the index pair, so the complex ancilla terms live on the d(d+1)/2 upper pairs
 (`_upper_pairs`) only: A is `mirror`ed by conjugation, and the gradient, the
@@ -26,7 +28,8 @@ import numpy as np
 
 
 def param_shapes(d: int, m_h: int, m_a: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each parameter block, in flattening order."""
+    """Shape of each parameter block, in flattening order; also the arrays,
+    by name, of a checkpoint (`ndo.save_checkpoint`)."""
     return {
         "w_lam": (m_h, d), "w_mu": (m_h, d),  # hidden weights
         "u_lam": (m_a, d), "u_mu": (m_a, d),  # ancilla weights

@@ -9,11 +9,13 @@ closed form, giving every log density entry
 
 with rho = exp(A) / Z and Z = sum_v exp(A(v, v)).
 
-The two networks are evaluated as one: `NdoParams` holds each lam/mu pair of
-blocks as one stacked (2, ...) view of the parameter vector, so one softplus,
-one logistic and one gather serve both. Pi is taken as the log of a product
-of ancilla factors (`kernels.pair_cache`), which fixes A only mod 2 pi i;
-rho = exp(A) / Z does not depend on the branch.
+The two networks are evaluated as one: `NdoParams` is the parameter vector
+and its views, each lam/mu pair of blocks one stacked (2, ...) view, so one
+softplus, one logistic and one gather serve both. The per-block names of
+`kernels.param_shapes` give only the flattening order and the checkpoint's
+arrays. Pi is taken as the log of a product of ancilla factors
+(`kernels.pair_cache`), which fixes A only mod 2 pi i; rho = exp(A) / Z does
+not depend on the branch.
 
 The phase-network ancilla bias cancels between a purification amplitude and
 its conjugate, so the parameter set carries only the lambda ancilla bias.
@@ -30,9 +32,6 @@ import numpy as np
 from . import fileio, kernels
 from .kernels import param_offsets, param_shapes
 
-ARRAY_NAMES = tuple(param_shapes(0, 0, 0))
-ARRAY_NDIMS = tuple(map(len, param_shapes(0, 0, 0).values()))
-
 CHECKPOINT_FORMAT_VERSION = 1
 
 
@@ -41,57 +40,17 @@ def n_params(d: int, m_h: int, m_a: int) -> int:
     return param_offsets(d, m_h, m_a)["total"]
 
 
-@dataclass(frozen=True)
 class NdoParams:
-    """The nine real parameter arrays of the amplitude (lam) and phase (mu)
-    networks, with the shapes and order of `kernels.param_shapes`.
-
-    However it is built, every instance holds one read-only copy of the
-    flattened vector and binds the views that `kernels.pair_cache` takes:
-    the stacked (lam, mu) pairs w (2, m_h, d), u (2, m_a, d), b (2, d) and
-    c (2, m_h), which `param_shapes` puts next to each other, and d_lam.
-    The eight per-block arrays w_lam ... c_mu are formed on first access as
-    the read-only views w[0], w[1], ..., so a point that only the fit
-    evaluates never forms them.
+    """The parameters of the amplitude (lam) and phase (mu) networks: one
+    read-only copy of the flattened vector, whose blocks have the order and
+    shapes of `kernels.param_shapes`, and its views that `kernels.pair_cache`
+    takes: the stacked (lam, mu) pairs w (2, m_h, d), u (2, m_a, d), b (2, d)
+    and c (2, m_h), which `param_shapes` puts next to each other, and d_lam
+    (m_a,). `from_vector` builds every instance. Two instances are equal only
+    if they are the same object; compare `to_vector()` for equal values.
     """
 
-    w_lam: np.ndarray
-    w_mu: np.ndarray
-    u_lam: np.ndarray
-    u_mu: np.ndarray
-    b_lam: np.ndarray
-    b_mu: np.ndarray
-    c_lam: np.ndarray
-    c_mu: np.ndarray
-    d_lam: np.ndarray
-
-    def __post_init__(self):
-        arrays = []
-        for name, ndim in zip(ARRAY_NAMES, ARRAY_NDIMS):
-            try:
-                arr = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{name} is not a numeric array") from exc
-            if arr.ndim != ndim:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {ndim} dimensions")
-            arrays.append(arr)
-        (m_h, d), m_a = arrays[0].shape, arrays[2].shape[0]
-        for arr, (name, shape) in zip(arrays, param_shapes(d, m_h, m_a).items()):
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-        _bind(self, d, m_h, m_a, np.concatenate([arr.ravel() for arr in arrays]))
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        """Bind a per-block array on its first access (only unbound names get here)."""
-        try:
-            stacked, net = _PER_BLOCK[name]
-        except KeyError:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
-        view = getattr(self, stacked)[net]
-        object.__setattr__(self, name, view)
-        return view
+    __slots__ = ("_vector", "w", "u", "b", "c", "d_lam")
 
     @property
     def dim(self) -> int:
@@ -107,7 +66,7 @@ class NdoParams:
 
     @property
     def n_params(self) -> int:
-        return n_params(self.dim, self.m_h, self.m_a)
+        return self._vector.size
 
     def to_vector(self) -> np.ndarray:
         """A copy of the optimizer's parameter vector (row-major matrices)."""
@@ -123,40 +82,27 @@ class NdoParams:
         if not np.isfinite(vec).all():
             bad = int(np.argmin(np.isfinite(vec)))
             off = param_offsets(d, m_h, m_a)
-            stops = (off[name] for name in (*ARRAY_NAMES[1:], "total"))
-            name = next(name for name, stop in zip(ARRAY_NAMES, stops) if bad < stop)
+            name = next(name for name, stop in zip(off, [*off.values()][1:]) if bad < stop)
             raise ValueError(f"{name} contains non-finite entries")
+        vec.setflags(write=False)
         params = object.__new__(cls)
-        _bind(params, d, m_h, m_a, vec)
+        params._vector = vec
+        params.w, params.u, params.b, params.c, params.d_lam = [
+            vec[start:stop].reshape(shape) for start, stop, shape in _views(d, m_h, m_a)
+        ]
         return params
 
 
-# Each per-block name as (stacked view, network): w_lam is w[0], w_mu is w[1], ...
-_PER_BLOCK = {
-    f"{stacked}_{net}": (stacked, i) for stacked in "wubc" for i, net in enumerate(("lam", "mu"))
-}
-
-
-def _bind(params: NdoParams, d: int, m_h: int, m_a: int, vec: np.ndarray) -> None:
-    """Make vec read-only and replace the state of params by it and its views
-    w, u, b, c and d_lam; the per-block arrays are bound on first access."""
-    vec.setflags(write=False)
-    state = {"_vector": vec}
-    for name, start, stop, shape in _views(d, m_h, m_a):
-        state[name] = vec[start:stop].reshape(shape)
-    object.__setattr__(params, "__dict__", state)
-
-
 @functools.lru_cache(maxsize=64)
-def _views(d: int, m_h: int, m_a: int) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """(name, start, stop, shape) in the flattened vector of the stacked
-    (lam, mu) pairs w, u, b and c, then of d_lam."""
+def _views(d: int, m_h: int, m_a: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) in the flattened vector of the stacked (lam, mu)
+    pairs w, u, b and c, then of d_lam."""
     off = param_offsets(d, m_h, m_a)
     stacked = tuple(
-        (name, off[f"{name}_lam"], off[f"{name}_mu"] + math.prod(shape), (2, *shape))
+        (off[f"{name}_lam"], off[f"{name}_mu"] + math.prod(shape), (2, *shape))
         for name, shape in (("w", (m_h, d)), ("u", (m_a, d)), ("b", (d,)), ("c", (m_h,)))
     )
-    return (*stacked, ("d_lam", off["d_lam"], off["total"], (m_a,)))
+    return (*stacked, (off["d_lam"], off["total"], (m_a,)))
 
 
 def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) -> NdoParams:
@@ -165,8 +111,8 @@ def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) 
     Near theta = 0 every log density entry is equal, so this start is close
     to the pure uniform superposition J/d.
     """
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     rng = np.random.default_rng(seed)
     return NdoParams.from_vector(
         d, m_h, m_a, rng.uniform(-scale, scale, n_params(d, m_h, m_a))
@@ -197,9 +143,10 @@ def mixed_init_params(d: int, m_h: int, m_a: int, seed: int = 0) -> NdoParams:
     for shift in (32, 16, 8, 4, 2, 1):  # fold the parity of popcount into bit 0
         overlap ^= overlap >> shift
     signs = 1 - 2 * (overlap & 1)
-    arrays = {name: getattr(base, name) for name in ARRAY_NAMES}
-    arrays["u_mu"] = arrays["u_mu"] + MIXING_PHASE * signs
-    return NdoParams(**arrays)
+    vec = base.to_vector()
+    start = param_offsets(d, m_h, m_a)["u_mu"]
+    vec[start : start + m_a * d] += (MIXING_PHASE * signs).ravel()
+    return NdoParams.from_vector(d, m_h, m_a, vec)
 
 
 def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -259,20 +206,27 @@ def evaluate(params: NdoParams) -> NdoEval:
 
 
 def save_checkpoint(params: NdoParams, path) -> None:
-    """Write parameters as JSON; float repr keeps the round trip bit-exact."""
+    """Write parameters as JSON, one array per block of `kernels.param_shapes`;
+    float repr keeps the round trip bit-exact."""
+    off = param_offsets(params.dim, params.m_h, params.m_a)
+    vec = params.to_vector()
     fileio.write_json(path, {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "dim": params.dim,
         "m_h": params.m_h,
         "m_a": params.m_a,
-        "arrays": {name: getattr(params, name).tolist() for name in ARRAY_NAMES},
+        "arrays": {
+            name: vec[off[name] : off[name] + math.prod(shape)].reshape(shape).tolist()
+            for name, shape in param_shapes(params.dim, params.m_h, params.m_a).items()
+        },
     })
 
 
 def load_checkpoint(path) -> NdoParams:
-    """Parameters from a `save_checkpoint` file. Each array is read with the
-    shape that the header's (dim, m_h, m_a) gives it, since JSON keeps no
-    shape for an empty array (a zero-unit layer)."""
+    """Parameters from a `save_checkpoint` file. Each array is checked
+    against the shape that the header's (dim, m_h, m_a) gives it, an empty
+    one (a zero-unit layer, whose shape JSON does not keep) against its size,
+    and the arrays are joined into the parameter vector."""
     doc = fileio.read_json(path, "checkpoint")
     version = fileio.require(doc, "format_version", int, "checkpoint")
     if version != CHECKPOINT_FORMAT_VERSION:
@@ -282,7 +236,7 @@ def load_checkpoint(path) -> NdoParams:
         if dims[name] < least:
             raise ValueError(f"checkpoint field '{name}' must be >= {least}, got {dims[name]}")
     stored = fileio.require(doc, "arrays", dict, "checkpoint")
-    arrays = {}
+    arrays = []
     for name, shape in param_shapes(*dims.values()).items():
         values = fileio.require(stored, name, list, "checkpoint arrays")
         try:
@@ -291,8 +245,8 @@ def load_checkpoint(path) -> NdoParams:
             raise ValueError(f"checkpoint array {name} is not a numeric array") from exc
         if arr.shape != shape and not arr.size == 0 == math.prod(shape):
             raise ValueError(f"checkpoint array {name} has shape {arr.shape}, expected {shape}")
-        arrays[name] = arr.reshape(shape)
+        arrays.append(arr.ravel())
     try:
-        return NdoParams(**arrays)
+        return NdoParams.from_vector(*dims.values(), np.concatenate(arrays))
     except ValueError as exc:
         raise ValueError(f"checkpoint array {exc}") from exc

@@ -227,10 +227,10 @@ def _contract(ev: ndo.NdoEval, e_mat: np.ndarray) -> np.ndarray:
     d = e_mat.shape[0]
     r = kernels.mirror(ev.s_upper * e_mat[kernels._upper_pairs(d)], d).sum(axis=2)
     pieces = (
-        ev.sig * pm[:, None, :],  # w_lam, w_mu
-        r.real, -r.imag,  # u_lam, u_mu
-        pm,  # b_lam, b_mu
-        ev.sig @ pm[:, :, None],  # c_lam, c_mu
+        ev.sig * pm[:, None, :],  # w
+        r.real, -r.imag,  # u
+        pm,  # b
+        ev.sig @ pm[:, :, None],  # c
         r.real.sum(axis=1),  # d_lam
     )
     return np.concatenate([piece.ravel() for piece in pieces])

@@ -41,10 +41,31 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
 from qwndo import kernels, ndo, training, walk
-from qwndo.kernels import param_offsets
+from qwndo.kernels import param_offsets, param_shapes
 from qwndo.measurement import K_X, K_Y, n_bases
 from qwndo.ndo import NdoParams
 from qwndo.training import PROB_FLOOR, TrainConfig
+
+
+BLOCK_NAMES = tuple(param_shapes(0, 0, 0))
+
+
+def blocks(params: NdoParams) -> dict[str, np.ndarray]:
+    """The nine parameter blocks of `kernels.param_shapes` by name, as
+    read-only views of params: w_lam is params.w[0], w_mu is params.w[1], ..."""
+    arrays = {f"{name}_{net}": getattr(params, name)[i]
+              for name in "wubc" for i, net in enumerate(("lam", "mu"))}
+    return {**arrays, "d_lam": params.d_lam}
+
+
+def from_blocks(arrays: dict) -> NdoParams:
+    """`NdoParams` from the nine blocks of `blocks`, by name, in any array form."""
+    arrays = {name: np.asarray(arrays[name], dtype=float) for name in BLOCK_NAMES}
+    (m_h, d), m_a = arrays["w_lam"].shape, arrays["u_lam"].shape[0]
+    for name, shape in param_shapes(d, m_h, m_a).items():
+        assert arrays[name].shape == shape, (name, arrays[name].shape, shape)
+    vec = np.concatenate([arr.ravel() for arr in arrays.values()])
+    return NdoParams.from_vector(d, m_h, m_a, vec)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -111,15 +132,16 @@ def evaluate(params: NdoParams) -> SimpleNamespace:
 
 def a_entry(params: NdoParams, v: int, vp: int) -> complex:
     """Log density entry A(v, v') for basis indices v, v'."""
-    hs_l_v = softplus(params.w_lam[:, v] + params.c_lam).sum()
-    hs_l_vp = softplus(params.w_lam[:, vp] + params.c_lam).sum()
-    hs_m_v = softplus(params.w_mu[:, v] + params.c_mu).sum()
-    hs_m_vp = softplus(params.w_mu[:, vp] + params.c_mu).sum()
-    gamma_plus = 0.5 * (hs_l_v + hs_l_vp + params.b_lam[v] + params.b_lam[vp])
-    gamma_minus = 0.5 * (hs_m_v - hs_m_vp + params.b_mu[v] - params.b_mu[vp])
+    blk = blocks(params)
+    hs_l_v = softplus(blk["w_lam"][:, v] + blk["c_lam"]).sum()
+    hs_l_vp = softplus(blk["w_lam"][:, vp] + blk["c_lam"]).sum()
+    hs_m_v = softplus(blk["w_mu"][:, v] + blk["c_mu"]).sum()
+    hs_m_vp = softplus(blk["w_mu"][:, vp] + blk["c_mu"]).sum()
+    gamma_plus = 0.5 * (hs_l_v + hs_l_vp + blk["b_lam"][v] + blk["b_lam"][vp])
+    gamma_minus = 0.5 * (hs_m_v - hs_m_vp + blk["b_mu"][v] - blk["b_mu"][vp])
     z = (
-        0.5 * (params.u_lam[:, v] + params.u_lam[:, vp])
-        + 0.5j * (params.u_mu[:, v] - params.u_mu[:, vp])
+        0.5 * (blk["u_lam"][:, v] + blk["u_lam"][:, vp])
+        + 0.5j * (blk["u_mu"][:, v] - blk["u_mu"][:, vp])
         + params.d_lam
     ).astype(np.complex128)
     return complex(gamma_plus + 1j * gamma_minus + softplus_c(z).sum())
@@ -135,10 +157,11 @@ def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
     g = np.zeros(off["total"], dtype=np.complex128)
     rows_h = np.arange(m_h) * d
     rows_a = np.arange(m_a) * d
-    sig_l_v = logistic(params.w_lam[:, v] + params.c_lam)
-    sig_l_vp = logistic(params.w_lam[:, vp] + params.c_lam)
-    sig_m_v = logistic(params.w_mu[:, v] + params.c_mu)
-    sig_m_vp = logistic(params.w_mu[:, vp] + params.c_mu)
+    blk = blocks(params)
+    sig_l_v = logistic(blk["w_lam"][:, v] + blk["c_lam"])
+    sig_l_vp = logistic(blk["w_lam"][:, vp] + blk["c_lam"])
+    sig_m_v = logistic(blk["w_mu"][:, v] + blk["c_mu"])
+    sig_m_vp = logistic(blk["w_mu"][:, vp] + blk["c_mu"])
     g[off["w_lam"] + rows_h + v] += 0.5 * sig_l_v
     g[off["w_lam"] + rows_h + vp] += 0.5 * sig_l_vp
     g[off["w_mu"] + rows_h + v] += 0.5j * sig_m_v
@@ -151,8 +174,8 @@ def grad_a(params: NdoParams, v: int, vp: int) -> np.ndarray:
     g[off["b_mu"] + vp] -= 0.5j
     s = logistic_c(
         (
-            0.5 * (params.u_lam[:, v] + params.u_lam[:, vp])
-            + 0.5j * (params.u_mu[:, v] - params.u_mu[:, vp])
+            0.5 * (blk["u_lam"][:, v] + blk["u_lam"][:, vp])
+            + 0.5j * (blk["u_mu"][:, v] - blk["u_mu"][:, vp])
             + params.d_lam
         ).astype(np.complex128)
     )
@@ -169,9 +192,7 @@ def nearly_pure_subnormal(d: int, m_h: int, m_a: int) -> NdoParams:
     sit in the subnormal range (exp(-720) ~ 1e-313) and whose other
     populations underflow to zero."""
     base = ndo.init_params(d, m_h, m_a, scale=0.3, seed=2)
-    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
-    arrays["b_lam"] = np.concatenate([[0.0], -1440.0 - np.arange(d - 1)])
-    return NdoParams(**arrays)
+    return from_blocks({**blocks(base), "b_lam": np.concatenate([[0.0], -1440.0 - np.arange(d - 1)])})
 
 
 def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
@@ -190,10 +211,11 @@ def purification_oracle(params: NdoParams, max_ancilla: int = 12) -> np.ndarray:
     confs = (
         (np.arange(2 ** params.m_a)[:, None] >> np.arange(params.m_a)[None, :]) & 1
     ).astype(float)
-    hs_lam = softplus(params.w_lam + params.c_lam[:, None]).sum(axis=0)
-    hs_mu = softplus(params.w_mu + params.c_mu[:, None]).sum(axis=0)
-    log_p_lam = hs_lam[None, :] + confs @ params.u_lam + params.b_lam[None, :] + (confs @ params.d_lam)[:, None]
-    log_p_mu = hs_mu[None, :] + confs @ params.u_mu + params.b_mu[None, :]
+    blk = blocks(params)
+    hs_lam = softplus(blk["w_lam"] + blk["c_lam"][:, None]).sum(axis=0)
+    hs_mu = softplus(blk["w_mu"] + blk["c_mu"][:, None]).sum(axis=0)
+    log_p_lam = hs_lam[None, :] + confs @ blk["u_lam"] + blk["b_lam"][None, :] + (confs @ params.d_lam)[:, None]
+    log_p_mu = hs_mu[None, :] + confs @ blk["u_mu"] + blk["b_mu"][None, :]
     shift = log_p_lam.max()  # cancels in the trace normalization
     psi = np.exp(0.5 * (log_p_lam - shift) + 0.5j * log_p_mu)
     rho = psi.T @ psi.conj()
@@ -274,14 +296,14 @@ def contract_full(ev, e_mat: np.ndarray) -> np.ndarray:
     sig_lam, sig_mu = ev.sig
     row_u = np.einsum("iab,ab->ia", s_pair, e_mat)
     col_u = np.einsum("iab,ab->ib", s_pair, e_mat)
-    blocks = {
+    grads = {
         "w_lam": sig_lam * plus, "w_mu": sig_mu * minus,
         "u_lam": 0.5 * (row_u + col_u), "u_mu": 0.5j * (row_u - col_u),
         "b_lam": plus, "b_mu": minus,
         "c_lam": sig_lam @ plus, "c_mu": sig_mu @ minus,
         "d_lam": np.einsum("iab,ab->i", s_pair, e_mat),
     }
-    return np.concatenate([blocks[name].ravel() for name in ndo.ARRAY_NAMES])
+    return np.concatenate([grads[name].ravel() for name in BLOCK_NAMES])
 
 
 def rho_jacobian(params: NdoParams) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwndo import cli, fileio, measurement, ndo
+from qwndo import cli, fileio, measurement, metrics, ndo, walk
 
 
 def run(argv):
@@ -206,6 +206,15 @@ class TestTrainAndEvaluate:
         err = capsys.readouterr().err
         assert f"state file {hadamard_state} has N=2 but dataset {ds} has N=1" in err
         assert "--steps" not in err
+
+    def test_evaluate_odd_checkpoint_against_dataset_names_both_files(self, tmp_path, capsys):
+        """dim 3 is no 2(N+1): it matches no dataset, also not one at N = dim // 2 - 1 = 0."""
+        ckpt, ds = tmp_path / "odd.ckpt", tmp_path / "ds0.json"
+        ndo.save_checkpoint(ndo.init_params(3, 1, 1), ckpt)
+        measurement.save_dataset(measurement.generate_dataset(np.eye(2) / 2, 0), ds)
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {ckpt} has dimension 3 but dataset {ds} has N=0, dimension 2" in err
 
     def test_evaluate_non_physical_reference(self, tmp_path, hadamard_state, capsys):
         bad = tmp_path / "bad.state"
@@ -430,6 +439,18 @@ class TestReproduce:
             deltas, [0, np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi], atol=1e-12
         )
         assert (out_dir / "summary.txt").exists()
+
+    def test_fig4_fits_at_max_steps(self, tmp_path):
+        """--max-steps sets fig4's N: each row's theory purity is the N=1 dephasing walk's."""
+        out_dir = tmp_path / "fig4"
+        assert run(["reproduce", "fig4", "--max-steps", "1", "--samples", "1", "--max-iters", "20",
+                    "--out-dir", str(out_dir)]) == 0
+        rows = [line.split(",") for line in (out_dir / "fig4_purity.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(cli.DELTA_BETA_PRESET)
+        for row, db in zip(rows, cli.DELTA_BETA_PRESET):
+            rho = walk.evolve(walk.WalkConfig(1, (np.pi / 4,), noise="dephasing", delta_beta=db))
+            assert rho.shape == (4, 4)
+            assert float(row[1]) == metrics.purity(rho)
 
     def test_fig3_structure(self, tmp_path):
         out_dir = tmp_path / "fig3"

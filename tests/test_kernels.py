@@ -70,21 +70,20 @@ def wide_ancilla(d, m_h, m_a):
     """Random weights at scale 1 with ancilla weights and biases near +-800,
     where every exp of the ancilla terms overflows or underflows unless it is
     taken of the argument with non-positive real part."""
-    base = ndo.init_params(d, m_h, m_a, scale=1.0, seed=11)
-    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
+    arrays = oracles.blocks(ndo.init_params(d, m_h, m_a, scale=1.0, seed=11))
     rng = np.random.default_rng(12)
     for name in ("u_lam", "u_mu", "d_lam"):
         arrays[name] = 800.0 * rng.choice([-1.0, 1.0], arrays[name].shape) + arrays[name]
-    return ndo.NdoParams(**arrays)
+    return oracles.from_blocks(arrays)
 
 
 def phases_only(d, m_h, m_a):
     """The mixed start with every array but the phase-network ancilla weights
     zeroed: Re z == 0 on every ancilla argument, and Im z != 0 off the diagonal."""
-    base = ndo.mixed_init_params(d, m_h, m_a, seed=0)
-    arrays = {name: np.zeros_like(getattr(base, name)) for name in ndo.ARRAY_NAMES}
-    arrays["u_mu"] = base.u_mu
-    return ndo.NdoParams(**arrays)
+    mixed = oracles.blocks(ndo.mixed_init_params(d, m_h, m_a, seed=0))
+    arrays = {name: np.zeros_like(arr) for name, arr in mixed.items()}
+    arrays["u_mu"] = mixed["u_mu"]
+    return oracles.from_blocks(arrays)
 
 
 class TestUpperPairKernel:
@@ -141,9 +140,10 @@ def ancilla_params(z):
     """d = 2 and no hidden units, with ancilla i's argument z[i] on the pair (0, 1):
     A(0, 1) is the ancilla sum of softplus(z), and s_upper[:, 2] its logistic."""
     z = np.asarray(z, dtype=complex)
-    zeros = np.zeros((0, 2))
-    return ndo.NdoParams(zeros, zeros, np.zeros((z.size, 2)), np.stack([z.imag, -z.imag], axis=1),
-                         np.zeros(2), np.zeros(2), np.zeros(0), np.zeros(0), z.real)
+    arrays = {name: np.zeros(shape) for name, shape in kernels.param_shapes(2, 0, z.size).items()}
+    arrays["u_mu"] = np.stack([z.imag, -z.imag], axis=1)
+    arrays["d_lam"] = z.real
+    return oracles.from_blocks(arrays)
 
 
 def ancilla_term(z):
@@ -164,8 +164,9 @@ def definitional_a(params):
 def definitional_s_upper(params):
     """The complex logistic of every ancilla argument on the upper pairs, each with its own exp."""
     al, be = kernels._upper_pairs(params.dim)
-    z = (0.5 * (params.u_lam[:, al] + params.u_lam[:, be]) + params.d_lam[:, None]
-         + 0.5j * (params.u_mu[:, al] - params.u_mu[:, be]))
+    u_lam, u_mu = params.u
+    z = (0.5 * (u_lam[:, al] + u_lam[:, be]) + params.d_lam[:, None]
+         + 0.5j * (u_mu[:, al] - u_mu[:, be]))
     return oracles.logistic_c(z)
 
 

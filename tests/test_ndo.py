@@ -1,7 +1,7 @@
 """Closed-form density operator vs the brute-force purification, and its gradient."""
 
-import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +10,10 @@ import scipy.linalg
 from qwndo import ndo
 from qwndo.kernels import param_offsets, param_shapes
 
-from oracles import a_entry, eager_caches, grad_a, purification_oracle
+from oracles import a_entry, blocks, eager_caches, from_blocks, grad_a, purification_oracle
+
+STACKED_VIEWS = ("w", "u", "b", "c", "d_lam")
+DATA = Path(__file__).parent / "data"
 
 
 def finite_diff_a(params, v, vp, h=1e-6):
@@ -32,7 +35,7 @@ class TestParams:
     def test_vector_round_trip(self):
         params = ndo.init_params(6, 4, 3, scale=0.7, seed=2)
         again = ndo.NdoParams.from_vector(6, 4, 3, params.to_vector())
-        for name in ndo.ARRAY_NAMES:
+        for name in STACKED_VIEWS:
             np.testing.assert_array_equal(getattr(params, name), getattr(again, name))
 
     def test_param_count(self):
@@ -46,6 +49,17 @@ class TestParams:
         b = ndo.init_params(4, 3, 3, seed=9)
         np.testing.assert_array_equal(a.to_vector(), b.to_vector())
 
+    def test_equality_is_identity(self):
+        a = ndo.init_params(4, 3, 2, seed=1)
+        b = ndo.init_params(4, 3, 2, seed=1)
+        assert a == a and a != b and len({a, b}) == 2
+        assert np.array_equal(a.to_vector(), b.to_vector())
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -0.5])
+    def test_init_rejects_non_finite_or_negative_scale(self, scale):
+        with pytest.raises(ValueError, match=f"scale must be finite and >= 0, got {scale}"):
+            ndo.init_params(4, 3, 2, scale=scale)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ndo.NdoParams.from_vector(2, 1, 1, np.full(ndo.n_params(2, 1, 1), np.nan))
@@ -58,42 +72,25 @@ class TestParams:
 
     def test_from_vector_wraps_read_only_views_of_one_copy(self):
         vec = ndo.init_params(4, 3, 2, scale=0.5, seed=1).to_vector()
+        vec_before = vec.copy()
         params = ndo.NdoParams.from_vector(4, 3, 2, vec)
         vec[:] = 0.0  # the caller's array is not shared
         np.testing.assert_array_equal(params.to_vector(), ndo.init_params(4, 3, 2, scale=0.5, seed=1).to_vector())
-        base = params.w_lam.base
+        base = params.w.base
         assert base is not None and base.shape == vec.shape
-        for name in ndo.ARRAY_NAMES:
+        for name in STACKED_VIEWS:
             arr = getattr(params, name)
             assert arr.base is base and not arr.flags.writeable
+        off = param_offsets(4, 3, 2)
+        for name, shape in param_shapes(4, 3, 2).items():
+            block = vec_before[off[name] : off[name] + math.prod(shape)].reshape(shape)
+            assert np.array_equal(blocks(params)[name], block)
 
-    def test_from_vector_forms_per_block_views_on_first_read(self):
-        d, m_h, m_a = 4, 3, 2
-        params = ndo.NdoParams.from_vector(d, m_h, m_a, ndo.init_params(d, m_h, m_a, scale=0.5).to_vector())
-        per_block = set(ndo.ARRAY_NAMES) - {"d_lam"}
-        assert not per_block & set(vars(params))
-        off = param_offsets(d, m_h, m_a)
-        for name, shape in param_shapes(d, m_h, m_a).items():
-            arr = getattr(params, name)
-            assert name in vars(params) and getattr(params, name) is arr
-            assert np.shares_memory(arr, params._vector) and not arr.flags.writeable
-            eager = params.to_vector()[off[name] : off[name] + math.prod(shape)].reshape(shape)
-            assert arr.shape == shape and np.array_equal(arr, eager)
-        with pytest.raises(AttributeError, match="no attribute 'w_nu'"):
-            params.w_nu
-
-    def test_replace_and_constructor_still_validate(self):
-        params = ndo.NdoParams.from_vector(4, 3, 2, ndo.init_params(4, 3, 2).to_vector())
-        b_lam = np.array([0.5, 0.0, 0.0, 0.0])
-        again = dataclasses.replace(params, b_lam=b_lam)
-        assert np.array_equal(again.b_lam, b_lam) and np.array_equal(again.u_mu, params.u_mu)
-        with pytest.raises(ValueError, match="b_lam contains non-finite entries"):
-            dataclasses.replace(params, b_lam=np.array([0.0, np.nan, 0.0, 0.0]))
-        with pytest.raises(ValueError, match=r"u_mu has shape \(3, 4\), expected \(2, 4\)"):
-            dataclasses.replace(params, u_mu=np.zeros((3, 4)))
-        arrays = {name: getattr(params, name) for name in ndo.ARRAY_NAMES}
-        with pytest.raises(ValueError, match="c_lam is not a numeric array"):
-            ndo.NdoParams(**{**arrays, "c_lam": "abc"})
+    def test_from_vector_is_the_only_constructor(self):
+        params = ndo.init_params(4, 3, 2)
+        with pytest.raises(TypeError):
+            ndo.NdoParams(**blocks(params))
+        assert not hasattr(params, "__dict__") and not hasattr(params, "w_lam")
 
     @pytest.mark.parametrize("d, m_a", [(2, 1), (4, 3), (12, 15), (12, 16), (22, 40), (62, 15)])
     def test_mixed_init_signs_are_a_sylvester_hadamard_slice(self, d, m_a):
@@ -103,9 +100,10 @@ class TestParams:
         signs = scipy.linalg.hadamard(order)[1 : d + 1, 1 : m_a + 1].T
         base = ndo.init_params(d, 3, m_a, seed=4)
         mixed = ndo.mixed_init_params(d, 3, m_a, seed=4)
-        assert np.array_equal(mixed.u_mu, base.u_mu + ndo.MIXING_PHASE * signs)
-        for name in set(ndo.ARRAY_NAMES) - {"u_mu"}:
-            assert np.array_equal(getattr(mixed, name), getattr(base, name))
+        mixed, base = blocks(mixed), blocks(base)
+        assert np.array_equal(mixed["u_mu"], base["u_mu"] + ndo.MIXING_PHASE * signs)
+        for name in set(mixed) - {"u_mu"}:
+            assert np.array_equal(mixed[name], base[name])
 
     def test_default_scale_near_uniform_projector(self):
         d = 6
@@ -158,11 +156,7 @@ class TestLogZ:
     def test_visible_bias_shift(self):
         params = ndo.init_params(4, 3, 3, scale=0.5, seed=7)
         kappa = 0.7
-        shifted = ndo.NdoParams(
-            w_lam=params.w_lam, w_mu=params.w_mu, u_lam=params.u_lam, u_mu=params.u_mu,
-            b_lam=params.b_lam + kappa, b_mu=params.b_mu,
-            c_lam=params.c_lam, c_mu=params.c_mu, d_lam=params.d_lam,
-        )
+        shifted = from_blocks({**blocks(params), "b_lam": params.b[0] + kappa})
         assert ndo.evaluate(shifted).log_z == pytest.approx(ndo.evaluate(params).log_z + kappa, abs=1e-10)
 
     def test_trace_one_for_random_params(self):
@@ -264,8 +258,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         ndo.save_checkpoint(params, path)
         loaded = ndo.load_checkpoint(path)
-        for name in ndo.ARRAY_NAMES:
-            np.testing.assert_array_equal(getattr(params, name), getattr(loaded, name))
+        np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
 
     @pytest.mark.parametrize("m_h,m_a", [(3, 0), (0, 3), (0, 0)])
     def test_round_trip_zero_units(self, tmp_path, m_h, m_a):
@@ -290,6 +283,34 @@ class TestCheckpoint:
         ndo.save_checkpoint(ndo.init_params(5, 2, 2), path)
         doc = json.loads(path.read_text())
         doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            ndo.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,units,seed", [("checkpoint_d4_h2_a2.json", 2, 3),
+                                                 ("checkpoint_d4_h0_a2.json", 0, 4)])
+    def test_committed_file_loads_and_rewrites_byte_for_byte(self, tmp_path, name, units, seed):
+        """The committed files were written from `init_params(4, units, 2, scale=0.5, seed=seed)`;
+        the one with no hidden units keeps its empty arrays as []."""
+        committed = DATA / name
+        loaded = ndo.load_checkpoint(committed)
+        expected = ndo.init_params(4, units, 2, scale=0.5, seed=seed).to_vector()
+        assert (loaded.dim, loaded.m_h, loaded.m_a) == (4, units, 2)
+        assert np.array_equal(loaded.to_vector(), expected)
+        ndo.save_checkpoint(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == committed.read_bytes()
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("b_lam", [0.0, float("nan"), 0.0, 0.0], "checkpoint array b_lam contains non-finite entries"),
+        ("u_mu", np.zeros((3, 4)).tolist(), r"checkpoint array u_mu has shape \(3, 4\), expected \(2, 4\)"),
+        ("c_lam", ["a", "b"], "checkpoint array c_lam is not a numeric array"),
+    ])
+    def test_bad_array_rejected_naming_it(self, tmp_path, name, value, message):
+        import json
+
+        doc = json.loads((DATA / "checkpoint_d4_h2_a2.json").read_text())
+        doc["arrays"][name] = value
+        path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             ndo.load_checkpoint(path)

@@ -61,10 +61,9 @@ def wide_range(d, m_h, m_a, seed):
     """Random weights at scale 0.8 with the last two visible biases at -920 and
     -1340: those two populations underflow to zero, and their coherences with
     the other basis states sit near 1e-200 and 1e-291."""
-    base = ndo.init_params(d, m_h, m_a, scale=0.8, seed=seed)
-    arrays = {name: getattr(base, name) for name in ndo.ARRAY_NAMES}
+    arrays = oracles.blocks(ndo.init_params(d, m_h, m_a, scale=0.8, seed=seed))
     arrays["b_lam"] = np.concatenate([arrays["b_lam"][:-2], [-920.0, -1340.0]])
-    return ndo.NdoParams(**arrays)
+    return oracles.from_blocks(arrays)
 
 
 def reference_basis_only(n_steps):
@@ -241,7 +240,8 @@ class TestMetric:
         # tr K = 0; a Cholesky of lam I = 0 would raise, so the identity
         # fallback applies, and J_r^T e is the zero gradient
         base = ndo.init_params(6, 3, 3, scale=0.5, seed=1)
-        params = dataclasses.replace(base, b_lam=np.where(np.arange(6) == 2, 1600.0, base.b_lam))
+        params = oracles.from_blocks(
+            {**oracles.blocks(base), "b_lam": np.where(np.arange(6) == 2, 1600.0, base.b[0])})
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
         obj = training._NdoObjective(ds, bases, 6, 3, 3)
         ev, e = obj.metric(params.to_vector())
