@@ -30,7 +30,7 @@ DELTA_BETA_PRESET = (0.0, np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi)
 
 
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=1, default=float))
     else:
         for key, value in payload.items():
@@ -101,11 +101,17 @@ def _check_steps(flag_steps, file_steps: int, what: str) -> None:
 
 
 def _load_fit_inputs(args):
-    """The --dataset checked against --steps, its basis tables and the --target state or None."""
+    """The --dataset checked against --steps, its basis tables and the --target
+    state or None, checked against the dataset before any fit runs."""
     ds = measurement.load_dataset(args.dataset)
     _check_steps(args.steps, ds.n_steps, f"dataset {args.dataset}")
     bases = measurement.all_basis_unitaries(ds.n_steps)
-    target = fileio.load_state(args.target)[0] if args.target else None
+    target = None
+    if args.target:
+        target, target_steps = fileio.load_state(args.target)
+        if target_steps != ds.n_steps:
+            raise ValueError(f"state file {args.target} has N={target_steps} "
+                             f"but dataset {args.dataset} has N={ds.n_steps}")
     return ds, bases, target
 
 
@@ -211,7 +217,10 @@ def cmd_evaluate(args) -> int:
         source = f"state file {args.state} has N={n_steps}"
     summary: dict = {"dim": rho.shape[0], "purity": metrics.purity(rho)}
     if args.reference:
-        ref, _ = fileio.load_state(args.reference)
+        ref, ref_steps = fileio.load_state(args.reference)
+        if rho.shape != ref.shape:
+            raise ValueError(f"{source} but reference {args.reference} has N={ref_steps}, "
+                             f"dimension {ref.shape[0]}")
         summary["fidelity"] = metrics.fidelity(rho, ref)
         summary["purity_error"] = metrics.purity_error(rho, ref)
     if args.dataset:
@@ -256,7 +265,7 @@ def cmd_bench_opt(args) -> int:
     return 0
 
 
-def _fit_instance(rho, n_steps, m, args, run_maxlik=True, seed=0):
+def _fit_instance(rho, n_steps, m, args, seed, run_maxlik=True):
     """Exact dataset from rho, NDO fit with m + m units, optional MaxLik fit; returns metrics."""
     ds = measurement.generate_dataset(rho, n_steps)
     bases = measurement.all_basis_unitaries(n_steps)
@@ -375,12 +384,12 @@ def _add_size_flags(sp) -> None:
         sp.add_argument(flag, type=int, help=f"{unit} units (default 10; 15 for open noise)")
 
 
-def _add_dataset_flags(sp, steps_help: str | None = None, csv_help: str | None = None) -> None:
+def _add_dataset_flags(sp) -> None:
     """The input and report flags of the subcommands that fit a dataset."""
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--steps", type=int, help=steps_help)
+    sp.add_argument("--steps", type=int, help="expected N (checked against the dataset)")
     sp.add_argument("--report", help="training report JSON to write")
-    sp.add_argument("--report-csv", help=csv_help)
+    sp.add_argument("--report-csv", help="per-iteration trace CSV to write")
     sp.add_argument("--target", help="reference state file for final metrics")
 
 
@@ -412,8 +421,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--out", required=True, help="dataset file to write")
 
     sp = add("train", cmd_train, "fit the network ansatz: L-BFGS from a mixed start, then GNGD")
-    _add_dataset_flags(sp, steps_help="expected N (checked against the dataset)",
-                       csv_help="per-iteration trace CSV to write")
+    _add_dataset_flags(sp)
     _add_fit_flags(sp, max_iters=2000)
     _add_size_flags(sp)
     sp.add_argument("--noise", choices=walk.NOISE_KINDS, default="none",

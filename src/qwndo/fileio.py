@@ -3,7 +3,7 @@
 State files, datasets (`measurement`), checkpoints (`ndo`), training
 reports (`training`) and config files (`cli`) all go through `read_json`
 and `write_json`, and versioned files read their header fields through
-`require`, so a malformed file fails the same way whatever its kind.
+`require`, so a malformed file fails the same way, a ValueError, whatever its kind.
 """
 
 from __future__ import annotations
@@ -17,25 +17,25 @@ from .walk import validate_density_matrix
 STATE_FORMAT_VERSION = 1
 
 
-def read_json(path, kind: str, error: type[ValueError] = ValueError) -> dict:
-    """The JSON object in `path`; `error` names `kind` when the file is not one."""
+def read_json(path, kind: str) -> dict:
+    """The JSON object in `path`; a ValueError names `kind` when the file is not one."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise error(f"{kind} {path} is not valid JSON: {exc}") from exc
+            raise ValueError(f"{kind} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise error(f"{kind} {path} must hold a JSON object at the top level")
+        raise ValueError(f"{kind} {path} must hold a JSON object at the top level")
     return doc
 
 
-def require(doc: dict, field: str, kind, what: str, error: type[ValueError] = ValueError):
-    """doc[field] of type `kind` (a JSON boolean is no integer), else `error` naming `what`."""
+def require(doc: dict, field: str, kind, what: str):
+    """doc[field] of type `kind` (a JSON boolean is no integer), else a ValueError naming `what`."""
     if field not in doc:
-        raise error(f"{what} missing field {field!r}")
+        raise ValueError(f"{what} missing field {field!r}")
     value = doc[field]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise error(f"{what} field {field!r} has wrong type {type(value).__name__}")
+        raise ValueError(f"{what} field {field!r} has wrong type {type(value).__name__}")
     return value
 
 

@@ -72,10 +72,10 @@ def rho_from_t(t_params: np.ndarray) -> np.ndarray:
     return _t_state(t_params)[0]
 
 
-def init_t_params(d: int, seed: int = 0, scale: float = 0.1) -> np.ndarray:
-    """Uniform [-scale, scale] draw with the diagonal offset by 1, away from zero trace."""
+def init_t_params(d: int, seed: int = 0) -> np.ndarray:
+    """Uniform [-0.1, 0.1] draw with the diagonal offset by 1, away from zero trace."""
     rng = np.random.default_rng(seed)
-    params = rng.uniform(-scale, scale, d * d)
+    params = rng.uniform(-0.1, 0.1, d * d)
     params[:d] += 1.0
     return params
 

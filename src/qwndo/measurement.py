@@ -37,10 +37,6 @@ CLAMP_TOL = 1e-12  # roundoff negatives are zeroed; anything worse is a bug
 DATASET_FORMAT_VERSION = 1
 
 
-class DatasetFormatError(ValueError):
-    """Raised when a dataset file does not follow the expected schema."""
-
-
 def n_bases(n_steps: int) -> int:
     """Number of measurement bases, 2*(N+1)+1."""
     return 2 * (n_steps + 1) + 1
@@ -259,47 +255,43 @@ def save_dataset(ds: MeasurementDataset, path) -> None:
 
 def load_dataset(path) -> MeasurementDataset:
     """Read a dataset file, validating schema and basis completeness."""
-    doc = fileio.read_json(path, "dataset", DatasetFormatError)
-    require = functools.partial(fileio.require, what="dataset", error=DatasetFormatError)
-    version = require(doc, "format_version", int)
+    doc = fileio.read_json(path, "dataset")
+    version = fileio.require(doc, "format_version", int, "dataset")
     if version != DATASET_FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported format_version {version}")
-    n_steps = require(doc, "n_steps", int)
+        raise ValueError(f"unsupported format_version {version}")
+    n_steps = fileio.require(doc, "n_steps", int, "dataset")
     if n_steps < 0:
-        raise DatasetFormatError(f"field 'n_steps' must be >= 0, got {n_steps}")
-    bases = require(doc, "bases", list)
+        raise ValueError(f"field 'n_steps' must be >= 0, got {n_steps}")
+    bases = fileio.require(doc, "bases", list, "dataset")
     expected = n_bases(n_steps)
     entries = {}
     for entry in bases:
         if not isinstance(entry, dict):
-            raise DatasetFormatError("each basis entry must be an object")
-        idx = require(entry, "index", int)
+            raise ValueError("each basis entry must be an object")
+        idx = fileio.require(entry, "index", int, "dataset")
         if not 0 <= idx < expected:
-            raise DatasetFormatError(f"basis index {idx} out of range")
+            raise ValueError(f"basis index {idx} out of range")
         if idx in entries:
-            raise DatasetFormatError(f"duplicate basis n={idx}")
+            raise ValueError(f"duplicate basis n={idx}")
         entries[idx] = entry
     # checked before the (n_bases, d) array exists, whose size n_steps alone sets
     missing = next((n for n in range(expected) if n not in entries), None)
     if missing is not None:
-        raise DatasetFormatError(
+        raise ValueError(
             f"missing basis n={missing}: field 'n_steps' = {n_steps} needs {expected} bases, "
             f"the file has {len(bases)}"
         )
     d = 2 * (n_steps + 1)
     probs = np.empty((expected, d))
     for idx, entry in entries.items():
-        vec = require(entry, "probs", list)
+        vec = fileio.require(entry, "probs", list, "dataset")
         if len(vec) != d:
-            raise DatasetFormatError(f"basis n={idx}: expected {d} probabilities, got {len(vec)}")
+            raise ValueError(f"basis n={idx}: expected {d} probabilities, got {len(vec)}")
         try:
             probs[idx] = [float(p) for p in vec]
         except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"basis n={idx}: non-numeric 'probs' entry") from exc
+            raise ValueError(f"basis n={idx}: non-numeric 'probs' entry") from exc
         if not np.all(np.isfinite(probs[idx])):
-            raise DatasetFormatError(f"basis n={idx}: non-finite 'probs' entry")
-    try:
-        return MeasurementDataset(n_steps=n_steps, probs=probs, shots=doc.get("shots"),
-                                  seed=doc.get("seed"))
-    except ValueError as exc:
-        raise DatasetFormatError(str(exc)) from exc
+            raise ValueError(f"basis n={idx}: non-finite 'probs' entry")
+    return MeasurementDataset(n_steps=n_steps, probs=probs, shots=doc.get("shots"),
+                              seed=doc.get("seed"))

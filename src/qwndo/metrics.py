@@ -52,9 +52,9 @@ def purity_error(rho: np.ndarray, target: np.ndarray) -> float:
 
 
 def classical_similarity(a, b) -> float:
-    """Mean Bhattacharyya overlap of two datasets: sum sqrt(Pa*Pb) / n_bases."""
-    pa = np.asarray(a.probs if hasattr(a, "probs") else a, dtype=float)
-    pb = np.asarray(b.probs if hasattr(b, "probs") else b, dtype=float)
+    """Mean Bhattacharyya overlap of two `MeasurementDataset`s' outcome
+    distributions `probs`: sum sqrt(Pa*Pb) / n_bases."""
+    pa, pb = a.probs, b.probs
     if pa.shape != pb.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
     return float(np.sum(np.sqrt(pa * pb)) / pa.shape[0])

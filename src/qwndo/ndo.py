@@ -64,10 +64,6 @@ class NdoParams:
     def m_a(self) -> int:
         return self.u.shape[1]
 
-    @property
-    def n_params(self) -> int:
-        return self._vector.size
-
     def to_vector(self) -> np.ndarray:
         """A copy of the optimizer's parameter vector (row-major matrices)."""
         return self._vector.copy()
@@ -105,25 +101,26 @@ def _views(d: int, m_h: int, m_a: int) -> tuple[tuple[int, int, tuple[int, ...]]
     return (*stacked, (off["d_lam"], off["total"], (m_a,)))
 
 
-def init_params(d: int, m_h: int, m_a: int, scale: float = 0.01, seed: int = 0) -> NdoParams:
-    """Parameters drawn i.i.d. uniform on [-scale, scale].
-
-    Near theta = 0 every log density entry is equal, so this start is close
-    to the pure uniform superposition J/d.
-    """
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValueError(f"scale must be finite and >= 0, got {scale}")
-    rng = np.random.default_rng(seed)
-    return NdoParams.from_vector(
-        d, m_h, m_a, rng.uniform(-scale, scale, n_params(d, m_h, m_a))
-    )
-
+# Half-width of the uniform draw of `init_params`.
+INIT_SCALE = 0.01
 
 # Phase-network ancilla weight of the mixed start. Two basis states whose
 # weights differ in sign see the ancilla factor 1 + exp(i*3*pi/4): it scales
 # their coherence by |cos(3*pi/8)| = 0.38 and stays a quarter of pi from the
 # branch point i*pi of the complex softplus, where the log density diverges.
 MIXING_PHASE = 3.0 * np.pi / 4.0
+
+
+def init_params(d: int, m_h: int, m_a: int, seed: int = 0) -> NdoParams:
+    """Parameters drawn i.i.d. uniform on [-INIT_SCALE, INIT_SCALE].
+
+    Near theta = 0 every log density entry is equal, so this start is close
+    to the pure uniform superposition J/d.
+    """
+    rng = np.random.default_rng(seed)
+    return NdoParams.from_vector(
+        d, m_h, m_a, rng.uniform(-INIT_SCALE, INIT_SCALE, n_params(d, m_h, m_a))
+    )
 
 
 def mixed_init_params(d: int, m_h: int, m_a: int, seed: int = 0) -> NdoParams:
@@ -149,23 +146,24 @@ def mixed_init_params(d: int, m_h: int, m_a: int, seed: int = 0) -> NdoParams:
     return NdoParams.from_vector(d, m_h, m_a, vec)
 
 
-def _normalize(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """The state exp(A) / Z and log Z = log sum_v exp(A(v, v)), as a log-sum-exp."""
+def _normalize(a: np.ndarray) -> np.ndarray:
+    """The state exp(A) / Z, with log Z = log sum_v exp(A(v, v)) taken as a log-sum-exp."""
     diag = a.diagonal().real
     peak = diag.max()
     lz = float(peak + np.log(np.exp(diag - peak).sum()))
-    return np.exp(a - lz), lz
+    return np.exp(a - lz)
 
 
 def density_matrix(params: NdoParams) -> np.ndarray:
     """The normalized state exp(A) / Z; Hermitian, unit trace and PSD by construction."""
     a = kernels.pair_cache(params.w, params.u, params.b, params.c, params.d_lam)[0]
-    return _normalize(a)[0]
+    return _normalize(a)
 
 
 @dataclass(frozen=True)
 class NdoEval:
-    """One-pass evaluation of everything the cost, gradient and metric reuse.
+    """One-pass evaluation of everything the cost, gradient and metric reuse;
+    A and log Z, which only the state reads, are not kept.
 
     The logistic caches are formed on first use from the factors that
     `kernels.pair_cache` already evaluated, so a point that only needs its
@@ -176,9 +174,7 @@ class NdoEval:
     and the Jacobian reference all read these two layouts.
     """
 
-    a: np.ndarray          # (d, d) complex log density entries, exact mod 2 pi i
     rho: np.ndarray        # (d, d) complex state
-    log_z: float
     x: np.ndarray          # (2, m_h, d) hidden pre-activations W + c, lam then mu
     t_x: np.ndarray        # exp(-|x|)
     pos: np.ndarray        # (m_a, d(d+1)/2) Re z > 0 of the ancilla argument z per upper pair
@@ -201,8 +197,7 @@ class NdoEval:
 def evaluate(params: NdoParams) -> NdoEval:
     """Compute the state plus the factors of the gradient caches in one pass."""
     a, *factors = kernels.pair_cache(params.w, params.u, params.b, params.c, params.d_lam)
-    rho, lz = _normalize(a)
-    return NdoEval(a, rho, lz, *factors)
+    return NdoEval(_normalize(a), *factors)
 
 
 def save_checkpoint(params: NdoParams, path) -> None:

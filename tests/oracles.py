@@ -68,6 +68,21 @@ def from_blocks(arrays: dict) -> NdoParams:
     return NdoParams.from_vector(d, m_h, m_a, vec)
 
 
+def random_params(d: int, m_h: int, m_a: int, scale: float, seed: int = 0) -> NdoParams:
+    """Parameters drawn i.i.d. uniform on [-scale, scale]: the draw of
+    `ndo.init_params`, whose half-width is `ndo.INIT_SCALE`, at any other."""
+    vec = np.random.default_rng(seed).uniform(-scale, scale, ndo.n_params(d, m_h, m_a))
+    return NdoParams.from_vector(d, m_h, m_a, vec)
+
+
+def random_t_params(d: int, scale: float, seed: int = 0) -> np.ndarray:
+    """The draw of `maxlik.init_t_params`, uniform on [-0.1, 0.1] with the
+    diagonal offset by 1, at the half-width `scale`."""
+    params = np.random.default_rng(seed).uniform(-scale, scale, d * d)
+    params[:d] += 1.0
+    return params
+
+
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
@@ -121,9 +136,13 @@ def pair_cache(w, u, b, c, d_lam):
 
 def evaluate(params: NdoParams) -> SimpleNamespace:
     """`ndo.evaluate` through the full-triangle `pair_cache`, with the logistic
-    caches computed up front; s_upper is read from the full-triangle logistic."""
+    caches computed up front; s_upper is read from the full-triangle logistic.
+    It also keeps A and log Z = log sum_v exp(A(v, v)), the log-sum-exp that
+    normalizes rho, which `ndo.evaluate` does not."""
     a, x, pos, t, w_a = pair_cache(params.w, params.u, params.b, params.c, params.d_lam)
-    rho, log_z = ndo._normalize(a)
+    diag = a.diagonal().real
+    log_z = float(diag.max() + np.log(np.exp(diag - diag.max()).sum()))
+    rho = np.exp(a - log_z)
     al, be = kernels._upper_pairs(params.dim)
     sig = logistic(x)
     return SimpleNamespace(a=a, rho=rho, log_z=log_z, sig=sig,
@@ -191,7 +210,7 @@ def nearly_pure_subnormal(d: int, m_h: int, m_a: int) -> NdoParams:
     """A state dominated by basis state 0 whose coherences with the others
     sit in the subnormal range (exp(-720) ~ 1e-313) and whose other
     populations underflow to zero."""
-    base = ndo.init_params(d, m_h, m_a, scale=0.3, seed=2)
+    base = random_params(d, m_h, m_a, 0.3, seed=2)
     return from_blocks({**blocks(base), "b_lam": np.concatenate([[0.0], -1440.0 - np.arange(d - 1)])})
 
 

@@ -42,7 +42,7 @@ def test_criterion_1_ansatz_equivalence():
     worst = 0.0
     for _ in range(50):
         d = int(rng.integers(4, 9))
-        params = ndo.init_params(d, 3, 3, scale=1.0, seed=int(rng.integers(2**31)))
+        params = oracles.random_params(d, 3, 3, 1.0, seed=int(rng.integers(2**31)))
         closed = ndo.density_matrix(params)
         oracle = oracles.purification_oracle(params)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
@@ -65,7 +65,7 @@ def test_criterion_2_gradient_correctness():
                                           noise="dephasing", delta_beta=db))
         ds = measurement.generate_dataset(rho, n_steps)
         bases = measurement.all_basis_unitaries(n_steps)
-        params = ndo.init_params(d, m_h, m_a, scale=0.5, seed=int(rng.integers(2**31)))
+        params = oracles.random_params(d, m_h, m_a, 0.5, seed=int(rng.integers(2**31)))
         x0 = params.to_vector()
 
         objective = training._NdoObjective(ds, bases, d, m_h, m_a)
@@ -108,8 +108,8 @@ def test_criterion_3_physicality_invariants():
         check(walk.evolve(config))
     for _ in range(120):  # network states at random parameters
         d = 2 * int(rng.integers(2, 7))
-        params = ndo.init_params(d, 4, 4, scale=float(rng.uniform(0.01, 2.0)),
-                                 seed=int(rng.integers(2**31)))
+        params = oracles.random_params(d, 4, 4, float(rng.uniform(0.01, 2.0)),
+                                       seed=int(rng.integers(2**31)))
         check(ndo.density_matrix(params))
     for _ in range(60):  # triangular-parameterization states
         d = 2 * int(rng.integers(2, 7))
@@ -179,7 +179,7 @@ def test_criterion_7_gngd_speedup():
     rho = walk.evolve(walk.WalkConfig(5, (np.pi / 4,) * 5, noise="dephasing", delta_beta=np.pi / 2))
     ds = measurement.generate_dataset(rho, 5)
     bases = measurement.all_basis_unitaries(5)
-    init = ndo.init_params(12, 15, 15, scale=0.01, seed=0)
+    init = ndo.init_params(12, 15, 15, seed=0)
 
     def run(optimizer, max_iters):
         config = TrainConfig(optimizer=optimizer, grad_tol=1e-14, max_iters=max_iters)
@@ -247,7 +247,7 @@ def test_criterion_10_paper_scale_structural(tmp_path):
     round_trip = bool(np.array_equal(loaded.probs, ds.probs))
 
     bases = measurement.all_basis_unitaries(n)
-    params = ndo.init_params(62, 2, 2, scale=0.01, seed=0)
+    params = ndo.init_params(62, 2, 2, seed=0)
     objective = training._NdoObjective(loaded, bases, 62, 2, 2)
     cost = objective.cost(params.to_vector())
     grad = objective.grad(params.to_vector())

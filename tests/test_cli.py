@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwndo import cli, fileio, measurement, metrics, ndo, walk
+from qwndo import cli, fileio, maxlik, measurement, metrics, ndo, training, walk
 
 
 def run(argv):
@@ -216,6 +216,42 @@ class TestTrainAndEvaluate:
         err = capsys.readouterr().err
         assert f"error: checkpoint {ckpt} has dimension 3 but dataset {ds} has N=0, dimension 2" in err
 
+    @pytest.mark.parametrize("kind", ["state", "checkpoint"])
+    def test_evaluate_reference_of_another_dimension_names_both_files(
+            self, tmp_path, hadamard_state, capsys, kind):
+        """An N=1 state or a dim-4 checkpoint against the N=2 reference."""
+        if kind == "state":
+            path = tmp_path / "n1.state"
+            fileio.save_state(np.eye(4) / 4, path)
+            source = f"state file {path} has N=1"
+        else:
+            path = tmp_path / "d4.ckpt"
+            ndo.save_checkpoint(ndo.init_params(4, 1, 1), path)
+            source = f"checkpoint {path} has dimension 4"
+        assert run(["evaluate", f"--{kind}", str(path), "--reference", str(hadamard_state)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {source} but reference {hadamard_state} has N=2, dimension 6" in err
+
+    @pytest.mark.parametrize("command,output", [("train", "--checkpoint"), ("maxlik", "--out-state")])
+    def test_fit_target_of_another_n_fails_before_fitting(
+            self, tmp_path, small_dataset, monkeypatch, capsys, command, output):
+        """An N=1 --target against the N=2 dataset exits 1 before any optimizer
+        runs, naming both files and writing nothing."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("an optimizer ran")
+
+        # maxlik binds minimize_vector by name
+        monkeypatch.setattr(training, "minimize_vector", no_fit)
+        monkeypatch.setattr(maxlik, "minimize_vector", no_fit)
+        target, out, report = tmp_path / "n1.state", tmp_path / "fit.out", tmp_path / "report.json"
+        fileio.save_state(np.eye(4) / 4, target)
+        code = run([command, "--dataset", str(small_dataset), "--target", str(target),
+                    output, str(out), "--report", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(target) in err and str(small_dataset) in err
+        assert not out.exists() and not report.exists()
+
     def test_evaluate_non_physical_reference(self, tmp_path, hadamard_state, capsys):
         bad = tmp_path / "bad.state"
         fileio.save_state(np.diag([2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), bad)
@@ -305,6 +341,19 @@ class TestTrainAndEvaluate:
         with pytest.raises(SystemExit) as exc:  # still required without the file
             run(["simulate", "--json"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--steps", "--report-csv"])
+    def test_train_and_maxlik_help_the_same_dataset_flags(self, capsys, flag):
+        def help_text(command):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            entry = re.search(rf"^  {flag} \S+(.*?)(?=^  -|\Z)", out, re.M | re.S)
+            return " ".join(entry.group(1).split())
+
+        text = help_text("train")
+        assert text and help_text("maxlik") == text
 
     def test_help_marks_required_flags(self, capsys):
         # --config is read after a parse in which no flag is required

@@ -85,10 +85,10 @@ class TestMaxlikGradient:
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 5, 30])
     def test_matches_dense_oracle(self, n_steps):
         d = 2 * (n_steps + 1)
-        target = maxlik.rho_from_t(maxlik.init_t_params(d, seed=n_steps, scale=0.5))
+        target = maxlik.rho_from_t(oracles.random_t_params(d, 0.5, seed=n_steps))
         ds = measurement.generate_dataset(target, n_steps, shots=1000, seed=n_steps)
         obj = maxlik._MaxlikObjective(ds, measurement.all_basis_unitaries(n_steps))
-        x = maxlik.init_t_params(d, seed=n_steps + 1, scale=0.3)
+        x = oracles.random_t_params(d, 0.3, seed=n_steps + 1)
         ref = oracles.maxlik_grad(x, ds.probs, np.asarray(oracles.all_basis_unitaries(n_steps)))
         assert np.linalg.norm(obj.grad(x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -111,7 +111,7 @@ class TestMaxlikGradient:
 class TestMaxlikFit:
     def test_self_consistent_dataset_reaches_zero_cost(self):
         d = 4
-        target = maxlik.rho_from_t(maxlik.init_t_params(d, seed=7, scale=0.5))
+        target = maxlik.rho_from_t(oracles.random_t_params(d, 0.5, seed=7))
         ds = measurement.generate_dataset(target, d // 2 - 1)
         bases = measurement.all_basis_unitaries(d // 2 - 1)
         rho, report = maxlik.maxlik_fit(ds, bases, seed=1, max_iters=3000)

@@ -11,7 +11,6 @@ import pytest
 
 import oracles
 from qwndo import maxlik, measurement, ndo, walk
-from qwndo.measurement import DatasetFormatError
 
 AGREEMENT_STEPS = [0, 1, 2, 5, 10, 20, 30]
 
@@ -164,7 +163,7 @@ def agreement_states(n_steps):
         "random": random_density(d, n_steps),
         "ndo mixed start": ndo.density_matrix(ndo.mixed_init_params(d, 4, 4, seed=1)),
         "nearly pure, subnormal": ndo.density_matrix(oracles.nearly_pure_subnormal(d, 3, 3)),
-        "maxlik": maxlik.rho_from_t(maxlik.init_t_params(d, seed=2, scale=1.0)),
+        "maxlik": maxlik.rho_from_t(oracles.random_t_params(d, 1.0, seed=2)),
         "walk": walk.evolve(walk.WalkConfig(n_steps, angles, noise="dephasing", delta_beta=1.2)),
     }
 
@@ -348,7 +347,7 @@ class TestDatasetFiles:
         doc = json.loads(path.read_text())
         doc["bases"] = [b for b in doc["bases"] if b["index"] != 3]
         path.write_text(json.dumps(doc))
-        with pytest.raises(DatasetFormatError, match="missing basis n=3"):
+        with pytest.raises(ValueError, match="missing basis n=3"):
             measurement.load_dataset(path)
 
     def test_n_steps_checked_against_bases_before_allocating(self, tmp_path):
@@ -359,7 +358,7 @@ class TestDatasetFiles:
         path.write_text(json.dumps(doc))
         tracemalloc.start()
         try:
-            with pytest.raises(DatasetFormatError, match="missing basis n=1: field 'n_steps' = 1000000"):
+            with pytest.raises(ValueError, match="missing basis n=1: field 'n_steps' = 1000000"):
                 measurement.load_dataset(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -400,7 +399,7 @@ class TestDatasetFiles:
         doc = json.loads(path.read_text())
         mutate(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(DatasetFormatError, match=fragment):
+        with pytest.raises(ValueError, match=fragment):
             measurement.load_dataset(path)
 
     @pytest.mark.parametrize("field", ["shots", "seed", "n_steps", "index"])
@@ -412,7 +411,7 @@ class TestDatasetFiles:
         doc = json.loads(path.read_text())
         (doc["bases"][0] if field == "index" else doc)[field] = True
         path.write_text(json.dumps(doc))
-        with pytest.raises(DatasetFormatError, match=field):
+        with pytest.raises(ValueError, match=field):
             measurement.load_dataset(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -423,11 +422,11 @@ class TestDatasetFiles:
         doc = json.loads(path.read_text())
         doc["bases"][2]["probs"][1] = value
         path.write_text(json.dumps(doc))  # written as NaN / Infinity
-        with pytest.raises(DatasetFormatError, match="basis n=2: non-finite 'probs' entry"):
+        with pytest.raises(ValueError, match="basis n=2: non-finite 'probs' entry"):
             measurement.load_dataset(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all {")
-        with pytest.raises(DatasetFormatError, match="JSON"):
+        with pytest.raises(ValueError, match="JSON"):
             measurement.load_dataset(path)

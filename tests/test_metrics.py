@@ -1,6 +1,7 @@
 """Fidelity, purity, and similarity metrics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,6 +138,12 @@ class TestPurity:
         assert metrics.purity_error(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
+def probs_only(probs):
+    """A stand-in for a dataset that holds only its outcome distributions,
+    which need not be a whole basis family."""
+    return SimpleNamespace(probs=probs)
+
+
 class TestClassicalSimilarity:
     def test_identical_datasets(self):
         rho = walk.evolve(walk.WalkConfig(2, (np.pi / 4,) * 2, noise="dephasing", delta_beta=0.8))
@@ -146,19 +153,19 @@ class TestClassicalSimilarity:
     def test_disjoint_supports(self):
         a = np.array([[1.0, 0.0], [0.5, 0.5]])
         b = np.array([[0.0, 1.0], [0.0, 1.0]])
-        got = metrics.classical_similarity(a, b)
+        got = metrics.classical_similarity(probs_only(a), probs_only(b))
         expected = (0.0 + np.sqrt(0.5)) / 2  # second rows overlap on one outcome
         assert got == pytest.approx(expected, abs=1e-12)
-        assert metrics.classical_similarity(a[:1], b[:1]) == pytest.approx(0.0, abs=1e-12)
+        assert metrics.classical_similarity(probs_only(a[:1]), probs_only(b[:1])) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_basis_value(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.5, 0.5]])
-        assert metrics.classical_similarity(a, b) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert metrics.classical_similarity(probs_only(a), probs_only(b)) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            metrics.classical_similarity(np.ones((2, 3)) / 3, np.ones((3, 3)) / 3)
+            metrics.classical_similarity(probs_only(np.ones((2, 3)) / 3), probs_only(np.ones((3, 3)) / 3))
 
     def test_n_steps_mismatch(self):
         rho1 = walk.evolve(walk.WalkConfig(1, (np.pi / 4,)))

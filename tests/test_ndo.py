@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qwndo import ndo
+from qwndo import kernels, ndo
 from qwndo.kernels import param_offsets, param_shapes
 
-from oracles import a_entry, blocks, eager_caches, from_blocks, grad_a, purification_oracle
+from oracles import (a_entry, blocks, eager_caches, from_blocks, grad_a, purification_oracle,
+                     random_params)
+from oracles import evaluate as oracle_evaluate
 
 STACKED_VIEWS = ("w", "u", "b", "c", "d_lam")
 DATA = Path(__file__).parent / "data"
@@ -33,7 +35,7 @@ def finite_diff_a(params, v, vp, h=1e-6):
 
 class TestParams:
     def test_vector_round_trip(self):
-        params = ndo.init_params(6, 4, 3, scale=0.7, seed=2)
+        params = random_params(6, 4, 3, 0.7, seed=2)
         again = ndo.NdoParams.from_vector(6, 4, 3, params.to_vector())
         for name in STACKED_VIEWS:
             np.testing.assert_array_equal(getattr(params, name), getattr(again, name))
@@ -55,11 +57,6 @@ class TestParams:
         assert a == a and a != b and len({a, b}) == 2
         assert np.array_equal(a.to_vector(), b.to_vector())
 
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -0.5])
-    def test_init_rejects_non_finite_or_negative_scale(self, scale):
-        with pytest.raises(ValueError, match=f"scale must be finite and >= 0, got {scale}"):
-            ndo.init_params(4, 3, 2, scale=scale)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ndo.NdoParams.from_vector(2, 1, 1, np.full(ndo.n_params(2, 1, 1), np.nan))
@@ -71,11 +68,11 @@ class TestParams:
             ndo.NdoParams.from_vector(3, 2, 2, vec)
 
     def test_from_vector_wraps_read_only_views_of_one_copy(self):
-        vec = ndo.init_params(4, 3, 2, scale=0.5, seed=1).to_vector()
+        vec = random_params(4, 3, 2, 0.5, seed=1).to_vector()
         vec_before = vec.copy()
         params = ndo.NdoParams.from_vector(4, 3, 2, vec)
         vec[:] = 0.0  # the caller's array is not shared
-        np.testing.assert_array_equal(params.to_vector(), ndo.init_params(4, 3, 2, scale=0.5, seed=1).to_vector())
+        np.testing.assert_array_equal(params.to_vector(), random_params(4, 3, 2, 0.5, seed=1).to_vector())
         base = params.w.base
         assert base is not None and base.shape == vec.shape
         for name in STACKED_VIEWS:
@@ -108,7 +105,7 @@ class TestParams:
     def test_default_scale_near_uniform_projector(self):
         d = 6
         for seed in range(20):
-            params = ndo.init_params(d, 5, 5, scale=0.01, seed=seed)
+            params = ndo.init_params(d, 5, 5, seed=seed)
             rho = ndo.density_matrix(params)
             assert np.max(np.abs(rho - np.full((d, d), 1 / d))) <= 0.1 / d
 
@@ -116,7 +113,7 @@ class TestParams:
 class TestAEntry:
     def test_zero_params_constant(self):
         m_h, m_a = 4, 2
-        params = ndo.init_params(5, m_h, m_a, scale=0.0)
+        params = random_params(5, m_h, m_a, 0.0)
         expected = (m_h + m_a) * np.log(2.0)
         for v in range(5):
             for vp in range(5):
@@ -125,23 +122,23 @@ class TestAEntry:
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            params = ndo.init_params(4, 3, 3, scale=1.0, seed=int(rng.integers(2**31)))
+            params = random_params(4, 3, 3, 1.0, seed=int(rng.integers(2**31)))
             v, vp = rng.integers(0, 4, size=2)
             a = a_entry(params, int(v), int(vp))
             b = a_entry(params, int(vp), int(v))
             assert a == pytest.approx(np.conj(b), abs=1e-13)
 
     def test_matches_log_of_oracle_entry(self):
-        params = ndo.init_params(4, 3, 3, scale=0.9, seed=12)
+        params = random_params(4, 3, 3, 0.9, seed=12)
         rho = purification_oracle(params)
-        lz = ndo.evaluate(params).log_z
+        lz = oracle_evaluate(params).log_z
         for v, vp in ((0, 1), (2, 3), (1, 1)):
             direct = np.exp(a_entry(params, v, vp) - lz)
             assert abs(direct - rho[v, vp]) <= 1e-10
 
     def test_matrix_agrees_with_entries(self):
-        params = ndo.init_params(5, 3, 2, scale=0.6, seed=4)
-        mat = ndo.evaluate(params).a
+        params = random_params(5, 3, 2, 0.6, seed=4)
+        mat = kernels.pair_cache(params.w, params.u, params.b, params.c, params.d_lam)[0]
         for v in range(5):
             for vp in range(5):
                 assert mat[v, vp] == pytest.approx(a_entry(params, v, vp), abs=1e-13)
@@ -150,46 +147,46 @@ class TestAEntry:
 class TestLogZ:
     def test_zero_params(self):
         d, m_h, m_a = 6, 4, 3
-        params = ndo.init_params(d, m_h, m_a, scale=0.0)
-        assert ndo.evaluate(params).log_z == pytest.approx(np.log(d) + (m_h + m_a) * np.log(2), abs=1e-12)
+        params = random_params(d, m_h, m_a, 0.0)
+        assert oracle_evaluate(params).log_z == pytest.approx(np.log(d) + (m_h + m_a) * np.log(2), abs=1e-12)
 
     def test_visible_bias_shift(self):
-        params = ndo.init_params(4, 3, 3, scale=0.5, seed=7)
+        params = random_params(4, 3, 3, 0.5, seed=7)
         kappa = 0.7
         shifted = from_blocks({**blocks(params), "b_lam": params.b[0] + kappa})
-        assert ndo.evaluate(shifted).log_z == pytest.approx(ndo.evaluate(params).log_z + kappa, abs=1e-10)
+        assert oracle_evaluate(shifted).log_z == pytest.approx(oracle_evaluate(params).log_z + kappa, abs=1e-10)
 
     def test_trace_one_for_random_params(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            params = ndo.init_params(4, 3, 2, scale=1.5, seed=int(rng.integers(2**31)))
+            params = random_params(4, 3, 2, 1.5, seed=int(rng.integers(2**31)))
             assert np.trace(ndo.density_matrix(params)).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDensityMatrix:
     def test_zero_params_uniform_projector(self):
         d = 4
-        params = ndo.init_params(d, 3, 3, scale=0.0)
+        params = random_params(d, 3, 3, 0.0)
         np.testing.assert_allclose(ndo.density_matrix(params), np.full((d, d), 1 / d), atol=1e-14)
 
     def test_psd_for_random_params(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             d = int(rng.integers(2, 13))
-            params = ndo.init_params(d, 3, 3, scale=1.0, seed=int(rng.integers(2**31)))
+            params = random_params(d, 3, 3, 1.0, seed=int(rng.integers(2**31)))
             rho = ndo.density_matrix(params)
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
 
     def test_same_bits_as_evaluate(self):
-        params = ndo.init_params(6, 4, 3, scale=1.0, seed=14)
+        params = random_params(6, 4, 3, 1.0, seed=14)
         np.testing.assert_array_equal(ndo.density_matrix(params), ndo.evaluate(params).rho)
 
     @pytest.mark.parametrize("m_a", [1, 2, 3])
     def test_matches_purification_oracle(self, m_a):
         rng = np.random.default_rng(m_a)
         for _ in range(10):
-            params = ndo.init_params(4, 3, m_a, scale=1.0, seed=int(rng.integers(2**31)))
+            params = random_params(4, 3, m_a, 1.0, seed=int(rng.integers(2**31)))
             closed = ndo.density_matrix(params)
             oracle = purification_oracle(params)
             assert np.max(np.abs(closed - oracle)) <= 1e-10
@@ -198,7 +195,7 @@ class TestDensityMatrix:
 class TestLazyCaches:
     @pytest.mark.parametrize("scale,seed", [(0.01, 0), (1.0, 4), (3.0, 8)])
     def test_equal_eager_caches(self, scale, seed):
-        params = ndo.init_params(6, 4, 3, scale=scale, seed=seed)
+        params = random_params(6, 4, 3, scale, seed=seed)
         ev = ndo.evaluate(params)
         assert not {"sig", "s_upper"} & set(vars(ev))  # nothing computed yet
         for lazy, eager in zip((ev.sig, ev.s_upper), eager_caches(params)):
@@ -208,16 +205,16 @@ class TestLazyCaches:
 
 class TestPurificationOracle:
     def test_zero_params(self):
-        params = ndo.init_params(4, 2, 2, scale=0.0)
+        params = random_params(4, 2, 2, 0.0)
         np.testing.assert_allclose(purification_oracle(params), np.full((4, 4), 0.25), atol=1e-14)
 
     def test_hermitian(self):
-        params = ndo.init_params(6, 3, 3, scale=1.2, seed=8)
+        params = random_params(6, 3, 3, 1.2, seed=8)
         rho = purification_oracle(params)
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
 
     def test_refuses_large_ancilla(self):
-        params = ndo.init_params(2, 1, 13, scale=0.1, seed=0)
+        params = random_params(2, 1, 13, 0.1, seed=0)
         with pytest.raises(ValueError, match="refusing"):
             purification_oracle(params)
 
@@ -226,7 +223,7 @@ class TestGradA:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
-            params = ndo.init_params(4, 3, 2, scale=0.8, seed=int(rng.integers(2**31)))
+            params = random_params(4, 3, 2, 0.8, seed=int(rng.integers(2**31)))
             v, vp = int(rng.integers(0, 4)), int(rng.integers(0, 4))
             analytic = grad_a(params, v, vp)
             numeric = finite_diff_a(params, v, vp)
@@ -234,7 +231,7 @@ class TestGradA:
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-5
 
     def test_mu_derivatives_vanish_on_diagonal(self):
-        params = ndo.init_params(5, 4, 3, scale=1.0, seed=13)
+        params = random_params(5, 4, 3, 1.0, seed=13)
         off = param_offsets(5, 4, 3)
         g = grad_a(params, 2, 2)
         mu_slices = np.r_[
@@ -246,7 +243,7 @@ class TestGradA:
         assert np.max(np.abs(g[mu_slices])) == 0.0
 
     def test_zero_params_hidden_bias_half(self):
-        params = ndo.init_params(4, 3, 2, scale=0.0)
+        params = random_params(4, 3, 2, 0.0)
         off = param_offsets(4, 3, 2)
         g = grad_a(params, 0, 2)
         np.testing.assert_allclose(g[off["c_lam"] : off["c_lam"] + 3], 0.5, atol=1e-14)
@@ -254,7 +251,7 @@ class TestGradA:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        params = ndo.init_params(5, 4, 3, scale=0.37, seed=21)
+        params = random_params(5, 4, 3, 0.37, seed=21)
         path = tmp_path / "ckpt.json"
         ndo.save_checkpoint(params, path)
         loaded = ndo.load_checkpoint(path)
@@ -263,7 +260,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("m_h,m_a", [(3, 0), (0, 3), (0, 0)])
     def test_round_trip_zero_units(self, tmp_path, m_h, m_a):
         """An empty layer is written as [], which keeps no shape; the header gives it back."""
-        params = ndo.init_params(5, m_h, m_a, scale=0.37, seed=22)
+        params = random_params(5, m_h, m_a, 0.37, seed=22)
         path = tmp_path / "ckpt.json"
         ndo.save_checkpoint(params, path)
         loaded = ndo.load_checkpoint(path)
@@ -290,11 +287,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name,units,seed", [("checkpoint_d4_h2_a2.json", 2, 3),
                                                  ("checkpoint_d4_h0_a2.json", 0, 4)])
     def test_committed_file_loads_and_rewrites_byte_for_byte(self, tmp_path, name, units, seed):
-        """The committed files were written from `init_params(4, units, 2, scale=0.5, seed=seed)`;
+        """The committed files were written from `random_params(4, units, 2, 0.5, seed=seed)`;
         the one with no hidden units keeps its empty arrays as []."""
         committed = DATA / name
         loaded = ndo.load_checkpoint(committed)
-        expected = ndo.init_params(4, units, 2, scale=0.5, seed=seed).to_vector()
+        expected = random_params(4, units, 2, 0.5, seed=seed).to_vector()
         assert (loaded.dim, loaded.m_h, loaded.m_a) == (4, units, 2)
         assert np.array_equal(loaded.to_vector(), expected)
         ndo.save_checkpoint(loaded, tmp_path / "again.json")

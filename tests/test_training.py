@@ -61,7 +61,7 @@ def wide_range(d, m_h, m_a, seed):
     """Random weights at scale 0.8 with the last two visible biases at -920 and
     -1340: those two populations underflow to zero, and their coherences with
     the other basis states sit near 1e-200 and 1e-291."""
-    arrays = oracles.blocks(ndo.init_params(d, m_h, m_a, scale=0.8, seed=seed))
+    arrays = oracles.blocks(oracles.random_params(d, m_h, m_a, 0.8, seed=seed))
     arrays["b_lam"] = np.concatenate([arrays["b_lam"][:-2], [-920.0, -1340.0]])
     return oracles.from_blocks(arrays)
 
@@ -74,13 +74,13 @@ def reference_basis_only(n_steps):
 
 class TestCost:
     def test_own_dataset_zero(self):
-        params = ndo.init_params(4, 3, 3, scale=0.6, seed=1)
+        params = oracles.random_params(4, 3, 3, 0.6, seed=1)
         ds = measurement.generate_dataset(ndo.density_matrix(params), 1)
         bases = measurement.all_basis_unitaries(1)
         assert cost(params, ds, bases) <= 1e-12
 
     def test_single_binary_basis_log_two(self):
-        params = ndo.init_params(2, 2, 2, scale=0.0)  # uniform state: P = (1/2, 1/2)
+        params = oracles.random_params(2, 2, 2, 0.0)  # uniform state: P = (1/2, 1/2)
         data = np.array([[1.0, 0.0]])
         bases = reference_basis_only(0)
         assert cost(params, data, bases) == pytest.approx(np.log(2.0), abs=1e-12)
@@ -89,8 +89,8 @@ class TestCost:
         rng = np.random.default_rng(2)
         bases = measurement.all_basis_unitaries(1)
         for _ in range(50):
-            params = ndo.init_params(4, 3, 2, scale=1.0, seed=int(rng.integers(2**31)))
-            other = ndo.init_params(4, 3, 2, scale=1.0, seed=int(rng.integers(2**31)))
+            params = oracles.random_params(4, 3, 2, 1.0, seed=int(rng.integers(2**31)))
+            other = oracles.random_params(4, 3, 2, 1.0, seed=int(rng.integers(2**31)))
             ds = measurement.generate_dataset(ndo.density_matrix(other), 1)
             assert cost(params, ds, bases) >= 0.0
 
@@ -109,7 +109,7 @@ class TestGradCost:
         d, m_h, m_a = 4, 3, 2
         rng = np.random.default_rng(4)
         for _ in range(3):
-            params = ndo.init_params(d, m_h, m_a, scale=0.6, seed=int(rng.integers(2**31)))
+            params = oracles.random_params(d, m_h, m_a, 0.6, seed=int(rng.integers(2**31)))
             obj = ndo_objective(params, ds, bases)
             x0 = params.to_vector()
             g = obj.grad(x0)
@@ -126,7 +126,7 @@ class TestGradCost:
 
     def test_non_hermitian_state_raises_runtime_error(self):
         rho, ds, bases = hadamard_setup(1)
-        ev = ndo.evaluate(ndo.init_params(4, 3, 2, scale=0.6, seed=2))
+        ev = ndo.evaluate(oracles.random_params(4, 3, 2, 0.6, seed=2))
         skew = np.zeros((4, 4), dtype=complex)
         skew[0, 1] = 0.3j
         tampered = dataclasses.replace(ev, rho=ev.rho + skew)
@@ -141,7 +141,7 @@ class TestGradCost:
     def test_near_a_basis_state_matches_extended_precision(self, scale, tol):
         # rho_11 = 1 - 1.8e-4 at scale 3 and 1 - 4.9e-7 at scale 5, where 16
         # model probabilities meet the floor; the data are a nearby state's
-        x = ndo.init_params(12, 15, 15, scale=scale, seed=17).to_vector()
+        x = oracles.random_params(12, 15, 15, scale, seed=17).to_vector()
         near = x + 0.01 * np.random.default_rng(1).standard_normal(x.size)
         bases = measurement.all_basis_unitaries(5)
         data = bases.probabilities(ndo.density_matrix(ndo.NdoParams.from_vector(12, 15, 15, near)))
@@ -155,9 +155,9 @@ class TestGradCost:
     def test_matches_dense_oracle(self, n_steps):
         d = 2 * (n_steps + 1)
         rng = np.random.default_rng(n_steps)
-        target = ndo.density_matrix(ndo.init_params(d, 3, 2, scale=0.8, seed=int(rng.integers(2**31))))
+        target = ndo.density_matrix(oracles.random_params(d, 3, 2, 0.8, seed=int(rng.integers(2**31))))
         data = measurement.generate_dataset(target, n_steps).probs
-        params = ndo.init_params(d, 3, 2, scale=0.8, seed=int(rng.integers(2**31)))
+        params = oracles.random_params(d, 3, 2, 0.8, seed=int(rng.integers(2**31)))
         g = grad(params, data, measurement.all_basis_unitaries(n_steps))
         ev = ndo.evaluate(params)
         dense = oracles.DenseBases(n_steps)
@@ -165,13 +165,13 @@ class TestGradCost:
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_stationary_on_own_dataset(self):
-        params = ndo.init_params(6, 4, 3, scale=0.8, seed=9)
+        params = oracles.random_params(6, 4, 3, 0.8, seed=9)
         ds = measurement.generate_dataset(ndo.density_matrix(params), 2)
         bases = measurement.all_basis_unitaries(2)
         assert np.linalg.norm(grad(params, ds, bases)) <= 1e-8
 
     def test_mu_bias_gradient_zero_with_reference_basis_only(self):
-        params = ndo.init_params(4, 3, 2, scale=0.7, seed=11)
+        params = oracles.random_params(4, 3, 2, 0.7, seed=11)
         bases = reference_basis_only(1)
         data = bases.probabilities(walk.evolve(walk.WalkConfig(1, (0.6,))))
         g = grad(params, data, bases)
@@ -183,7 +183,7 @@ class TestMetric:
     def test_symmetric_psd_random(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            params = ndo.init_params(4, 3, 3, scale=0.9, seed=int(rng.integers(2**31)))
+            params = oracles.random_params(4, 3, 3, 0.9, seed=int(rng.integers(2**31)))
             g = metric_gram(ndo.evaluate(params))
             assert np.max(np.abs(g - g.T)) <= 1e-12
             w = np.linalg.eigvalsh(g)
@@ -191,7 +191,7 @@ class TestMetric:
 
     def test_jacobian_matches_finite_differences(self):
         d, m_h, m_a = 4, 3, 2
-        params = ndo.init_params(d, m_h, m_a, scale=0.7, seed=6)
+        params = oracles.random_params(d, m_h, m_a, 0.7, seed=6)
         jac = oracles.rho_jacobian(params)
         x0 = params.to_vector()
         h = 1e-6
@@ -225,7 +225,7 @@ class TestMetric:
         # the solved right-hand side is the cost gradient, which the chain
         # rule keeps inside range(G); the regularized solve then stays accurate
         rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
-        params = ndo.init_params(4, 3, 3, scale=0.8, seed=8)
+        params = oracles.random_params(4, 3, 3, 0.8, seed=8)
         obj = training._NdoObjective(ds, bases, 4, 3, 3)
         delta = training.solve_metric(*obj.metric(params.to_vector()), 1e-6)
         g_mat = oracles.dense_metric(oracles.rho_jacobian(params))
@@ -239,7 +239,7 @@ class TestMetric:
         # b_lam[2] = 1600 makes rho exactly e_2 e_2^T, so J_r and K vanish and
         # tr K = 0; a Cholesky of lam I = 0 would raise, so the identity
         # fallback applies, and J_r^T e is the zero gradient
-        base = ndo.init_params(6, 3, 3, scale=0.5, seed=1)
+        base = oracles.random_params(6, 3, 3, 0.5, seed=1)
         params = oracles.from_blocks(
             {**oracles.blocks(base), "b_lam": np.where(np.arange(6) == 2, 1600.0, base.b[0])})
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
@@ -254,7 +254,7 @@ class TestMetric:
     def small_metric():
         rho, ds, bases = hadamard_setup(1, noise="dephasing", delta_beta=0.9)
         obj = training._NdoObjective(ds, bases, 4, 3, 3)
-        return obj.metric(ndo.init_params(4, 3, 3, scale=0.8, seed=8).to_vector())
+        return obj.metric(oracles.random_params(4, 3, 3, 0.8, seed=8).to_vector())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_solve_metric_non_finite_e_raises(self, bad):
@@ -326,9 +326,9 @@ class TestRhoSpaceSolve:
     def objective_at(n_steps, m_h=3, m_a=2, scale=0.8):
         d = 2 * (n_steps + 1)
         seeds = np.random.default_rng(100 + n_steps).integers(2**31, size=2)
-        target = ndo.density_matrix(ndo.init_params(d, m_h, m_a, scale=scale, seed=int(seeds[0])))
+        target = ndo.density_matrix(oracles.random_params(d, m_h, m_a, scale, seed=int(seeds[0])))
         ds = measurement.generate_dataset(target, n_steps)
-        params = ndo.init_params(d, m_h, m_a, scale=scale, seed=int(seeds[1]))
+        params = oracles.random_params(d, m_h, m_a, scale, seed=int(seeds[1]))
         obj = training._NdoObjective(ds, measurement.all_basis_unitaries(n_steps), d, m_h, m_a)
         return obj, params
 
@@ -345,7 +345,7 @@ class TestRhoSpaceSolve:
         ev, e = obj.metric(params.to_vector())
         assert e.shape == (36,)
         assert metric_gram(ev).shape == (36, 36)
-        assert oracles.jacobian_rows(ev).shape == (36, params.n_params)
+        assert oracles.jacobian_rows(ev).shape == (36, params.to_vector().size)
 
     # relative differences measured: 1.3e-9, 1.2e-9, 1.1e-9, 2.9e-9 at N = 1, 2, 5, 10
     @pytest.mark.parametrize("n_steps", [1, 2, 5, 10])
@@ -364,15 +364,15 @@ class TestMetricWithoutJacobian:
 
     STATES = {
         **{f"N={n}, scale {scale}": functools.partial(
-            ndo.init_params, 2 * (n + 1), *((15, 15) if n == 5 else (4, 3)), scale=scale, seed=n)
+            oracles.random_params, 2 * (n + 1), *((15, 15) if n == 5 else (4, 3)), scale, seed=n)
            for n in (1, 2, 5) for scale in (0.01, 0.5, 3.0)},
-        "no hidden units": functools.partial(ndo.init_params, 6, 0, 3, scale=1.0, seed=6),
-        "no ancilla units": functools.partial(ndo.init_params, 6, 3, 0, scale=1.0, seed=7),
-        "no hidden or ancilla units": functools.partial(ndo.init_params, 6, 0, 0, scale=1.0, seed=8),
+        "no hidden units": functools.partial(oracles.random_params, 6, 0, 3, 1.0, seed=6),
+        "no ancilla units": functools.partial(oracles.random_params, 6, 3, 0, 1.0, seed=7),
+        "no hidden or ancilla units": functools.partial(oracles.random_params, 6, 0, 0, 1.0, seed=8),
         "nearly pure, subnormal": functools.partial(oracles.nearly_pure_subnormal, 12, 15, 15),
         "coherences near 1e-200 and 1e-291": functools.partial(wide_range, 12, 15, 15, seed=8),
         # rho_11 = 1 - 1.8e-4, so dA_11 - z is small
-        "near a basis state": functools.partial(ndo.init_params, 12, 15, 15, scale=3.0, seed=17),
+        "near a basis state": functools.partial(oracles.random_params, 12, 15, 15, 3.0, seed=17),
     }
 
     @pytest.mark.parametrize("state", list(STATES))
@@ -434,7 +434,7 @@ class TestMetricWithoutJacobian:
         # D without the shift to dA_11 left K + lam I indefinite here
         rho, ds, bases = hadamard_setup(5, noise="dephasing", delta_beta=1.0)
         obj = training._NdoObjective(ds, bases, 12, 15, 15)
-        ev, e = obj.metric(ndo.init_params(12, 15, 15, scale=5.0, seed=17).to_vector())
+        ev, e = obj.metric(oracles.random_params(12, 15, 15, 5.0, seed=17).to_vector())
         assert 1.0 - ev.rho.diagonal().real.max() < 1e-6
         ref = oracles.jacobian_solve_metric(oracles.jacobian_rows(ev), e, 1e-6)
         direction = training.solve_metric(ev, e, 1e-6)
@@ -452,7 +452,7 @@ class TestBitIdentity:
 
     STATES = {
         "mixed start": lambda: ndo.mixed_init_params(12, 15, 15, seed=0),
-        "random": lambda: ndo.init_params(12, 15, 15, scale=1.0, seed=7),
+        "random": lambda: oracles.random_params(12, 15, 15, 1.0, seed=7),
         "nearly pure, subnormal": lambda: oracles.nearly_pure_subnormal(12, 15, 15),
     }
 
@@ -644,7 +644,7 @@ def test_pure_start_equals_backtracking_search(monkeypatch, optimizer):
     """150 steps from criterion 7's pure start, where GD accepts steps from
     2^-5 to 1 and GNGD from 2^-24 to 2^-6."""
     rho, ds, bases = hadamard_setup(5, noise="dephasing", delta_beta=np.pi / 2)
-    init = ndo.init_params(12, 15, 15, scale=0.01, seed=0)
+    init = ndo.init_params(12, 15, 15, seed=0)
     config = TrainConfig(optimizer=optimizer, grad_tol=1e-14, max_iters=150)
     fits_equal_backtracking(monkeypatch, lambda: training.optimize((config,), ds, bases, init))
 
@@ -689,7 +689,7 @@ def count_calls(monkeypatch, owner, name):
 class TestOnePassPerPoint:
     def test_ndo_point_forms_probabilities_and_adjoint_once(self, monkeypatch):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
-        params = ndo.init_params(6, 3, 3, scale=0.5, seed=4)
+        params = oracles.random_params(6, 3, 3, 0.5, seed=4)
         obj = ndo_objective(params, ds, bases)
         probs = count_calls(monkeypatch, measurement.BasisTables, "probabilities")
         adjoints = count_calls(monkeypatch, measurement.BasisTables, "adjoint")
@@ -705,7 +705,7 @@ class TestOnePassPerPoint:
         """A search that accepts x1 and fails the doubled trial x2 then asks
         for the gradient at x1: the state is formed twice, not three times."""
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
-        params = ndo.init_params(6, 3, 3, scale=0.5, seed=4)
+        params = oracles.random_params(6, 3, 3, 0.5, seed=4)
         obj = ndo_objective(params, ds, bases)
         evals = count_calls(monkeypatch, ndo, "evaluate")
         x1 = params.to_vector()
@@ -756,7 +756,7 @@ class TestMixedStart:
 class TestGngdStep:
     def test_identity_metric_matches_gd_step(self, monkeypatch):
         rho, ds, bases = hadamard_setup(1)
-        params = ndo.init_params(4, 3, 2, scale=0.3, seed=3)
+        params = oracles.random_params(4, 3, 2, 0.3, seed=3)
         obj = training._NdoObjective(ds, bases, 4, 3, 2)
         x0 = params.to_vector()
         monkeypatch.setattr(training, "gram", lambda rho, *caches: np.eye(rho.size))
@@ -764,7 +764,7 @@ class TestGngdStep:
         x, report = training.minimize_vector(obj.cost, obj.grad, x0, config, metric_fun=obj.metric)
         # K = I with relative jitter lam = eps d^2 / P solves (1 + lam) y = e,
         # and the direction J_r^T y is the gradient over 1 + lam
-        expected_dir = -obj.grad(x0) / (1.0 + 1e-6 * 16 / params.n_params)
+        expected_dir = -obj.grad(x0) / (1.0 + 1e-6 * 16 / params.to_vector().size)
         assert report.iterations == 1
         np.testing.assert_allclose(x, x0 + report.step_sizes[0] * expected_dir, atol=1e-12)
 
@@ -789,7 +789,7 @@ class TestGngdStep:
     def test_accepted_steps_decrease_cost(self):
         rho, ds, bases = hadamard_setup(2, noise="dephasing", delta_beta=1.0)
         config = TrainConfig(optimizer="gngd", max_iters=200)
-        init = ndo.init_params(6, 4, 4, scale=0.01, seed=1)
+        init = ndo.init_params(6, 4, 4, seed=1)
         _, report = training.optimize((config,), ds, bases, init)
         costs = np.array(report.costs)
         assert np.all(np.diff(costs) <= 0.0)
@@ -798,7 +798,7 @@ class TestGngdStep:
         # a cost surface that never decreases defeats both the metric
         # direction and the gradient fallback
         rho, ds, bases = hadamard_setup(1)
-        params = ndo.init_params(4, 3, 2, scale=0.3, seed=5)
+        params = oracles.random_params(4, 3, 2, 0.3, seed=5)
         obj = training._NdoObjective(ds, bases, 4, 3, 2)
         metric = obj.metric(params.to_vector())
         config = TrainConfig(optimizer="gngd", max_iters=10)
@@ -830,7 +830,7 @@ class TestOptimize:
     def test_n1_hadamard_gngd_high_fidelity(self):
         rho, ds, bases = hadamard_setup(1)
         config = TrainConfig(optimizer="gngd", max_iters=500)
-        init = ndo.init_params(4, 4, 4, scale=0.01, seed=0)
+        init = ndo.init_params(4, 4, 4, seed=0)
         _, report = training.optimize((config,), ds, bases, init, target=rho)
         assert report.iterations <= 500
         assert report.fidelity >= 0.999
@@ -838,7 +838,7 @@ class TestOptimize:
     def test_deterministic_traces(self):
         rho, ds, bases = hadamard_setup(2)
         config = TrainConfig(optimizer="gngd", max_iters=40)
-        init = ndo.init_params(6, 3, 3, scale=0.01, seed=7)
+        init = ndo.init_params(6, 3, 3, seed=7)
         _, rep_a = training.optimize((config,), ds, bases, init)
         _, rep_b = training.optimize((config,), ds, bases, init)
         assert rep_a.costs == rep_b.costs
@@ -848,20 +848,20 @@ class TestOptimize:
     def test_line_searched_costs_non_increasing(self, optimizer):
         rho, ds, bases = hadamard_setup(1, noise="depolarizing", p=0.3)
         config = TrainConfig(optimizer=optimizer, max_iters=120)
-        init = ndo.init_params(4, 3, 3, scale=0.01, seed=2)
+        init = ndo.init_params(4, 3, 3, seed=2)
         _, report = training.optimize((config,), ds, bases, init)
         assert np.all(np.diff(report.costs) <= 0.0)
 
     @pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
     def test_model_realizable_reaches_small_gradient(self, optimizer):
-        target_params = ndo.init_params(4, 2, 2, scale=0.4, seed=17)
+        target_params = oracles.random_params(4, 2, 2, 0.4, seed=17)
         ds = measurement.generate_dataset(ndo.density_matrix(target_params), 1)
         bases = measurement.all_basis_unitaries(1)
         config = TrainConfig(
             optimizer=optimizer, grad_tol=1e-6,
             max_iters=20000 if optimizer in ("gd", "cg") else 5000,
         )
-        init = ndo.init_params(4, 2, 2, scale=0.01, seed=3)
+        init = ndo.init_params(4, 2, 2, seed=3)
         _, report = training.optimize((config,), ds, bases, init)
         assert report.termination == "grad_tol"
         assert report.final_grad_norm <= 1e-6
@@ -886,7 +886,7 @@ class TestTrainReport:
     def test_csv_round_trip(self, tmp_path):
         rho, ds, bases = hadamard_setup(1)
         config = TrainConfig(optimizer="gd", max_iters=20)
-        init = ndo.init_params(4, 2, 2, scale=0.01, seed=1)
+        init = ndo.init_params(4, 2, 2, seed=1)
         _, report = training.optimize((config,), ds, bases, init)
         path = tmp_path / "trace.csv"
         report.save_csv(path)
@@ -901,7 +901,7 @@ class TestTrainReport:
 
         rho, ds, bases = hadamard_setup(1)
         config = TrainConfig(optimizer="lbfgs", max_iters=15)
-        init = ndo.init_params(4, 2, 2, scale=0.01, seed=4)
+        init = ndo.init_params(4, 2, 2, seed=4)
         _, report = training.optimize((config,), ds, bases, init, target=rho)
         path = tmp_path / "report.json"
         report.save_json(path)

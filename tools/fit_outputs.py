@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-SUITE_RNG_SEED = 1005  # open_walk_suite's generator
 SUITE_SIZE = 20
 
 
@@ -88,7 +87,7 @@ def run_tree(tree: Path, seeds: list[int | None]) -> dict:
     finally:
         for cap in captures:
             setattr(cap.module, cap.name, cap.fit)
-    items.update(_suite_items(maxlik, measurement, training, walk))
+    items.update(_suite_items(maxlik, measurement, training, walk, workloads.ACCEPTANCE_RNG_SEED))
     return items
 
 
@@ -107,10 +106,11 @@ def _workload_items(workloads, seeds, captures) -> dict:
     return items
 
 
-def _suite_items(maxlik, measurement, training, walk) -> dict:
-    """The fits of open_walk_suite in tests/test_acceptance.py, with its arguments."""
+def _suite_items(maxlik, measurement, training, walk, suite_seed: int) -> dict:
+    """The fits of open_walk_suite in tests/test_acceptance.py, with its arguments
+    and its generator's seed."""
     items = {}
-    rng = np.random.default_rng(SUITE_RNG_SEED)
+    rng = np.random.default_rng(suite_seed)
     bases = measurement.all_basis_unitaries(5)
     for k in range(SUITE_SIZE):
         delta_beta = float(rng.uniform(0.0, np.pi))
