@@ -10,7 +10,8 @@ names to values); explicit flags override file values.
 This module parses flags, runs the subcommands and prints their summaries.
 Every file it names is read and written by `fileio` or by the dataset,
 checkpoint and report functions built on it, so a malformed file of any
-kind exits with code 1 and an error naming the kind of file.
+kind exits with code 1 and an error naming the file itself, its kind and
+its path, and the field at fault.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ def _add_walk_flags(sp) -> None:
 
 def _walk_config(args) -> walk.WalkConfig:
     if args.angles is not None:
-        angles = tuple(float(tok) for tok in args.angles.split(","))
+        try:
+            angles = tuple(float(tok) for tok in args.angles.split(","))
+        except ValueError as exc:
+            raise ValueError(f"--angles {args.angles!r}: {exc}") from None
         if len(angles) != args.steps:
             raise ValueError(f"--angles lists {len(angles)} values for --steps {args.steps}")
     elif args.disordered_seed is not None:
@@ -89,9 +93,6 @@ def _network_sizes(args) -> tuple[int, int]:
     default = _network_size(args.noise)
     hidden = args.hidden if args.hidden is not None else default
     ancillary = args.ancillary if args.ancillary is not None else default
-    for flag, value in (("--hidden", hidden), ("--ancillary", ancillary)):
-        if value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
     return hidden, ancillary
 
 
@@ -481,7 +482,8 @@ def _apply_config(sub, explicit: argparse.Namespace) -> None:
     required. A flag given explicitly, or a flag in a mutually exclusive group
     with one given explicitly, keeps its command-line value: explicit flags win.
     """
-    values = fileio.read_json(explicit.config, "config file")
+    with fileio.reading(explicit.config, "config file") as values:
+        pass  # the flag checks below name the file themselves
     by_dest = {action.dest: action for action in sub._actions if action.option_strings}
     where = f"config file {explicit.config} sets"
     groups = {action.dest: group for group in sub._mutually_exclusive_groups
@@ -516,10 +518,10 @@ def _apply_config(sub, explicit: argparse.Namespace) -> None:
         action.default, action.required = value, False
 
 
-def _check_seeds(args) -> None:
-    """Reject a negative --seed or --disordered-seed, whether a flag or the
-    config file set it: NumPy's own error names neither the flag nor the value."""
-    for dest in ("seed", "disordered_seed"):
+def _check_non_negative(args) -> None:
+    """Reject a negative count or seed, whether a flag or the config file set
+    it, by its flag: the library's and NumPy's own errors do not name the flag."""
+    for dest in ("steps", "hidden", "ancillary", "seed", "disordered_seed"):
         value = getattr(args, dest, None)
         if value is not None and value < 0:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
@@ -533,7 +535,7 @@ def main(argv=None) -> int:
         if getattr(explicit, "config", None):
             _apply_config(registry[explicit.command], explicit)
         args = parser.parse_args(argv)
-        _check_seeds(args)
+        _check_non_negative(args)
         return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,14 @@
-"""The file layer: the JSON reader and writer behind every file format, state files and CSV.
+"""The file layer: one reader for every JSON file, its numeric arrays, state files and CSV.
 
-State files, datasets (`measurement`), checkpoints (`ndo`), training
-reports (`training`) and config files (`cli`) all go through `read_json`
-and `write_json`, and versioned files read their header fields through
-`require`, so a malformed file fails the same way, a ValueError, whatever its kind.
+State files, datasets (`measurement`), checkpoints (`ndo`) and config files
+(`cli`) are all opened by `reading`, and their loaders read fields through
+`require` and arrays through `numbers`, so a malformed file of any kind fails
+the same way, a ValueError that starts with the file's kind and path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -17,26 +18,46 @@ from .walk import validate_density_matrix
 STATE_FORMAT_VERSION = 1
 
 
-def read_json(path, kind: str) -> dict:
-    """The JSON object in `path`; a ValueError names `kind` when the file is not one."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{kind} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{kind} {path} must hold a JSON object at the top level")
-    return doc
+@contextlib.contextmanager
+def reading(path, kind: str, version: int | None = None):
+    """Yield the JSON object in `path`, checking its `format_version` unless `version`
+    is None; every ValueError of the `with` block leaves as f"{kind} {path}: {exc}"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+                raise ValueError(f"not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError("must hold a JSON object at the top level")
+        if version is not None and require(doc, "format_version", int) != version:
+            raise ValueError(f"unsupported format_version {doc['format_version']}")
+        yield doc
+    except ValueError as exc:
+        raise ValueError(f"{kind} {path}: {exc}") from exc
 
 
-def require(doc: dict, field: str, kind, what: str):
-    """doc[field] of type `kind` (a JSON boolean is no integer), else a ValueError naming `what`."""
+def require(doc: dict, field: str, kind):
+    """doc[field] of type `kind` (a JSON boolean is no integer), else a ValueError naming `field`."""
     if field not in doc:
-        raise ValueError(f"{what} missing field {field!r}")
+        raise ValueError(f"missing field {field!r}")
     value = doc[field]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{what} field {field!r} has wrong type {type(value).__name__}")
+        raise ValueError(f"field {field!r} has wrong type {type(value).__name__}")
     return value
+
+
+def numbers(value, field: str) -> np.ndarray:
+    """`value`, a list of JSON numbers or rectangular nested lists of them, as a float
+    array; a string, boolean or null entry or a ragged row is a ValueError naming `field`."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    # np.array reads "0.5", true and null (as nan) as floats; JSON numbers only
+    if arr is None or any(type(x) not in (int, float) for x in np.array(value, dtype=object).flat):
+        raise ValueError(f"{field} is not a numeric array")
+    return arr
 
 
 def write_json(path, doc: dict) -> None:
@@ -64,26 +85,16 @@ def save_state(rho: np.ndarray, path) -> None:
 
 def load_state(path) -> tuple[np.ndarray, int]:
     """Read a state file; returns (rho, n_steps). The state must be a density matrix."""
-    doc = read_json(path, "state file")
-    version = require(doc, "format_version", int, "state file")
-    if version != STATE_FORMAT_VERSION:
-        raise ValueError(f"unsupported state format_version {version}")
-    n_steps = require(doc, "n_steps", int, "state file")
-    d = require(doc, "dim", int, "state file")
-    parts = {}
-    for field in ("re", "im"):
-        value = require(doc, field, list, "state file")
-        try:
-            parts[field] = np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"state file field {field!r} is not a numeric array") from exc
-    re, im = parts["re"], parts["im"]
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise ValueError(f"state file field 're'/'im' shape does not match dim {d}")
-    if 2 * (n_steps + 1) != d:
-        raise ValueError(f"state file field 'n_steps' = {n_steps!r} does not match dim {d}")
-    rho = re + 1j * im
-    validate_density_matrix(rho)
+    with reading(path, "state file", STATE_FORMAT_VERSION) as doc:
+        n_steps = require(doc, "n_steps", int)
+        d = require(doc, "dim", int)
+        re, im = (numbers(require(doc, field, list), f"field {field!r}") for field in ("re", "im"))
+        if re.shape != (d, d) or im.shape != (d, d):
+            raise ValueError(f"field 're'/'im' shape does not match dim {d}")
+        if 2 * (n_steps + 1) != d:
+            raise ValueError(f"field 'n_steps' = {n_steps!r} does not match dim {d}")
+        rho = re + 1j * im
+        validate_density_matrix(rho)
     return rho, n_steps
 
 

@@ -17,6 +17,9 @@ the probabilities gather four float-view entries of rho per outcome, and the
 adjoint, their transpose, scatters outcome weights into the same positions.
 Both take the terms of each outcome one by one, exact to the bit against the
 2 x 2 outer product because every coefficient is real or purely imaginary.
+
+Dataset files are read through `fileio.reading`, so each of their errors
+names the file; `MeasurementDataset` checks the values.
 """
 
 from __future__ import annotations
@@ -255,43 +258,35 @@ def save_dataset(ds: MeasurementDataset, path) -> None:
 
 def load_dataset(path) -> MeasurementDataset:
     """Read a dataset file, validating schema and basis completeness."""
-    doc = fileio.read_json(path, "dataset")
-    version = fileio.require(doc, "format_version", int, "dataset")
-    if version != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {version}")
-    n_steps = fileio.require(doc, "n_steps", int, "dataset")
-    if n_steps < 0:
-        raise ValueError(f"field 'n_steps' must be >= 0, got {n_steps}")
-    bases = fileio.require(doc, "bases", list, "dataset")
-    expected = n_bases(n_steps)
-    entries = {}
-    for entry in bases:
-        if not isinstance(entry, dict):
-            raise ValueError("each basis entry must be an object")
-        idx = fileio.require(entry, "index", int, "dataset")
-        if not 0 <= idx < expected:
-            raise ValueError(f"basis index {idx} out of range")
-        if idx in entries:
-            raise ValueError(f"duplicate basis n={idx}")
-        entries[idx] = entry
-    # checked before the (n_bases, d) array exists, whose size n_steps alone sets
-    missing = next((n for n in range(expected) if n not in entries), None)
-    if missing is not None:
-        raise ValueError(
-            f"missing basis n={missing}: field 'n_steps' = {n_steps} needs {expected} bases, "
-            f"the file has {len(bases)}"
-        )
-    d = 2 * (n_steps + 1)
-    probs = np.empty((expected, d))
-    for idx, entry in entries.items():
-        vec = fileio.require(entry, "probs", list, "dataset")
-        if len(vec) != d:
-            raise ValueError(f"basis n={idx}: expected {d} probabilities, got {len(vec)}")
-        try:
-            probs[idx] = [float(p) for p in vec]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"basis n={idx}: non-numeric 'probs' entry") from exc
-        if not np.all(np.isfinite(probs[idx])):
-            raise ValueError(f"basis n={idx}: non-finite 'probs' entry")
-    return MeasurementDataset(n_steps=n_steps, probs=probs, shots=doc.get("shots"),
-                              seed=doc.get("seed"))
+    with fileio.reading(path, "dataset", DATASET_FORMAT_VERSION) as doc:
+        n_steps = fileio.require(doc, "n_steps", int)
+        if n_steps < 0:
+            raise ValueError(f"field 'n_steps' must be >= 0, got {n_steps}")
+        bases = fileio.require(doc, "bases", list)
+        expected = n_bases(n_steps)
+        entries = {}
+        for entry in bases:
+            if not isinstance(entry, dict):
+                raise ValueError("each basis entry must be an object")
+            idx = fileio.require(entry, "index", int)
+            if not 0 <= idx < expected:
+                raise ValueError(f"basis index {idx} out of range")
+            if idx in entries:
+                raise ValueError(f"duplicate basis n={idx}")
+            entries[idx] = entry
+        # checked before the (n_bases, d) array exists, whose size n_steps alone sets
+        missing = next((n for n in range(expected) if n not in entries), None)
+        if missing is not None:
+            raise ValueError(
+                f"missing basis n={missing}: field 'n_steps' = {n_steps} needs {expected} bases, "
+                f"the file has {len(bases)}"
+            )
+        d = 2 * (n_steps + 1)
+        probs = np.empty((expected, d))
+        for idx, entry in entries.items():
+            vec = fileio.numbers(fileio.require(entry, "probs", list), f"basis n={idx}: 'probs'")
+            if vec.shape != (d,):
+                raise ValueError(f"basis n={idx}: expected {d} probabilities, got shape {vec.shape}")
+            probs[idx] = vec
+        return MeasurementDataset(n_steps=n_steps, probs=probs, shots=doc.get("shots"),
+                                  seed=doc.get("seed"))

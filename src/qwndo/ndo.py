@@ -222,26 +222,16 @@ def load_checkpoint(path) -> NdoParams:
     against the shape that the header's (dim, m_h, m_a) gives it, an empty
     one (a zero-unit layer, whose shape JSON does not keep) against its size,
     and the arrays are joined into the parameter vector."""
-    doc = fileio.read_json(path, "checkpoint")
-    version = fileio.require(doc, "format_version", int, "checkpoint")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version}")
-    dims = {name: fileio.require(doc, name, int, "checkpoint") for name in ("dim", "m_h", "m_a")}
-    for name, least in (("dim", 1), ("m_h", 0), ("m_a", 0)):
-        if dims[name] < least:
-            raise ValueError(f"checkpoint field '{name}' must be >= {least}, got {dims[name]}")
-    stored = fileio.require(doc, "arrays", dict, "checkpoint")
-    arrays = []
-    for name, shape in param_shapes(*dims.values()).items():
-        values = fileio.require(stored, name, list, "checkpoint arrays")
-        try:
-            arr = np.array(values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"checkpoint array {name} is not a numeric array") from exc
-        if arr.shape != shape and not arr.size == 0 == math.prod(shape):
-            raise ValueError(f"checkpoint array {name} has shape {arr.shape}, expected {shape}")
-        arrays.append(arr.ravel())
-    try:
+    with fileio.reading(path, "checkpoint", CHECKPOINT_FORMAT_VERSION) as doc:
+        dims = {name: fileio.require(doc, name, int) for name in ("dim", "m_h", "m_a")}
+        for name, least in (("dim", 1), ("m_h", 0), ("m_a", 0)):
+            if dims[name] < least:
+                raise ValueError(f"field '{name}' must be >= {least}, got {dims[name]}")
+        stored = fileio.require(doc, "arrays", dict)
+        arrays = []
+        for name, shape in param_shapes(*dims.values()).items():
+            arr = fileio.numbers(fileio.require(stored, name, list), f"array {name}")
+            if arr.shape != shape and not arr.size == 0 == math.prod(shape):
+                raise ValueError(f"array {name} has shape {arr.shape}, expected {shape}")
+            arrays.append(arr.ravel())
         return NdoParams.from_vector(*dims.values(), np.concatenate(arrays))
-    except ValueError as exc:
-        raise ValueError(f"checkpoint array {exc}") from exc

@@ -380,7 +380,8 @@ class TestTrainAndEvaluate:
         [(role, content)
          for role in ("state", "reference", "checkpoint", "dataset", "config")
          for content in ("5", "[]", "null", '"text"')]
-        + [("checkpoint", '{"format_version": 1, "dim": 6, "m_h": 1, "m_a": 1, "arrays": 7}')],
+        + [("checkpoint", '{"format_version": 1, "dim": 6, "m_h": 1, "m_a": 1, "arrays": 7}'),
+           pytest.param("state", "[" * 100000 + "]" * 100000, id="state-deeply-nested")],
     )
     def test_malformed_file_exit_one(self, tmp_path, hadamard_state, capsys, role, content):
         bad = tmp_path / "bad.json"
@@ -395,7 +396,7 @@ class TestTrainAndEvaluate:
         }[role]
         assert run(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {kind} ")
+        assert err.startswith(f"error: {kind} {bad}: ")
         assert "Traceback" not in err
 
 
@@ -417,8 +418,56 @@ class TestTrainAndEvaluate:
         bad.write_text(json.dumps(doc))
         assert run(["evaluate", f"--{role}", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
+        kind = "checkpoint" if role == "checkpoint" else "state file"
+        assert err.startswith(f"error: {kind} {bad}: ") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    @pytest.mark.parametrize("kind,field", [("state file", "re"), ("state file", "im"),
+                                            ("dataset", "probs"), ("checkpoint", "b_lam")])
+    def test_non_number_in_array_names_file_and_field(self, tmp_path, hadamard_state, small_dataset,
+                                                       capsys, kind, field, value):
+        """A string, boolean or null entry is no number, although np.array reads
+        "0.5" and true as 0.5 and 1.0, and null as nan."""
+        bad = tmp_path / "bad.json"
+        if kind == "checkpoint":
+            ndo.save_checkpoint(ndo.init_params(6, 1, 1), bad)
+            doc = json.loads(bad.read_text())
+            row, named = doc["arrays"][field], f"array {field}"
+        elif kind == "dataset":
+            doc = json.loads(small_dataset.read_text())
+            row, named = doc["bases"][2][field], f"basis n=2: {field!r}"
+        else:
+            doc = json.loads(hadamard_state.read_text())
+            row, named = doc[field][1], f"field {field!r}"
+        row[0] = value
+        bad.write_text(json.dumps(doc))
+        argv = {"state file": ["--state", str(bad)],
+                "dataset": ["--state", str(hadamard_state), "--dataset", str(bad)],
+                "checkpoint": ["--checkpoint", str(bad)]}[kind]
+        assert run(["evaluate", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {kind} {bad}: {named} is not a numeric array\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(format_version=2), "unsupported format_version 2"),
+        (lambda doc: doc["bases"].append(doc["bases"][0]), "duplicate basis n=0"),
+    ], ids=["format_version", "duplicate"])
+    def test_dataset_error_names_the_dataset(self, tmp_path, hadamard_state, small_dataset, capsys,
+                                             edit, message):
+        doc = json.loads(small_dataset.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.ds"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--state", str(hadamard_state), "--dataset", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: dataset {bad}: {message}\n"
+
+    def test_non_physical_reference_names_the_reference(self, tmp_path, hadamard_state, capsys):
+        bad = tmp_path / "bad.state"
+        fileio.save_state(np.diag([2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), bad)
+        assert run(["evaluate", "--state", str(hadamard_state), "--reference", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: state file {bad}: not PSD: ")
+        assert str(hadamard_state) not in err
 
 
 class TestBenchOpt:
@@ -462,12 +511,16 @@ class TestBenchOpt:
             first = next((i for i, c in enumerate(costs[name]) if c <= gd_level), "not reached")
             assert doc[f"{name}_iters_to_gd_level"] == first, name
 
-    @pytest.mark.parametrize("flag,value", [("--hidden", "-1"), ("--ancillary", "-2"),
-                                            ("--steps", "-1")])
-    def test_bad_input_exit_one_before_out(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--hidden", "-1", "--hidden must be >= 0, got -1"),
+        ("--ancillary", "-2", "--ancillary must be >= 0, got -2"),
+        ("--steps", "-1", "--steps must be >= 0, got -1"),
+        ("--angles", "0.1,abc", "--angles '0.1,abc': could not convert string to float: 'abc'"),
+    ])
+    def test_bad_input_exit_one_before_out(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "bench.csv"
         assert run(["bench-opt", "--steps", "1", flag, value, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -570,6 +623,7 @@ def test_channel_flag_of_another_noise_exit_one(tmp_path, capsys, argv, flag):
         (["bench-opt", "--steps", "1", "--seed", "-1"], "--seed", -1),
         (["reproduce", "fig4", "--seed", "-1"], "--seed", -1),
         (["simulate", "--steps", "2", "--disordered-seed", "-1"], "--disordered-seed", -1),
+        (["simulate", "--steps", "-1"], "--steps", -1),
         (["gen-data", "--seed", "-3"], "--seed", -3),
     ],
 )

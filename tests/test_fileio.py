@@ -1,6 +1,7 @@
 """State-file serialization round trips and validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,7 +117,8 @@ def test_versioned_fields_checked_alike_in_every_kind(tmp_path, kind, field, val
     else:
         doc[field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"{kind} (missing )?field '{field}'"):
+    prefix = f"{kind} {re.escape(str(path))}: "
+    with pytest.raises(ValueError, match=f"^{prefix}(missing )?field '{field}'"):
         load(path)
 
 

@@ -4,6 +4,7 @@ The dense basis builder in `oracles` is the reference the tables are pinned to.
 """
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -422,7 +423,8 @@ class TestDatasetFiles:
         doc = json.loads(path.read_text())
         doc["bases"][2]["probs"][1] = value
         path.write_text(json.dumps(doc))  # written as NaN / Infinity
-        with pytest.raises(ValueError, match="basis n=2: non-finite 'probs' entry"):
+        with pytest.raises(ValueError,
+                           match=f"^dataset {re.escape(str(path))}: basis n=2: non-finite probability$"):
             measurement.load_dataset(path)
 
     def test_not_json(self, tmp_path):

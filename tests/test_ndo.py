@@ -1,6 +1,7 @@
 """Closed-form density operator vs the brute-force purification, and its gradient."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -268,10 +269,10 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
 
     @pytest.mark.parametrize("field,value,message", [
-        ("m_h", 3, "checkpoint array w_lam has shape"),
-        ("dim", 4, "checkpoint array w_lam has shape"),
-        ("m_a", 0, "checkpoint array u_lam has shape"),
-        ("m_a", -1, "checkpoint field 'm_a' must be >= 0"),
+        ("m_h", 3, "array w_lam has shape"),
+        ("dim", 4, "array w_lam has shape"),
+        ("m_a", 0, "array u_lam has shape"),
+        ("m_a", -1, "field 'm_a' must be >= 0"),
     ])
     def test_header_that_does_not_fit_the_arrays_rejected(self, tmp_path, field, value, message):
         import json
@@ -281,7 +282,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc[field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: {message}"):
             ndo.load_checkpoint(path)
 
     @pytest.mark.parametrize("name,units,seed", [("checkpoint_d4_h2_a2.json", 2, 3),
@@ -298,9 +299,9 @@ class TestCheckpoint:
         assert (tmp_path / "again.json").read_bytes() == committed.read_bytes()
 
     @pytest.mark.parametrize("name,value,message", [
-        ("b_lam", [0.0, float("nan"), 0.0, 0.0], "checkpoint array b_lam contains non-finite entries"),
-        ("u_mu", np.zeros((3, 4)).tolist(), r"checkpoint array u_mu has shape \(3, 4\), expected \(2, 4\)"),
-        ("c_lam", ["a", "b"], "checkpoint array c_lam is not a numeric array"),
+        ("b_lam", [0.0, float("nan"), 0.0, 0.0], "b_lam contains non-finite entries"),
+        ("u_mu", np.zeros((3, 4)).tolist(), r"array u_mu has shape \(3, 4\), expected \(2, 4\)"),
+        ("c_lam", ["a", "b"], "array c_lam is not a numeric array"),
     ])
     def test_bad_array_rejected_naming_it(self, tmp_path, name, value, message):
         import json
@@ -309,7 +310,7 @@ class TestCheckpoint:
         doc["arrays"][name] = value
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: {message}"):
             ndo.load_checkpoint(path)
 
     def test_missing_array_rejected(self, tmp_path):
