@@ -67,10 +67,9 @@ def _walk_config(args) -> walk.WalkConfig:
     else:
         alpha = args.alpha if args.alpha is not None else np.pi / 4
         angles = (alpha,) * args.steps
-    channel_flags = (("--w-s", args.w_s, "mixing"), ("--w-l", args.w_l, "mixing"),
-                     ("--delta-beta", args.delta_beta, "dephasing"), ("--p", args.p, "depolarizing"))
-    for flag, value, kind in channel_flags:  # each applies to one noise kind only
-        if value != 0.0 and args.noise != kind:
+    for field, kind in walk.CHANNEL_PARAMS.items():  # named by the flag the user typed
+        if getattr(args, field) != 0.0 and args.noise != kind:
+            flag = "--" + field.replace("_", "-")
             raise ValueError(f"{flag} applies only to --noise {kind}, got --noise {args.noise}")
     return walk.WalkConfig(
         n_steps=args.steps,

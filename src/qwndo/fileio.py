@@ -70,10 +70,15 @@ def write_json(path, doc: dict) -> None:
 def save_state(rho: np.ndarray, path) -> None:
     """Write a density matrix as JSON with separate real/imaginary parts.
 
-    The file's n_steps is d/2 - 1, the only value `load_state` accepts for dim d.
+    The file's n_steps is d/2 - 1, the only value `load_state` accepts for dim d,
+    so rho must be d x d with d = 2(N+1), N >= 0; anything else is rejected
+    before the file is opened. Whether rho is a density matrix is left to
+    `load_state`.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    d = rho.shape[0]
+    d = rho.shape[0] if rho.ndim else 0
+    if rho.shape != (d, d) or d < 2 or d % 2:
+        raise ValueError(f"a walk state is d x d with d = 2(N+1), N >= 0; got shape {rho.shape}")
     write_json(path, {
         "format_version": STATE_FORMAT_VERSION,
         "n_steps": d // 2 - 1,

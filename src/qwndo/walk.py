@@ -22,6 +22,8 @@ CHANNELS = {
     "depolarizing": lambda rho, config: depolarizing_step(rho, config.p),
 }
 NOISE_KINDS = tuple(CHANNELS)
+# the noise kind that reads each channel parameter of WalkConfig
+CHANNEL_PARAMS = {"w_s": "mixing", "w_l": "mixing", "delta_beta": "dephasing", "p": "depolarizing"}
 STATE_TOL = 1e-10  # roundoff allowed in a state's Hermiticity, trace and smallest eigenvalue
 
 
@@ -71,6 +73,9 @@ class WalkConfig:
             )
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise!r}")
+        for field, kind in CHANNEL_PARAMS.items():  # the channel would ignore it
+            if getattr(self, field) != 0.0 and self.noise != kind:
+                raise ValueError(f"{field} applies only to noise {kind!r}, got noise {self.noise!r}")
         if not (self.w_s >= 0 and self.w_l >= 0 and self.w_s + self.w_l <= 1.0):
             raise ValueError(f"need w_s, w_l >= 0 and w_s + w_l <= 1, got ({self.w_s}, {self.w_l})")
         if not 0.0 <= self.delta_beta <= np.pi:

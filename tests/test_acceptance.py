@@ -99,11 +99,11 @@ def test_criterion_3_physicality_invariants():
         n = int(rng.integers(1, 5))
         kind = ("none", "mixing", "dephasing", "depolarizing")[int(rng.integers(4))]
         ws = float(rng.uniform(0, 0.6))
-        config = walk.WalkConfig(
-            n, tuple(rng.uniform(0, np.pi, n)), noise=kind,
-            w_s=ws, w_l=float(rng.uniform(0, 1.0 - ws)),
-            delta_beta=float(rng.uniform(0, np.pi)), p=float(rng.uniform(0, 1)),
-        )
+        angles = tuple(rng.uniform(0, np.pi, n))
+        drawn = {"w_s": ws, "w_l": float(rng.uniform(0, 1.0 - ws)),
+                 "delta_beta": float(rng.uniform(0, np.pi)), "p": float(rng.uniform(0, 1))}
+        config = walk.WalkConfig(n, angles, noise=kind, **{  # every draw made, the kind's own passed
+            field: value for field, value in drawn.items() if walk.CHANNEL_PARAMS[field] == kind})
         rng.integers(2**31)  # unused draw: keeps the instances the recorded results used
         check(walk.evolve(config))
     for _ in range(120):  # network states at random parameters

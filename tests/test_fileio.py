@@ -52,6 +52,14 @@ class TestStateFile:
         with pytest.raises(ValueError, match="n_steps"):
             fileio.load_state(path)
 
+    @pytest.mark.parametrize("rho", [np.eye(5) / 5, np.eye(1), np.eye(4)[:, :2] / 2, np.ones(4) / 4,
+                                     np.array(1.0)], ids=["dim5", "dim1", "4x2", "vector", "scalar"])
+    def test_save_rejects_a_shape_no_walk_has(self, tmp_path, rho):
+        path = tmp_path / "rho.state"
+        with pytest.raises(ValueError, match=re.escape(f"d = 2(N+1), N >= 0; got shape {rho.shape}")):
+            fileio.save_state(rho, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "rho,fragment",
         [

@@ -329,3 +329,10 @@ class TestWalkConfigValidation:
     def test_delta_beta_range(self):
         with pytest.raises(ValueError):
             walk.WalkConfig(1, (0.1,), noise="dephasing", delta_beta=4.0)
+
+    @pytest.mark.parametrize("field,noise", [(field, noise) for field, kind in walk.CHANNEL_PARAMS.items()
+                                             for noise in walk.NOISE_KINDS if noise != kind])
+    def test_parameter_of_another_channel_rejected(self, field, noise):
+        kind = walk.CHANNEL_PARAMS[field]
+        with pytest.raises(ValueError, match=f"^{field} applies only to noise '{kind}', got noise '{noise}'$"):
+            walk.WalkConfig(2, (0.7, 0.7), noise=noise, **{field: 0.2})
