@@ -3,15 +3,17 @@
 `bench-opt` is the paper's optimizer comparison (Fig. 5); `reproduce` reruns
 Figs. 3 and 4 at desk scale.
 
-Exit codes: 0 success, 1 domain or runtime error, 2 usage error. All angles
-are radians. Any subcommand accepts --config FILE (JSON mapping long flag
-names to values); explicit flags override file values.
+Exit codes: 0 success, 1 any failure (one `error:` line, never a traceback),
+2 usage error. All angles are radians. Any subcommand accepts --config FILE
+(JSON mapping long flag names to values); explicit flags override file values.
 
-This module parses flags, runs the subcommands and prints their summaries.
-Every file it names is read and written by `fileio` or by the dataset,
-checkpoint and report functions built on it, so a malformed file of any
-kind exits with code 1 and an error naming the file itself, its kind and
-its path, and the field at fault.
+`main` is the one way out of every subcommand: it checks every count and
+seed flag against `COUNT_FLOORS`, naming the flag, runs the handler, which
+returns its summary, prints that summary and sets the exit code. Every file
+it names is read and written by `fileio` or by the dataset, checkpoint and
+report functions built on it, so a malformed file of any kind exits with
+code 1 and an error naming the file itself, its kind and its path, and the
+field at fault.
 """
 
 from __future__ import annotations
@@ -82,17 +84,10 @@ def _walk_config(args) -> walk.WalkConfig:
     )
 
 
-def _network_size(noise: str) -> int:
-    """Default hidden and ancilla units: 15 for an open walk, otherwise 10."""
-    return 15 if noise in OPEN_NOISE else 10
-
-
-def _network_sizes(args) -> tuple[int, int]:
-    """--hidden/--ancillary, defaulting by --noise."""
-    default = _network_size(args.noise)
-    hidden = args.hidden if args.hidden is not None else default
-    ancillary = args.ancillary if args.ancillary is not None else default
-    return hidden, ancillary
+def _network_sizes(noise: str, hidden=None, ancillary=None) -> tuple[int, int]:
+    """Hidden and ancilla units: each count given, else 15 for an open walk and 10 otherwise."""
+    default = 15 if noise in OPEN_NOISE else 10
+    return (default if hidden is None else hidden, default if ancillary is None else ancillary)
 
 
 def _check_steps(flag_steps, file_steps: int, what: str) -> None:
@@ -133,7 +128,7 @@ def _report_fit(args, report: training.TrainReport) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     config = _walk_config(args)
     rho = walk.evolve(config)
     if args.out:
@@ -144,7 +139,7 @@ def cmd_simulate(args) -> int:
             args.marginal_csv, ["site", "probability"],
             [(l, float(p)) for l, p in enumerate(marg)],
         )
-    _emit(args, {
+    return {
         "n_steps": config.n_steps,
         "dim": walk.dim(config.n_steps),
         "noise": config.noise,
@@ -152,35 +147,34 @@ def cmd_simulate(args) -> int:
         "trace": float(np.trace(rho).real),
         "state_file": args.out or "",
         "marginal_csv": args.marginal_csv or "",
-    })
-    return 0
+    }
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> dict:
     rho, file_steps = fileio.load_state(args.from_state)
     _check_steps(args.steps, file_steps, f"state file {args.from_state}")
     ds = measurement.generate_dataset(rho, file_steps, shots=args.shots, seed=args.seed)
     measurement.save_dataset(ds, args.out)
-    _emit(args, {
+    return {
         "n_steps": file_steps,
         "n_bases": measurement.n_bases(file_steps),
         "shots": args.shots if args.shots is not None else "",
         "dataset": args.out,
-    })
-    return 0
+    }
 
 
-def _fit_ndo(args, ds, bases, m_h: int, m_a: int, seed: int, target):
-    """`training.fit_ndo` with --max-iters capping each phase; returns (params, report)."""
-    return training.fit_ndo(ds, bases, 2 * (ds.n_steps + 1), m_h, m_a, seed=seed, target=target,
+def _fit_ndo(args, ds, bases, sizes: tuple[int, int], seed: int, target):
+    """`training.fit_ndo` with sizes = (hidden, ancilla) units and --max-iters
+    capping each phase; returns (params, report)."""
+    return training.fit_ndo(ds, bases, bases.dim, *sizes, seed=seed, target=target,
                             warmup_iters=args.max_iters, polish_iters=args.max_iters,
                             grad_tol=args.grad_tol)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     ds, bases, target = _load_fit_inputs(args)
-    m_h, m_a = _network_sizes(args)
-    params, report = _fit_ndo(args, ds, bases, m_h, m_a, args.seed, target)
+    m_h, m_a = _network_sizes(args.noise, args.hidden, args.ancillary)
+    params, report = _fit_ndo(args, ds, bases, (m_h, m_a), args.seed, target)
     if args.checkpoint:
         ndo.save_checkpoint(params, args.checkpoint)
     summary = {"optimizer": report.optimizer, "hidden": m_h, "ancillary": m_a,
@@ -188,11 +182,10 @@ def cmd_train(args) -> int:
     if target is not None:
         summary.update(fidelity=report.fidelity, purity=report.purity,
                        purity_error=report.purity_error)
-    _emit(args, summary)
-    return 0
+    return summary
 
 
-def cmd_maxlik(args) -> int:
+def cmd_maxlik(args) -> dict:
     ds, bases, target = _load_fit_inputs(args)
     rho, report = maxlik.maxlik_fit(
         ds, bases, seed=args.seed, grad_tol=args.grad_tol,
@@ -203,11 +196,10 @@ def cmd_maxlik(args) -> int:
     summary = {**_report_fit(args, report), "purity": metrics.purity(rho)}
     if target is not None:
         summary.update(fidelity=report.fidelity, purity_error=report.purity_error)
-    _emit(args, summary)
-    return 0
+    return summary
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     if args.checkpoint:
         params = ndo.load_checkpoint(args.checkpoint)
         rho = ndo.density_matrix(params)
@@ -225,16 +217,15 @@ def cmd_evaluate(args) -> int:
         summary["purity_error"] = metrics.purity_error(rho, ref)
     if args.dataset:
         ds = measurement.load_dataset(args.dataset)
-        if rho.shape[0] != 2 * (ds.n_steps + 1):
+        if rho.shape[0] != walk.dim(ds.n_steps):
             raise ValueError(f"{source} but dataset {args.dataset} has N={ds.n_steps}, "
-                             f"dimension {2 * (ds.n_steps + 1)}")
+                             f"dimension {walk.dim(ds.n_steps)}")
         model_ds = measurement.generate_dataset(rho, ds.n_steps)
         summary["similarity"] = metrics.classical_similarity(model_ds, ds)
-    _emit(args, summary)
-    return 0
+    return summary
 
 
-def cmd_bench_opt(args) -> int:
+def cmd_bench_opt(args) -> dict:
     """Every optimizer from one `init_params` start on the walk's exact dataset.
 
     Writes the cost traces to --out. Each optimizer's summary names the first
@@ -245,8 +236,8 @@ def cmd_bench_opt(args) -> int:
     rho = walk.evolve(config)
     ds = measurement.generate_dataset(rho, config.n_steps)
     bases = measurement.all_basis_unitaries(config.n_steps)
-    m_h, m_a = _network_sizes(args)
-    init = ndo.init_params(2 * (config.n_steps + 1), m_h, m_a, seed=args.seed)
+    m_h, m_a = _network_sizes(args.noise, args.hidden, args.ancillary)
+    init = ndo.init_params(bases.dim, m_h, m_a, seed=args.seed)
     reports = {}
     for name in training.OPTIMIZERS:
         train_config = training.TrainConfig(name, args.grad_tol, args.max_iters)
@@ -261,15 +252,15 @@ def cmd_bench_opt(args) -> int:
             (i for i, c in enumerate(report.costs) if c <= gd_level), "not reached")
         summary[f"{name}_final_cost"] = report.final_cost
         summary[f"{name}_fidelity"] = report.fidelity
-    _emit(args, summary)
-    return 0
+    return summary
 
 
-def _fit_instance(rho, n_steps, m, args, seed, run_maxlik=True):
-    """Exact dataset from rho, NDO fit with m + m units, optional MaxLik fit; returns metrics."""
+def _fit_instance(rho, n_steps, noise, args, seed, run_maxlik=True):
+    """Exact dataset from rho, NDO fit at the default sizes of the walk's noise,
+    optional MaxLik fit; returns metrics."""
     ds = measurement.generate_dataset(rho, n_steps)
     bases = measurement.all_basis_unitaries(n_steps)
-    _, report = _fit_ndo(args, ds, bases, m, m, seed, rho)
+    _, report = _fit_ndo(args, ds, bases, _network_sizes(noise), seed, rho)
     out = {"fidelity_ndo": report.fidelity, "purity_error_ndo": report.purity_error,
            "purity_ndo": report.purity}
     if run_maxlik:
@@ -298,7 +289,7 @@ def _reproduce_fig3(args, out_dir: Path) -> dict:
             )
         for scenario, s, config in scenarios:
             rho = walk.evolve(config)
-            res = _fit_instance(rho, n, _network_size(config.noise), args, seed=args.seed + 7 * s)
+            res = _fit_instance(rho, n, config.noise, args, seed=args.seed + 7 * s)
             rows.append((
                 scenario, n, s,
                 res["fidelity_ndo"], res["purity_error_ndo"],
@@ -329,8 +320,8 @@ def _reproduce_fig4(args, out_dir: Path) -> dict:
         rho = walk.evolve(config)
         fids, purs = [], []
         for s in range(args.samples):
-            res = _fit_instance(rho, n, _network_size(config.noise), args,
-                                run_maxlik=False, seed=args.seed + 13 * s)
+            res = _fit_instance(rho, n, config.noise, args, run_maxlik=False,
+                                seed=args.seed + 13 * s)
             fids.append(res["fidelity_ndo"])
             purs.append(res["purity_ndo"])
         rows.append((float(db), metrics.purity(rho), float(np.mean(purs)), float(np.mean(fids))))
@@ -351,20 +342,16 @@ def _reproduce_fig4(args, out_dir: Path) -> dict:
 REPRODUCE_PRESETS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4}
 
 
-def cmd_reproduce(args) -> int:
-    for flag, value in (("--samples", args.samples), ("--max-steps", args.max_steps)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-    # every input is checked before the report directory is created
-    training.TrainConfig(grad_tol=args.grad_tol, max_iters=args.max_iters)
+def cmd_reproduce(args) -> dict:
+    # --grad-tol is checked before the report directory is created
+    training.TrainConfig(grad_tol=args.grad_tol)
     out_dir = Path(args.out_dir or f"reproduce_{args.preset}")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = REPRODUCE_PRESETS[args.preset](args, out_dir)
     with open(out_dir / "summary.txt", "w", encoding="utf-8") as fh:
         for key, value in summary.items():
             fh.write(f"{key}: {value}\n")
-    _emit(args, summary)
-    return 0
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +479,7 @@ def _apply_config(sub, explicit: argparse.Namespace) -> None:
              if any(a.dest in vars(explicit) for a in group._group_actions)}
     for key, value in values.items():
         action = by_dest.get(key.replace("-", "_"))
-        if action is None or action.dest == "config":
+        if action is None or action.dest in ("config", "help"):
             raise ValueError(f"{where} unknown flag {key!r} for {explicit.command!r}")
         on_off = isinstance(action, argparse._StoreTrueAction)
         if on_off != isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -517,13 +504,19 @@ def _apply_config(sub, explicit: argparse.Namespace) -> None:
         action.default, action.required = value, False
 
 
-def _check_non_negative(args) -> None:
-    """Reject a negative count or seed, whether a flag or the config file set
-    it, by its flag: the library's and NumPy's own errors do not name the flag."""
-    for dest in ("steps", "hidden", "ancillary", "seed", "disordered_seed"):
+# The least value of every count and seed flag, by dest.
+COUNT_FLOORS = {"steps": 0, "hidden": 0, "ancillary": 0, "seed": 0, "disordered_seed": 0,
+                "shots": 1, "max_iters": 1, "samples": 1, "max_steps": 1}
+
+
+def _check_counts(args) -> None:
+    """Reject a count or seed below its floor, whether a flag or the config
+    file set it, by its flag: the library's and NumPy's own errors do not
+    name the flag."""
+    for dest, floor in COUNT_FLOORS.items():
         value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
+        if value is not None and value < floor:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= {floor}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -534,9 +527,10 @@ def main(argv=None) -> int:
         if getattr(explicit, "config", None):
             _apply_config(registry[explicit.command], explicit)
         args = parser.parse_args(argv)
-        _check_non_negative(args)
-        return args.handler(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+        _check_counts(args)
+        _emit(args, args.handler(args))
+        return 0
+    except (ValueError, RuntimeError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,7 @@ def n_bases(n_steps: int) -> int:
     return 2 * (n_steps + 1) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisTables:
     """All bases as 2-sparse rows: U^n(j, index[n, j, s]) = coef[n, j, s], s = 0, 1.
 
@@ -170,12 +170,13 @@ def all_basis_unitaries(n_steps: int) -> BasisTables:
     return BasisTables(index=index, coef=coef)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementDataset:
     """Per-basis outcome distributions: probs[n, j] for basis n and outcome j.
 
     n_steps is a non-negative int; shots (positive) and seed (non-negative) are
-    each None or an int. None of the three may be a bool.
+    each None or an int. None of the three may be a bool. Two datasets are
+    equal only if they are the same object; compare `probs` for equal values.
     """
 
     n_steps: int

@@ -160,7 +160,7 @@ def density_matrix(params: NdoParams) -> np.ndarray:
     return _normalize(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NdoEval:
     """One-pass evaluation of everything the cost, gradient and metric reuse;
     A and log Z, which only the state reads, are not kept.

@@ -600,7 +600,7 @@ def minimize_vector(fun, grad_fun, x0, *configs: TrainConfig, metric_fun=None):
     return x, report
 
 
-@dataclass
+@dataclass(eq=False)
 class _Point:
     """One point of a `KlObjective`: its state, floored model and cost, and
     the adjoint M once a call needs it."""
@@ -627,8 +627,7 @@ class KlObjective:
     def __init__(self, ds, bases: BasisTables, d: int):
         self.data = _data_probs(ds, bases, d)
         self.bases, self.d = bases, d
-        self.mask = self.data > 0
-        self.kept_at = np.flatnonzero(self.mask)  # the mask's entries as flat indices
+        self.kept_at = np.flatnonzero(self.data > 0)  # the nonzero data as flat indices
         self.kept = self.data.take(self.kept_at)
         self.log_kept = np.log(self.kept)
         self._points: list[_Point] = []  # most recently used first
@@ -652,9 +651,10 @@ class KlObjective:
         return self._at(x).cost
 
     def _adjoint(self, point: _Point) -> np.ndarray:
-        """M at the point: minus the cost's derivative in rho."""
+        """M at the point: minus the cost's derivative in rho. Its weights
+        data / model are 0 wherever the data are, as the model is floored above 0."""
         if point.m is None:
-            point.m = self.bases.adjoint(np.where(self.mask, self.data / point.model, 0.0))
+            point.m = self.bases.adjoint(self.data / point.model)
         return point.m
 
     def grad(self, x: np.ndarray) -> np.ndarray:

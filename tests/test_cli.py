@@ -311,6 +311,13 @@ class TestTrainAndEvaluate:
         assert message in err
         assert not ckpt.exists()
 
+    def test_config_file_cannot_set_help(self, tmp_path, capsys):
+        config = tmp_path / "help.json"
+        config.write_text(json.dumps({"help": 1}))
+        assert run(["simulate", "--steps", "1", "--config", str(config)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: config file {config} sets unknown flag 'help' for 'simulate'\n")
+
     def test_config_file_json_false_keeps_text_summary(self, tmp_path, small_dataset, capsys):
         config = tmp_path / "text.json"
         config.write_text(json.dumps({"json": False, "max-iters": 2, "noise": "dephasing"}))
@@ -650,6 +657,48 @@ def test_negative_seed_in_config_exit_one(tmp_path, capsys, key, flag):
     out = tmp_path / "out"
     assert run(["bench-opt", "--steps", "1", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen-data", "--shots", "0"], "--shots"),
+    (["train", "--max-iters", "0"], "--max-iters"),
+    (["maxlik", "--max-iters", "0"], "--max-iters"),
+    (["bench-opt", "--steps", "1", "--max-iters", "0"], "--max-iters"),
+])
+def test_count_below_one_names_the_flag(tmp_path, capsys, hadamard_state, small_dataset,
+                                        argv, flag):
+    out = tmp_path / "out"
+    extra = {
+        "gen-data": ["--from-state", str(hadamard_state), "--out", str(out)],
+        "train": ["--dataset", str(small_dataset), "--checkpoint", str(out)],
+        "maxlik": ["--dataset", str(small_dataset), "--out-state", str(out)],
+        "bench-opt": ["--out", str(out)],
+    }[argv[0]]
+    assert run([*argv, *extra]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_max_iters_below_one_in_config_names_the_flag(tmp_path, capsys, small_dataset):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max-iters": 0}))
+    ckpt = tmp_path / "fit.ckpt"
+    assert run(["train", "--dataset", str(small_dataset), "--config", str(config),
+                "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == "error: --max-iters must be >= 1, got 0\n"
+    assert not ckpt.exists()
+
+
+def test_shots_too_large_for_numpy_exit_one(tmp_path, capsys, hadamard_state):
+    """NumPy's sampler raises OverflowError on a count past a C long; it
+    fails before anything is allocated."""
+    out = tmp_path / "big.ds"
+    assert run(["gen-data", "--from-state", str(hadamard_state), "--shots",
+                "100000000000000000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -72,6 +72,23 @@ def reference_basis_only(n_steps):
     return measurement.BasisTables(index=bases.index[:1], coef=bases.coef[:1])
 
 
+@pytest.mark.parametrize("record", ["dataset", "tables", "evaluation", "point"])
+def test_array_records_compare_by_identity(record):
+    """Records that hold arrays compare and hash by identity: a field-wise
+    == would ask NumPy for the truth value of an array."""
+    rho, _, _ = hadamard_setup(2)
+    params = ndo.init_params(6, 2, 2)
+    make = {
+        "dataset": lambda: measurement.generate_dataset(rho, 2),
+        "tables": lambda: measurement.all_basis_unitaries.__wrapped__(2),  # uncached
+        "evaluation": lambda: ndo.evaluate(params),
+        "point": lambda: training._Point(b"", rho, None, rho.real, 0.0),
+    }[record]
+    a, b = make(), make()
+    assert a == a and hash(a) == hash(a)
+    assert a is not b and a != b
+
+
 class TestCost:
     def test_own_dataset_zero(self):
         params = oracles.random_params(4, 3, 3, 0.6, seed=1)
